@@ -51,14 +51,6 @@ class TypeVector:
     def __str__(self) -> str:
         return "".join(self.boxes)
 
-    @property
-    def whites(self) -> int:
-        return self.boxes.count(WHITE)
-
-    @property
-    def blacks(self) -> int:
-        return self.boxes.count(BLACK)
-
 
 def type_of(values, m: int, delta: int) -> TypeVector | None:
     """TypeVector of the set, or None when it has no type."""
@@ -192,30 +184,3 @@ def s_image_coset_violations(spec: CipherSpec) -> list[int]:
         if image.size == shifted.size and np.array_equal(image, shifted):
             out.append(q)
     return out
-
-
-def find_translation_fragile_set(n: int, m: int, delta: int,
-                                 limit: int = 200_000):
-    """Search for a typed NON-subgroup set whose type breaks under some
-    modular translation: the demonstration that the subgroup
-    hypothesis in the translation lemma is doing real work.
-
-    Returns (set values, v) or None.  Deterministic sweep, small n.
-    """
-    from itertools import combinations
-
-    mask = (1 << n) - 1
-    space = list(range(1 << n))
-    for size in (2, 3, 4):
-        for combo in combinations(space, size):
-            arr = np.array(combo, dtype=np.int64)
-            before = type_of(arr, m, delta)
-            if before is None:
-                continue
-            limit -= 1
-            if limit <= 0:
-                return None
-            for v in range(1, 1 << n):
-                if type_of((arr + v) & mask, m, delta) != before:
-                    return combo, v
-    return None

@@ -30,7 +30,6 @@ from __future__ import annotations
 import hashlib
 import json
 from dataclasses import dataclass, field
-from typing import Iterable
 
 import numpy as np
 
@@ -124,6 +123,9 @@ def spec_from_dict(data: dict) -> CipherSpec:
         )
     except KeyError as e:
         raise ValueError(f"spec file missing field {e.args[0]!r}") from None
+    except (TypeError, OverflowError):
+        raise ValueError("spec fields n, m, delta and r must be integers "
+                         "and sboxes a list of tables") from None
     return CipherSpec(n, m, delta, r, tables)
 
 
@@ -133,6 +135,8 @@ def load_spec(path) -> CipherSpec:
             data = json.load(fh)
         except json.JSONDecodeError as e:
             raise ValueError(f"{path}: line {e.lineno}: {e.msg}") from None
+        except RecursionError:
+            raise ValueError(f"{path}: JSON nested too deeply") from None
     if not isinstance(data, dict):
         raise ValueError(f"{path}: spec file must contain one object")
     return spec_from_dict(data)
@@ -218,7 +222,8 @@ def generalized_round(spec: CipherSpec, k: State, h: State, st: State) -> State:
 def gamma_table(spec: CipherSpec) -> np.ndarray:
     """x -> gamma(x) as an int64 array over all 2**n words."""
     if (1 << spec.n) > TABLE_CAP:
-        raise ValueError(f"gamma table for n={spec.n} exceeds cap 2**24")
+        raise ValueError(f"gamma table for n={spec.n} exceeds cap "
+                         f"2**{TABLE_CAP.bit_length() - 1}")
     x = np.arange(1 << spec.n, dtype=np.int64)
     out = np.zeros_like(x)
     brick = (1 << spec.m) - 1

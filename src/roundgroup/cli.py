@@ -3,7 +3,8 @@
 Subcommands: encrypt, validate, scan-blocks, types, goursat, order,
 verdict, selftest.  Reports echo the seed and caps in a header and are
 byte-stable for a fixed command line: anything nondeterministic
-(timings) goes to stderr, never into the report body.
+(timings) goes to stderr, never into the report body.  Each report is
+built once, as text lines and a JSON record side by side.
 
 Exit codes: 0 clean, 2 a certified invariant partition was found,
 3 inconclusive verdict, 1 usage or I/O errors.
@@ -19,37 +20,65 @@ import time
 
 import numpy as np
 
-from . import __version__, boxtypes, cipher, goursat, groups, perms, verify
+from . import (__version__, boxtypes, cipher, goursat, groups, perms, verify,
+               words)
 from .cipher import CipherSpec
 
-MATERIALIZE_CAP_LOG2 = 24
-CHAIN_CAP_LOG2 = 12
+TOOL = f"roundgroup {__version__}"
 
 
 def _hex(value: int, n: int) -> str:
     return format(value, f"0{(n + 3) // 4}x")
 
 
+def _yes(ok: bool) -> str:
+    return "yes" if ok else "no"
+
+
+class _Parser(argparse.ArgumentParser):
+    """Usage errors exit 1 with one line, like every other input error;
+    argparse's own status 2 is the Imprimitive verdict's exit code."""
+
+    def error(self, message):
+        raise ValueError(f"{self.prog}: {message}")
+
+
+def _int_from(lo: int):
+    """argparse type: an integer no smaller than lo."""
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            value = None
+        if value is None or value < lo:
+            raise argparse.ArgumentTypeError(
+                f"expected an integer >= {lo}, got {text!r}")
+        return value
+    return parse
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="roundgroup",
         description="round-function group analysis of a GOST-like "
                     "Feistel cipher")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p, spec_required=True):
-        if spec_required:
+    def add(name, help, spec=True, seed=True, fmt=True):
+        p = sub.add_parser(name, help=help)
+        if spec:
             p.add_argument("--spec", required=True,
                            help="cipher spec file (JSON)")
-        p.add_argument("--seed", type=int, default=0,
-                       help="64-bit RNG seed (default 0)")
-        p.add_argument("--format", choices=("text", "json"), default="text")
-        p.add_argument("--max-degree", type=int,
-                       default=1 << MATERIALIZE_CAP_LOG2,
-                       help="refuse to materialize beyond this many states")
+        if seed:
+            p.add_argument("--seed", type=int, default=0,
+                           help="64-bit RNG seed (default 0)")
+        if fmt:
+            p.add_argument("--format", choices=("text", "json"),
+                           default="text")
+        return p
 
-    p = sub.add_parser("encrypt", help="apply rounds to hex state pairs")
-    add_common(p)
+    p = add("encrypt", "apply rounds to hex state pairs", seed=False,
+            fmt=False)
     p.add_argument("--keys", help="round key file; each line is one hex "
                    "word (keyed round) or four hex words k1 k2 h1 h2 "
                    "(translate-swap-translate round); no file means a "
@@ -59,20 +88,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--inverse", action="store_true",
                    help="apply the inverse of the round sequence")
 
-    p = sub.add_parser("validate", help="structural and scope flags")
-    add_common(p)
+    add("validate", "structural and scope flags")
+    add("scan-blocks", "scan all modular subgroups for blocks")
+    add("types", "box types of subgroups and their mixing-map images")
 
-    p = sub.add_parser("scan-blocks",
-                       help="scan all modular subgroups for blocks")
-    add_common(p)
-
-    p = sub.add_parser("types", help="box types of subgroups and their "
-                       "mixing-map images")
-    add_common(p)
-
-    p = sub.add_parser("goursat", help="enumerate subgroups of the "
-                       "state translation group")
-    add_common(p, spec_required=False)
+    p = add("goursat", "enumerate subgroups of the state translation "
+            "group", spec=False, seed=False)
     p.add_argument("--spec", help="take n from this spec file")
     p.add_argument("--n", type=int, help="word width (alternative to --spec)")
     p.add_argument("--list", action="store_true",
@@ -80,55 +101,34 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--check", action="store_true",
                    help="cross-check against brute force (n <= 3)")
 
-    p = sub.add_parser("order", help="exact order of the generated group")
-    add_common(p)
+    add("order", "exact order of the generated group")
 
-    p = sub.add_parser("verdict", help="run the full verification pipeline")
-    add_common(p)
-    p.add_argument("--budget", type=int, default=10_000,
+    p = add("verdict", "run the full verification pipeline")
+    p.add_argument("--budget", type=_int_from(0), default=10_000,
                    help="giant-witness trial budget (default 10000)")
-    p.add_argument("--word-len", type=int, default=32,
+    p.add_argument("--word-len", type=_int_from(1), default=32,
                    help="witness word length (default 32)")
 
-    p = sub.add_parser("selftest", help="internal invariant suite at "
-                       "toy sizes")
-    add_common(p, spec_required=False)
-
+    add("selftest", "internal invariant suite at toy sizes", spec=False,
+        seed=False)
     return parser
 
 
-def load_spec_arg(args) -> CipherSpec:
-    spec = cipher.load_spec(args.spec)
-    if (1 << (2 * spec.n)) > args.max_degree and args.command in (
-            "scan-blocks", "order", "verdict"):
-        raise ValueError(
-            f"degree 2**{2 * spec.n} exceeds --max-degree {args.max_degree}")
-    return spec
-
-
-def header_lines(args, spec: CipherSpec | None) -> list[str]:
-    lines = [f"tool: roundgroup {__version__}"]
-    if spec is not None:
-        lines.append(f"spec: {args.spec} sha256={spec.digest()}")
-        lines.append(f"parameters: n={spec.n} m={spec.m} "
-                     f"delta={spec.delta} r={spec.r}")
-    lines.append(f"seed: {args.seed}")
-    lines.append(f"caps: materialize=2^{MATERIALIZE_CAP_LOG2} "
-                 f"chain-degree=2^{CHAIN_CAP_LOG2} "
-                 f"max-degree={args.max_degree}")
-    return lines
-
-
-def header_dict(args, spec: CipherSpec | None) -> dict:
-    out = {"tool": f"roundgroup {__version__}", "seed": args.seed,
-           "caps": {"materialize_log2": MATERIALIZE_CAP_LOG2,
-                    "chain_degree_log2": CHAIN_CAP_LOG2,
-                    "max_degree": args.max_degree}}
-    if spec is not None:
-        out["spec"] = {"path": args.spec, "sha256": spec.digest(),
-                       "n": spec.n, "m": spec.m, "delta": spec.delta,
-                       "r": spec.r}
-    return out
+def header(args, spec: CipherSpec) -> tuple[list[str], dict]:
+    """Report header as text lines and JSON record.  The caps are read
+    from the modules that enforce them."""
+    caps = {"materialize_log2": perms.DEGREE_CAP.bit_length() - 1,
+            "chain_degree_log2": groups.BSGS_DEGREE_CAP.bit_length() - 1}
+    params = {"n": spec.n, "m": spec.m, "delta": spec.delta, "r": spec.r}
+    lines = [f"tool: {TOOL}",
+             f"spec: {args.spec} sha256={spec.digest()}",
+             "parameters: " + " ".join(f"{k}={v}" for k, v in params.items()),
+             f"seed: {args.seed}",
+             f"caps: materialize=2^{caps['materialize_log2']} "
+             f"chain-degree=2^{caps['chain_degree_log2']}"]
+    data = {"tool": TOOL, "seed": args.seed, "caps": caps,
+            "spec": {"path": args.spec, "sha256": spec.digest(), **params}}
+    return lines, data
 
 
 def emit(args, text_lines: list[str], data: dict) -> None:
@@ -143,82 +143,67 @@ def emit(args, text_lines: list[str], data: dict) -> None:
 # encrypt
 
 
-def parse_states(stream, n: int) -> list[tuple[int, int]]:
+def read_words(stream, n: int, what: str, counts: tuple[int, ...],
+               need: str) -> list[list[int]]:
+    """Hex words of each non-blank line ('#' starts a comment).  A line
+    holds one of `counts` words, each in [0, 2**n); errors name the
+    line as '<what> line N'."""
     out = []
     for lineno, line in enumerate(stream, 1):
-        body = line.split("#", 1)[0].strip()
-        if not body:
+        parts = line.split("#", 1)[0].split()
+        if not parts:
             continue
-        parts = body.split()
-        if len(parts) != 2:
-            raise ValueError(f"state line {lineno}: need two hex words")
-        x1, x2 = (int(p, 16) for p in parts)
-        if x1 >= (1 << n) or x2 >= (1 << n):
-            raise ValueError(f"state line {lineno}: word out of range")
-        out.append((x1, x2))
+        where = f"{what} line {lineno}"
+        if len(parts) not in counts:
+            raise ValueError(f"{where}: need {need} hex words")
+        try:
+            values = [int(p, 16) for p in parts]
+        except ValueError:
+            raise ValueError(f"{where}: not a hex word") from None
+        if any(not 0 <= v < 1 << n for v in values):
+            raise ValueError(f"{where}: word out of range")
+        out.append(values)
     return out
 
 
-def parse_keys(path, n: int) -> list[tuple]:
-    rounds: list[tuple] = []
-    with open(path) as fh:
-        for lineno, line in enumerate(fh, 1):
-            body = line.split("#", 1)[0].strip()
-            if not body:
-                continue
-            parts = [int(p, 16) for p in body.split()]
-            if any(p >= (1 << n) for p in parts):
-                raise ValueError(f"key line {lineno}: word out of range")
-            if len(parts) == 1:
-                rounds.append(("keyed", parts[0]))
-            elif len(parts) == 4:
-                rounds.append(("general", (parts[0], parts[1]),
-                               (parts[2], parts[3])))
-            else:
-                raise ValueError(
-                    f"key line {lineno}: need one or four hex words")
-    return rounds
+def _neg(k: tuple[int, int], n: int) -> tuple[int, int]:
+    return words.neg_mod(k[0], n), words.neg_mod(k[1], n)
 
 
 def apply_rounds(spec: CipherSpec, rounds: list[tuple],
                  st: tuple[int, int], inverse: bool) -> tuple[int, int]:
+    """Each round (k, h) is rho(k), then sigma, then rho(h)."""
     n = spec.n
     if not inverse:
-        for rnd in rounds:
-            if rnd[0] == "keyed":
-                st = cipher.gost_round(spec, rnd[1], st)
-            else:
-                st = cipher.generalized_round(spec, rnd[1], rnd[2], st)
+        for k, h in rounds:
+            st = cipher.generalized_round(spec, k, h, st)
         return st
-    from . import words
-    for rnd in reversed(rounds):
-        if rnd[0] == "keyed":
-            k = rnd[1]
-            st = cipher.rho_apply((k, 0), st, n)
-            st = cipher.sigma_inverse_apply(spec, st)
-            st = cipher.rho_apply((0, words.neg_mod(k, n)), st, n)
-        else:
-            k, h = rnd[1], rnd[2]
-            st = cipher.rho_apply((words.neg_mod(h[0], n),
-                                   words.neg_mod(h[1], n)), st, n)
-            st = cipher.sigma_inverse_apply(spec, st)
-            st = cipher.rho_apply((words.neg_mod(k[0], n),
-                                   words.neg_mod(k[1], n)), st, n)
+    for k, h in reversed(rounds):
+        st = cipher.rho_apply(_neg(h, n), st, n)
+        st = cipher.sigma_inverse_apply(spec, st)
+        st = cipher.rho_apply(_neg(k, n), st, n)
     return st
 
 
 def cmd_encrypt(args) -> int:
     spec = cipher.load_spec(args.spec)
-    rounds = parse_keys(args.keys, spec.n) if args.keys else [
-        ("general", (0, 0), (0, 0))]
+    n = spec.n
+    rounds = [((0, 0), (0, 0))]
+    if args.keys:
+        with open(args.keys) as fh:
+            # a one-word key k is the keyed round rho(0,k) sigma rho(-k,0)
+            rounds = [((0, w[0]), (words.neg_mod(w[0], n), 0))
+                      if len(w) == 1 else ((w[0], w[1]), (w[2], w[3]))
+                      for w in read_words(fh, n, "key", (1, 4),
+                                          "one or four")]
     if args.input:
         with open(args.input) as fh:
-            states = parse_states(fh, spec.n)
+            states = read_words(fh, n, "state", (2,), "two")
     else:
-        states = parse_states(sys.stdin, spec.n)
+        states = read_words(sys.stdin, n, "state", (2,), "two")
     for st in states:
-        out = apply_rounds(spec, rounds, st, args.inverse)
-        print(f"{_hex(out[0], spec.n)} {_hex(out[1], spec.n)}")
+        out = apply_rounds(spec, rounds, tuple(st), args.inverse)
+        print(f"{_hex(out[0], n)} {_hex(out[1], n)}")
     return 0
 
 
@@ -227,20 +212,19 @@ def cmd_encrypt(args) -> int:
 
 
 def cmd_validate(args) -> int:
-    spec = load_spec_arg(args)
+    spec = cipher.load_spec(args.spec)
     val = cipher.validate_spec(spec)
-    flags = [("conforming", val.conforming), ("bijective", val.bijective),
-             ("theorem-scope", val.theorem_scope),
-             ("gost-parameters", val.gost_parameters)]
-    lines = header_lines(args, spec)
+    lines, data = header(args, spec)
     lines.append("-- validation --")
-    for name, ok in flags:
-        lines.append(f"{name}: {'yes' if ok else 'no'}")
-    for note in val.notes:
-        lines.append(f"note: {note}")
-    data = header_dict(args, spec)
-    data["validation"] = {name.replace("-", "_"): ok for name, ok in flags}
-    data["validation"]["notes"] = list(val.notes)
+    record = data["validation"] = {}
+    for name, ok in (("conforming", val.conforming),
+                     ("bijective", val.bijective),
+                     ("theorem-scope", val.theorem_scope),
+                     ("gost-parameters", val.gost_parameters)):
+        lines.append(f"{name}: {_yes(ok)}")
+        record[name.replace("-", "_")] = ok
+    lines += [f"note: {note}" for note in val.notes]
+    record["notes"] = list(val.notes)
     emit(args, lines, data)
     return 0
 
@@ -249,47 +233,48 @@ def cmd_validate(args) -> int:
 # scan-blocks
 
 
-def describe_candidate(c: verify.BlockCandidate, n: int) -> str:
-    size = c.triple.size
-    blocks = (1 << (2 * n)) // size
-    status = "certified" if c.certified else "refuted-by-partition-check"
-    return (f"block {c.triple.describe()} size={size} "
-            f"blocks={blocks} {status}")
+def scan_report(scan: verify.BlockScanResult, n: int,
+                indent: str = "") -> tuple[list[str], dict]:
+    """Candidate lines and the scan's JSON record, shared by the
+    scan-blocks and verdict reports."""
+    lines, candidates = [], []
+    for c in scan.candidates:
+        t = c.triple
+        status = "certified" if c.certified else "refuted-by-partition-check"
+        lines.append(f"{indent}block {t.describe()} size={t.size} "
+                     f"blocks={(1 << (2 * n)) // t.size} {status}")
+        candidates.append({"triple": list(t.to_tuple()), "size": t.size,
+                           "certified": c.certified})
+    return lines, {"subgroups_tested": scan.subgroups_tested,
+                   "shift_hex": _hex(scan.shift, n),
+                   "candidates": candidates}
 
 
 def cmd_scan_blocks(args) -> int:
-    spec = load_spec_arg(args)
+    spec = cipher.load_spec(args.spec)
     gens = perms.standard_generators(spec)
     t0 = time.monotonic()
     trans = verify.transitivity_check(gens)
     scan = verify.block_scan(spec, gens)
     elapsed = time.monotonic() - t0
-    lines = header_lines(args, spec)
-    lines.append("-- block scan --")
-    lines.append(f"transitive: {'yes' if trans.passed else 'no'} "
-                 f"(orbit {trans.orbit_size} of {trans.degree})")
-    lines.append(f"subgroups tested: {scan.subgroups_tested}")
-    lines.append(f"forced shift: (0, 0x{_hex(scan.shift, spec.n)})")
+    candidate_lines, record = scan_report(scan, spec.n)
+    lines, data = header(args, spec)
+    lines += ["-- block scan --",
+              f"transitive: {_yes(trans.passed)} "
+              f"(orbit {trans.orbit_size} of {trans.degree})",
+              f"subgroups tested: {scan.subgroups_tested}",
+              f"forced shift: (0, 0x{record['shift_hex']})"]
     if scan.empty:
         lines.append("result: empty (no invariant subgroup-coset "
                      "partition exists)")
         if trans.passed:
             lines.append("primitive: yes")
     else:
-        for c in scan.candidates:
-            lines.append(describe_candidate(c, spec.n))
+        lines += candidate_lines
         lines.append(f"result: {len(scan.certified)} certified of "
                      f"{len(scan.candidates)} candidates")
-    data = header_dict(args, spec)
-    data["scan"] = {
-        "transitive": trans.passed,
-        "subgroups_tested": scan.subgroups_tested,
-        "shift_hex": _hex(scan.shift, spec.n),
-        "candidates": [
-            {"triple": list(c.triple.to_tuple()), "size": c.triple.size,
-             "certified": c.certified} for c in scan.candidates],
-        "primitive": trans.passed and not scan.certified,
-    }
+    data["scan"] = dict(record, transitive=trans.passed,
+                        primitive=trans.passed and not scan.certified)
     emit(args, lines, data)
     print(f"timing: scan {elapsed:.2f}s", file=sys.stderr)
     return 2 if scan.certified else 0
@@ -300,26 +285,25 @@ def cmd_scan_blocks(args) -> int:
 
 
 def cmd_types(args) -> int:
-    spec = load_spec_arg(args)
+    spec = cipher.load_spec(args.spec)
     n, m, delta = spec.n, spec.m, spec.delta
-    lines = header_lines(args, spec)
+    lines, data = header(args, spec)
     lines.append("-- box types --")
     rows = []
     for q in range(1, n):
         dtype = boxtypes.subgroup_type(q, m, delta)
         image_type = boxtypes.type_of(boxtypes.s_image(spec, q), m, delta)
-        image_str = str(image_type) if image_type is not None else "none"
+        image = str(image_type) if image_type is not None else "none"
         verdict = "same" if image_type == dtype else "changed"
-        rows.append((q, str(dtype), image_str, verdict))
-        lines.append(f"q={q}: D={dtype} DS={image_str} [{verdict}]")
+        rows.append({"q": q, "subgroup": str(dtype), "image": image,
+                     "verdict": verdict})
+        lines.append(f"q={q}: D={dtype} DS={image} [{verdict}]")
     tv = boxtypes.s_image_type_violations(spec)
     cv = boxtypes.s_image_coset_violations(spec)
-    lines.append(f"type violations: {tv if tv else 'none'}")
-    lines.append(f"coset violations: {cv if cv else 'none'}")
-    data = header_dict(args, spec)
-    data["types"] = {"rows": [{"q": q, "subgroup": d, "image": i,
-                               "verdict": v} for q, d, i, v in rows],
-                     "type_violations": tv, "coset_violations": cv}
+    lines.append(f"type violations: {tv or 'none'}")
+    lines.append(f"coset violations: {cv or 'none'}")
+    data["types"] = {"rows": rows, "type_violations": tv,
+                     "coset_violations": cv}
     emit(args, lines, data)
     return 0
 
@@ -338,10 +322,8 @@ def cmd_goursat(args) -> int:
     if not 1 <= n <= 16:
         raise ValueError("subgroup enumeration supported for 1 <= n <= 16")
     triples = goursat.enumerate_subgroups(n)
-    lines = [f"tool: roundgroup {__version__}", f"n: {n}",
-             f"subgroups: {len(triples)}"]
-    data = {"tool": f"roundgroup {__version__}", "n": n,
-            "count": len(triples)}
+    lines = [f"tool: {TOOL}", f"n: {n}", f"subgroups: {len(triples)}"]
+    data = {"tool": TOOL, "n": n, "count": len(triples)}
     if args.check:
         if n > 3:
             raise ValueError("--check needs n <= 3")
@@ -367,32 +349,31 @@ def cmd_goursat(args) -> int:
 
 
 def cmd_order(args) -> int:
-    spec = load_spec_arg(args)
-    degree = 1 << (2 * spec.n)
-    if degree > (1 << CHAIN_CAP_LOG2):
-        raise ValueError(f"exact order needs degree <= 2^{CHAIN_CAP_LOG2}; "
-                         f"this spec has degree 2^{2 * spec.n}")
+    spec = cipher.load_spec(args.spec)
+    degree = spec.degree
+    if degree > groups.BSGS_DEGREE_CAP:
+        raise ValueError(
+            f"exact order needs degree <= "
+            f"2^{groups.BSGS_DEGREE_CAP.bit_length() - 1}; "
+            f"this spec has degree 2^{2 * spec.n}")
     gens = perms.standard_generators(spec)
     t0 = time.monotonic()
     chain = groups.schreier_sims(gens, np.random.default_rng(args.seed))
     elapsed = time.monotonic() - t0
     order = chain.order
-    lines = header_lines(args, spec)
-    lines.append("-- group order --")
-    lines.append(f"degree: {degree}")
-    lines.append(f"order: {order}")
     half = math.factorial(degree) // 2
     if order == half:
-        lines.append("identification: alternating group of the full "
-                     "state set")
+        identification = "alternating group of the full state set"
     elif order == 2 * half:
-        lines.append("identification: symmetric group of the full state set")
+        identification = "symmetric group of the full state set"
     else:
-        lines.append(f"identification: proper subgroup "
-                     f"(index {2 * half // order} in the symmetric group)")
-    lines.append(f"certificate: {chain.certificate}")
-    lines.append(f"base length: {len(chain.base)}")
-    data = header_dict(args, spec)
+        identification = (f"proper subgroup (index {2 * half // order} "
+                          f"in the symmetric group)")
+    lines, data = header(args, spec)
+    lines += ["-- group order --", f"degree: {degree}", f"order: {order}",
+              f"identification: {identification}",
+              f"certificate: {chain.certificate}",
+              f"base length: {len(chain.base)}"]
     data["order"] = {"degree": degree, "order": str(order),
                      "certificate": chain.certificate,
                      "base_length": len(chain.base),
@@ -407,116 +388,95 @@ def cmd_order(args) -> int:
 # verdict
 
 
-def verdict_lines(v: verify.Verdict, spec: CipherSpec) -> list[str]:
-    n = spec.n
-    lines = ["-- checks --"]
+def verdict_report(v: verify.Verdict, n: int) -> tuple[list[str], dict]:
+    """The verdict's text lines and JSON record, each check's line and
+    record made together."""
+    val = v.validation
+    lines = [f"budget: {v.budget}  word-len: {v.word_len}", "-- checks --"]
+    record = {"budget": v.budget, "word_len": v.word_len,
+              "validation": {"conforming": val.conforming,
+                             "bijective": val.bijective,
+                             "theorem_scope": val.theorem_scope,
+                             "notes": list(val.notes)},
+              "primitive": v.primitive}
+
+    def check(key: str, line: str, fields) -> None:
+        lines.append(line)
+        record[key] = fields
+
     s = v.parity.signs
-    lines.append(f"parity: {'PASS' if v.parity.passed else 'FAIL'} "
-                 f"rho(1,0)={s[0]:+d} rho(0,1)={s[1]:+d} swap={s[2]:+d}")
-    lines.append(f"transitivity: "
-                 f"{'PASS' if v.transitivity.passed else 'FAIL'} "
-                 f"orbit {v.transitivity.orbit_size} of "
-                 f"{v.transitivity.degree}")
-    if v.scan.empty:
-        lines.append(f"block-scan: EMPTY {v.scan.subgroups_tested} "
-                     f"subgroups, shift (0, 0x{_hex(v.scan.shift, n)})")
+    check("parity", f"parity: {'PASS' if v.parity.passed else 'FAIL'} "
+          f"rho(1,0)={s[0]:+d} rho(0,1)={s[1]:+d} swap={s[2]:+d}",
+          {"signs": list(s), "passed": v.parity.passed})
+    t = v.transitivity
+    check("transitivity", f"transitivity: {'PASS' if t.passed else 'FAIL'} "
+          f"orbit {t.orbit_size} of {t.degree}",
+          {"orbit_size": t.orbit_size, "degree": t.degree,
+           "passed": t.passed})
+    scan = v.scan
+    candidate_lines, scan_record = scan_report(scan, n, indent="  ")
+    if scan.empty:
+        check("block_scan", f"block-scan: EMPTY {scan.subgroups_tested} "
+              f"subgroups, shift (0, 0x{scan_record['shift_hex']})",
+              scan_record)
     else:
-        lines.append(f"block-scan: {len(v.scan.certified)} certified of "
-                     f"{len(v.scan.candidates)} candidates from "
-                     f"{v.scan.subgroups_tested} subgroups")
-        for c in v.scan.candidates:
-            lines.append("  " + describe_candidate(c, n))
-    lines.append(f"diagonal-collision: "
-                 f"{'PASS' if v.diagonal.passed else 'FAIL'} "
-                 f"S(0)=0x{_hex(v.diagonal.s_at_zero, n)} "
-                 f"S(top)=0x{_hex(v.diagonal.s_at_top, n)}")
-    lines.append(f"affine-order-bound: "
-                 f"{'EXCLUDED' if v.affine.excluded else 'INCONCLUSIVE'} "
-                 f"ceil(log2 n)+2={v.affine.bound} vs n={v.affine.n}")
+        check("block_scan", f"block-scan: {len(scan.certified)} certified "
+              f"of {len(scan.candidates)} candidates from "
+              f"{scan.subgroups_tested} subgroups", scan_record)
+    lines += candidate_lines
+    d = v.diagonal
+    check("diagonal", f"diagonal-collision: {'PASS' if d.passed else 'FAIL'} "
+          f"S(0)=0x{_hex(d.s_at_zero, n)} S(top)=0x{_hex(d.s_at_top, n)}",
+          {"passed": d.passed, "s_at_zero_hex": _hex(d.s_at_zero, n),
+           "s_at_top_hex": _hex(d.s_at_top, n)})
+    a = v.affine
+    check("affine", f"affine-order-bound: "
+          f"{'EXCLUDED' if a.excluded else 'INCONCLUSIVE'} "
+          f"ceil(log2 n)+2={a.bound} vs n={a.n}",
+          {"excluded": a.excluded, "bound": a.bound, "n": a.n})
     w = v.wreath
-    lines.append(f"wreath-top-brick: "
-                 f"{'EXCLUDED' if w.excluded else 'NOT-EXCLUDED'} "
-                 f"distinct={'yes' if w.distinct_images else 'no'} "
-                 f"top-brick S(0)=0x{w.top_slice_zero:x} "
-                 f"S(top)=0x{w.top_slice_top:x}")
-    lines.append(f"projective-line: "
-                 f"{'EXCLUDED' if v.psl.excluded else 'NOT-EXCLUDED'} "
-                 f"{(1 << (2 * n)) - 1} = {v.psl.factor_minus} * "
-                 f"{v.psl.factor_plus}, gcd {v.psl.gcd_value}")
-    attempted = (v.validation.bijective and v.parity.passed
-                 and v.transitivity.passed and v.scan.empty)
-    if v.witness is not None:
-        lines.append(f"giant-witness: FOUND prime={v.witness.prime} "
-                     f"trials={v.witness.trials_used} "
-                     f"word={v.witness.word_hex}")
+    check("wreath", f"wreath-top-brick: "
+          f"{'EXCLUDED' if w.excluded else 'NOT-EXCLUDED'} "
+          f"distinct={_yes(w.distinct_images)} "
+          f"top-brick S(0)=0x{w.top_slice_zero:x} "
+          f"S(top)=0x{w.top_slice_top:x}",
+          {"excluded": w.excluded, "distinct_images": w.distinct_images,
+           "top_slice_zero_hex": f"{w.top_slice_zero:x}",
+           "top_slice_top_hex": f"{w.top_slice_top:x}"})
+    p = v.psl
+    check("psl", f"projective-line: "
+          f"{'EXCLUDED' if p.excluded else 'NOT-EXCLUDED'} "
+          f"{(1 << (2 * n)) - 1} = {p.factor_minus} * {p.factor_plus}, "
+          f"gcd {p.gcd_value}",
+          {"excluded": p.excluded,
+           "factors": [p.factor_minus, p.factor_plus], "gcd": p.gcd_value})
+    attempted = (val.bijective and v.parity.passed
+                 and t.passed and scan.empty)
+    g = v.witness
+    if g is not None:
+        check("witness", f"giant-witness: FOUND prime={g.prime} "
+              f"trials={g.trials_used} word={g.word_hex}",
+              {"prime": g.prime, "trials_used": g.trials_used,
+               "word_hex": g.word_hex, "other_lcm": str(g.other_lcm)})
     elif attempted:
-        lines.append(f"giant-witness: NONE within budget {v.budget}")
+        check("witness", f"giant-witness: NONE within budget {v.budget}",
+              None)
     else:
-        lines.append("giant-witness: SKIPPED (gated by earlier checks)")
-    lines.append(f"conclusion: {v.conclusion}")
-    return lines
-
-
-def verdict_dict(v: verify.Verdict, spec: CipherSpec) -> dict:
-    n = spec.n
-    out = {
-        "budget": v.budget,
-        "word_len": v.word_len,
-        "validation": {
-            "conforming": v.validation.conforming,
-            "bijective": v.validation.bijective,
-            "theorem_scope": v.validation.theorem_scope,
-            "notes": list(v.validation.notes),
-        },
-        "parity": {"signs": list(v.parity.signs),
-                   "passed": v.parity.passed},
-        "transitivity": {"orbit_size": v.transitivity.orbit_size,
-                         "degree": v.transitivity.degree,
-                         "passed": v.transitivity.passed},
-        "block_scan": {
-            "subgroups_tested": v.scan.subgroups_tested,
-            "shift_hex": _hex(v.scan.shift, n),
-            "candidates": [
-                {"triple": list(c.triple.to_tuple()),
-                 "size": c.triple.size, "certified": c.certified}
-                for c in v.scan.candidates],
-        },
-        "primitive": v.primitive,
-        "diagonal": {"passed": v.diagonal.passed,
-                     "s_at_zero_hex": _hex(v.diagonal.s_at_zero, n),
-                     "s_at_top_hex": _hex(v.diagonal.s_at_top, n)},
-        "affine": {"excluded": v.affine.excluded,
-                   "bound": v.affine.bound, "n": v.affine.n},
-        "wreath": {"excluded": v.wreath.excluded,
-                   "distinct_images": v.wreath.distinct_images,
-                   "top_slice_zero_hex": f"{v.wreath.top_slice_zero:x}",
-                   "top_slice_top_hex": f"{v.wreath.top_slice_top:x}"},
-        "psl": {"excluded": v.psl.excluded,
-                "factors": [v.psl.factor_minus, v.psl.factor_plus],
-                "gcd": v.psl.gcd_value},
-        "witness": None,
-        "conclusion": v.conclusion,
-    }
-    if v.witness is not None:
-        out["witness"] = {"prime": v.witness.prime,
-                          "trials_used": v.witness.trials_used,
-                          "word_hex": v.witness.word_hex,
-                          "other_lcm": str(v.witness.other_lcm)}
-    return out
+        check("witness", "giant-witness: SKIPPED (gated by earlier checks)",
+              None)
+    check("conclusion", f"conclusion: {v.conclusion}", v.conclusion)
+    return lines, record
 
 
 def cmd_verdict(args) -> int:
-    spec = load_spec_arg(args)
+    spec = cipher.load_spec(args.spec)
     t0 = time.monotonic()
     v = verify.full_verdict(spec, seed=args.seed, budget=args.budget,
                             word_len=args.word_len)
     elapsed = time.monotonic() - t0
-    lines = header_lines(args, spec)
-    lines.append(f"budget: {v.budget}  word-len: {v.word_len}")
-    lines.extend(verdict_lines(v, spec))
-    data = header_dict(args, spec)
-    data["verdict"] = verdict_dict(v, spec)
-    emit(args, lines, data)
+    lines, data = header(args, spec)
+    verdict_lines, data["verdict"] = verdict_report(v, spec.n)
+    emit(args, lines + verdict_lines, data)
     print(f"timing: verdict {elapsed:.2f}s", file=sys.stderr)
     return v.exit_code
 
@@ -526,84 +486,58 @@ def cmd_verdict(args) -> int:
 
 
 def selftest_checks():
-    from . import words
+    states = [(i & 15, i >> 4) for i in range(256)]  # every state at n=4
 
     def words_basics():
-        for n in (2, 3, 4):
-            top = words.involution(n)
-            for x in range(1 << n):
-                if words.add_mod(x, top, n) != x ^ top:
-                    return False
-                for r in range(n):
-                    back = words.rotate_left(
-                        words.rotate_left(x, r, n), n - r, n)
-                    if back != x:
-                        return False
-        return True
+        return all(
+            words.add_mod(x, words.involution(n), n) == x ^ words.involution(n)
+            and all(words.rotate_left(words.rotate_left(x, r, n), n - r, n)
+                    == x for r in range(n))
+            for n in (2, 3, 4) for x in range(1 << n))
 
     def feistel_inverse():
         rng = np.random.default_rng(0)
-        for bij in (True, False):
-            spec = cipher.random_spec(2, 2, 2, rng, bij)
-            for idx in range(256):
-                st = (idx & 15, idx >> 4)
-                if cipher.sigma_inverse_apply(
-                        spec, cipher.sigma_apply(spec, st)) != st:
-                    return False
-        return True
+        specs = [cipher.random_spec(2, 2, 2, rng, bij)
+                 for bij in (True, False)]
+        return all(cipher.sigma_inverse_apply(s, cipher.sigma_apply(s, st))
+                   == st for s in specs for st in states)
 
     def round_decomposition():
-        rng = np.random.default_rng(1)
-        spec = cipher.random_spec(2, 2, 2, rng)
-        from . import words as w
-        for k in range(16):
-            for idx in range(256):
-                st = (idx & 15, idx >> 4)
-                direct = cipher.gost_round(spec, k, st)
-                st2 = cipher.rho_apply((0, k), st, 4)
-                st2 = cipher.sigma_apply(spec, st2)
-                st2 = cipher.rho_apply((w.neg_mod(k, 4), 0), st2, 4)
-                if direct != st2:
-                    return False
-        return True
+        spec = cipher.random_spec(2, 2, 2, np.random.default_rng(1))
+        return all(
+            cipher.gost_round(spec, k, st) == cipher.rho_apply(
+                (words.neg_mod(k, 4), 0),
+                cipher.sigma_apply(spec, cipher.rho_apply((0, k), st, 4)), 4)
+            for k in range(16) for st in states)
 
     def goursat_brute_force():
-        for n in (1, 2, 3):
-            enumerated = {goursat.member_set(t)
-                          for t in goursat.enumerate_subgroups(n)}
-            if enumerated != goursat.brute_force_subgroups(n):
-                return False
-        return goursat.count_subgroups(1) == 5
+        return goursat.count_subgroups(1) == 5 and all(
+            {goursat.member_set(t) for t in goursat.enumerate_subgroups(n)}
+            == goursat.brute_force_subgroups(n) for n in (1, 2, 3))
 
     def subgroup_types():
-        for n, m, delta in ((4, 2, 2), (6, 2, 3), (8, 2, 4)):
-            for q in range(n + 1):
-                materialized = boxtypes.type_of(
-                    boxtypes.subgroup_members_array(q, n), m, delta)
-                if materialized != boxtypes.subgroup_type(q, m, delta):
-                    return False
-        return True
+        return all(
+            boxtypes.type_of(boxtypes.subgroup_members_array(q, n), m, delta)
+            == boxtypes.subgroup_type(q, m, delta)
+            for n, m, delta in ((4, 2, 2), (6, 2, 3), (8, 2, 4))
+            for q in range(n + 1))
 
     def translation_lemmas():
         rng = np.random.default_rng(2)
         for q in range(9):
             members = boxtypes.subgroup_members_array(q, 8)
-            for _ in range(25):
-                v = int(rng.integers(0, 256))
-                if not boxtypes.xor_translate_keeps_type(members, v, 2, 4):
-                    return False
-                if not boxtypes.modular_translate_keeps_type(q, v, 8, 2, 4):
+            for v in rng.integers(0, 256, 25).tolist():
+                if not (boxtypes.xor_translate_keeps_type(members, v, 2, 4)
+                        and boxtypes.modular_translate_keeps_type(
+                            q, v, 8, 2, 4)):
                     return False
         return True
 
     def scan_vs_generic_blocks():
-        specs = [
-            CipherSpec(4, 2, 2, 0, cipher.identity_sboxes(2, 2)),
-            CipherSpec(4, 1, 4, 0, cipher.identity_sboxes(4, 1)),
-        ]
         rng = np.random.default_rng(3)
-        for r in (0, 1, 2, 3):
-            specs.append(cipher.random_spec(2, 2, r, rng))
+        specs = [CipherSpec(4, 2, 2, 0, cipher.identity_sboxes(2, 2)),
+                 CipherSpec(4, 1, 4, 0, cipher.identity_sboxes(4, 1))]
+        specs += [cipher.random_spec(2, 2, r, rng) for r in (0, 1, 2, 3)]
         specs.append(cipher.random_spec(2, 2, 2, rng, bijective=False))
         return all(verify.atkinson_agrees_with_scan(s) for s in specs)
 
@@ -611,21 +545,16 @@ def selftest_checks():
         rng = np.random.default_rng(4)
         c4 = np.array([1, 2, 3, 0], dtype=np.int64)
         flip = np.array([3, 2, 1, 0], dtype=np.int64)
-        if groups.schreier_sims([c4], rng).order != 4:
-            return False
-        if groups.schreier_sims([c4, flip], rng).order != 8:
-            return False
         trans = [perms.rho_perm((1, 0), 2), perms.rho_perm((0, 1), 2)]
-        return groups.schreier_sims(trans, rng).order == 16
+        return [groups.schreier_sims(gens, rng).order
+                for gens in ([c4], [c4, flip], trans)] == [4, 8, 16]
 
     def generator_parity():
         rng = np.random.default_rng(5)
-        for n, m in ((2, 1), (3, 1), (4, 2)):
-            spec = cipher.random_spec(m, n // m, min(1, n - 1), rng)
-            if any(perms.sign(g) != 1
-                   for g in perms.standard_generators(spec)):
-                return False
-        return True
+        specs = [cipher.random_spec(m, n // m, min(1, n - 1), rng)
+                 for n, m in ((2, 1), (3, 1), (4, 2))]
+        return all(perms.sign(g) == 1
+                   for s in specs for g in perms.standard_generators(s))
 
     return [("word arithmetic", words_basics),
             ("feistel inverse", feistel_inverse),
@@ -640,7 +569,7 @@ def selftest_checks():
 
 def cmd_selftest(args) -> int:
     failures = 0
-    lines = [f"tool: roundgroup {__version__}", "-- selftest --"]
+    lines = [f"tool: {TOOL}", "-- selftest --"]
     results = []
     for name, fn in selftest_checks():
         ok = bool(fn())
@@ -671,9 +600,8 @@ COMMANDS = {
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         return COMMANDS[args.command](args)
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -119,12 +119,6 @@ def member_pairs(triple: GoursatTriple) -> tuple[np.ndarray, np.ndarray]:
     return left, right
 
 
-def member_indices(triple: GoursatTriple) -> np.ndarray:
-    """Members flattened to state indices left + 2**n * right."""
-    left, right = member_pairs(triple)
-    return left | (right << triple.n)
-
-
 def contains(triple: GoursatTriple, a: int, c: int) -> bool:
     """Membership without materializing."""
     n = triple.n

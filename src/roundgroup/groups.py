@@ -44,12 +44,15 @@ BSGS_DEGREE_CAP = 1 << 12
 # total transversal entries (sum of orbit lengths times degree)
 TRANSVERSAL_ENTRY_CAP = 1 << 26
 
-DEFAULT_CLEAN_STREAK = 32
-DEFAULT_MIX_LENGTH = 16
+# random phase of the chain: stop after this many consecutive sifts
+# that add nothing; each sifted element is a product of MIX_LENGTH
+# pool elements
+CLEAN_STREAK = 32
+MIX_LENGTH = 16
 
 
 # ---------------------------------------------------------------------------
-# orbits and transitivity
+# orbits
 
 
 def orbit_mask(gens: list[np.ndarray], start: int) -> np.ndarray:
@@ -66,10 +69,6 @@ def orbit_mask(gens: list[np.ndarray], start: int) -> np.ndarray:
             seen[images] = True
         frontier = images
     return seen
-
-
-def is_transitive(gens: list[np.ndarray]) -> bool:
-    return bool(orbit_mask(gens, 0).all())
 
 
 # ---------------------------------------------------------------------------
@@ -209,10 +208,6 @@ class StabilizerChain:
         for lvl in self.levels:
             out *= len(lvl.orbit)
         return out
-
-    @property
-    def orbit_lengths(self) -> list[int]:
-        return [len(lvl.orbit) for lvl in self.levels]
 
     def _transversal_entries(self) -> int:
         return sum(len(lvl.orbit) for lvl in self.levels) * self.degree
@@ -412,9 +407,7 @@ def random_products(pool: list[np.ndarray], rng: np.random.Generator,
 
 
 def schreier_sims(gens: list[np.ndarray],
-                  rng: np.random.Generator | None = None,
-                  clean_streak: int = DEFAULT_CLEAN_STREAK,
-                  mix_length: int = DEFAULT_MIX_LENGTH) -> StabilizerChain:
+                  rng: np.random.Generator | None = None) -> StabilizerChain:
     """Exact-order stabilizer chain for <gens>; see module docstring.
 
     The returned chain's .certificate names how exactness was proved:
@@ -433,8 +426,8 @@ def schreier_sims(gens: list[np.ndarray],
     pool = [np.asarray(g, dtype=np.int64) for g in gens]
     pool += [perms.inverse(g) for g in pool]
     clean = 0
-    while clean < clean_streak:
-        if chain.feed(random_products(pool, rng, mix_length)):
+    while clean < CLEAN_STREAK:
+        if chain.feed(random_products(pool, rng, MIX_LENGTH)):
             clean = 0
         else:
             clean += 1
@@ -557,8 +550,7 @@ class ConjugacyReport:
 def conjugates_contained(subgroup_gens: list[np.ndarray],
                          ambient_gens: list[np.ndarray],
                          samples: int,
-                         rng: np.random.Generator,
-                         mix_length: int = 16) -> ConjugacyReport:
+                         rng: np.random.Generator) -> ConjugacyReport:
     """Sift g^-1 w g into a chain for the subgroup, for random subgroup
     words w and random ambient elements g.  Zero failures is sampled
     evidence that the subgroup is normal in the ambient group."""
@@ -569,8 +561,8 @@ def conjugates_contained(subgroup_gens: list[np.ndarray],
                                      for g in ambient_gens]
     failures = 0
     for _ in range(samples):
-        w = random_products(sub_pool, rng, mix_length)
-        g = random_products(amb_pool, rng, mix_length)
+        w = random_products(sub_pool, rng, MIX_LENGTH)
+        g = random_products(amb_pool, rng, MIX_LENGTH)
         conj = perms.compose_all([perms.inverse(g), w, g])
         if not chain.contains(conj):
             failures += 1

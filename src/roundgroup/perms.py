@@ -2,15 +2,17 @@
 
 A permutation of degree N is an int64 array `p` of length N holding a
 rearrangement of 0..N-1; p[x] is the image of x.  Composition is in
-application order: compose(p, q) applies p first, matching the postfix
-convention of the cipher maps.
+application order: compose_all([p, q]) applies p first, matching the
+postfix convention of the cipher maps.
 
 States (x1, x2) are flattened to indices x1 + 2**n * x2, so the left
 word occupies the low bits.  All round maps materialize through the
 mixing-map table in O(N) vectorized steps.
 
-The degree cap (2**24) bounds dense materialization; callers wanting
-larger parameter sets must stay with the wordwise maps in cipher.
+DEGREE_CAP (2**24 states) bounds dense materialization;
+callers wanting larger parameter sets must stay with the wordwise maps
+in cipher, which are also the scalar oracle these arrays are tested
+against.
 """
 
 from __future__ import annotations
@@ -26,32 +28,13 @@ def check_degree(n: int) -> int:
     degree = 1 << (2 * n)
     if degree > DEGREE_CAP:
         raise ValueError(
-            f"degree 2**{2 * n} exceeds the dense cap 2**24; "
-            f"use the wordwise maps instead")
+            f"degree 2**{2 * n} exceeds the dense cap "
+            f"2**{DEGREE_CAP.bit_length() - 1}; use the wordwise maps instead")
     return degree
-
-
-def state_index(st: tuple[int, int], n: int) -> int:
-    return st[0] | (st[1] << n)
-
-
-def index_state(idx: int, n: int) -> tuple[int, int]:
-    return idx & ((1 << n) - 1), idx >> n
 
 
 def identity_perm(degree: int) -> np.ndarray:
     return np.arange(degree, dtype=np.int64)
-
-
-def is_perm(p: np.ndarray) -> bool:
-    seen = np.zeros(len(p), dtype=bool)
-    seen[p] = True
-    return bool(seen.all())
-
-
-def compose(p: np.ndarray, q: np.ndarray) -> np.ndarray:
-    """Apply p first, then q."""
-    return q[p]
 
 
 def compose_all(ps) -> np.ndarray:
@@ -158,26 +141,6 @@ def rho_perm(k: tuple[int, int], n: int) -> np.ndarray:
     x1, x2 = _split(n)
     mask = (1 << n) - 1
     return ((x1 + k[0]) & mask) | (((x2 + k[1]) & mask) << n)
-
-
-def gost_perm(spec: CipherSpec, k: int) -> np.ndarray:
-    check_degree(spec.n)
-    x1, x2 = _split(spec.n)
-    s = s_table(spec)
-    mask = (1 << spec.n) - 1
-    return x2 | ((x1 ^ s[(x2 + k) & mask]) << spec.n)
-
-
-def generalized_perm(spec: CipherSpec, k: tuple[int, int],
-                     h: tuple[int, int]) -> np.ndarray:
-    check_degree(spec.n)
-    x1, x2 = _split(spec.n)
-    s = s_table(spec)
-    mask = (1 << spec.n) - 1
-    y2 = (x2 + k[1]) & mask
-    left = (y2 + h[0]) & mask
-    right = ((((x1 + k[0]) & mask) ^ s[y2]) + h[1]) & mask
-    return left | (right << spec.n)
 
 
 def standard_generators(spec: CipherSpec) -> list[np.ndarray]:

@@ -36,10 +36,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import boxtypes, goursat, perms, words
+from . import goursat, perms, words
 from .cipher import CipherSpec, SpecValidation, apply_s, validate_spec
 from .goursat import GoursatTriple
-from .groups import GiantWitness, giant_witness, is_transitive
+from .groups import GiantWitness, giant_witness
 
 
 # ---------------------------------------------------------------------------
@@ -348,8 +348,3 @@ def atkinson_agrees_with_scan(spec: CipherSpec) -> bool:
     scan = block_scan(spec, gens)
     generic = primitivity_by_pairs(gens)
     return (generic is None) == (len(scan.certified) == 0)
-
-
-def type_checks_clean(spec: CipherSpec) -> bool:
-    return (boxtypes.s_image_type_violations(spec) == []
-            and boxtypes.s_image_coset_violations(spec) == [])

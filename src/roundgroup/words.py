@@ -23,12 +23,7 @@ constant is odd), and the unique element of order 2 is 2**(n-1).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 MAX_WIDTH = 64
-
-# Subgroup membership tables are only materialized below this width.
-MATERIALIZE_WIDTH = 20
 
 
 def check_width(width: int) -> None:
@@ -40,11 +35,6 @@ def mask(width: int) -> int:
     return (1 << width) - 1
 
 
-def check_value(value: int, width: int) -> None:
-    if not 0 <= value < (1 << width):
-        raise ValueError(f"value {value} out of range for width {width}")
-
-
 def add_mod(a: int, b: int, width: int) -> int:
     """Addition in Z/2**width (the boxed-plus operation)."""
     return (a + b) & mask(width)
@@ -53,10 +43,6 @@ def add_mod(a: int, b: int, width: int) -> int:
 def neg_mod(a: int, width: int) -> int:
     """Additive inverse in Z/2**width."""
     return (-a) & mask(width)
-
-
-def sub_mod(a: int, b: int, width: int) -> int:
-    return (a - b) & mask(width)
 
 
 def rotate_left(value: int, r: int, width: int) -> int:
@@ -70,18 +56,6 @@ def rotate_left(value: int, r: int, width: int) -> int:
     return ((value << r) | (value >> (width - r))) & m
 
 
-def bits_of(value: int, width: int) -> tuple[int, ...]:
-    """Bit string of the word, first coordinate = least significant."""
-    return tuple((value >> i) & 1 for i in range(width))
-
-
-def from_bits(bits: tuple[int, ...]) -> int:
-    v = 0
-    for i, b in enumerate(bits):
-        v |= (b & 1) << i
-    return v
-
-
 def involution(width: int) -> int:
     """The unique element of order 2 in Z/2**width: the top bit."""
     return 1 << (width - 1)
@@ -92,106 +66,3 @@ def bit_slice(value: int, lo: int, hi: int) -> int:
     if not 0 <= lo <= hi:
         raise ValueError(f"bad slice [{lo}, {hi}]")
     return (value >> lo) & ((1 << (hi - lo + 1)) - 1)
-
-
-def endo_apply(z: int, x: int, width: int) -> int:
-    """The endomorphism x -> z*x of Z/2**width; bijective iff z is odd."""
-    return (z * x) & mask(width)
-
-
-def subgroup_contains(value: int, q: int) -> bool:
-    """Membership in the subgroup generated by 2**q: low q bits zero."""
-    return value & ((1 << q) - 1) == 0
-
-
-def subgroup_members(q: int, width: int) -> list[int]:
-    """All multiples of 2**q below 2**width, ascending.
-
-    Guarded so nobody asks for a list of 2**40 ints by accident.
-    """
-    if not 0 <= q <= width:
-        raise ValueError(f"subgroup exponent {q} out of range for width {width}")
-    if width - q > MATERIALIZE_WIDTH:
-        raise ValueError(f"refusing to materialize 2**{width - q} members")
-    return [i << q for i in range(1 << (width - q))]
-
-
-@dataclass(frozen=True)
-class Word:
-    """An n-bit word; carries its width so mixed-width use is an error."""
-
-    value: int
-    width: int
-
-    def __post_init__(self) -> None:
-        check_width(self.width)
-        check_value(self.value, self.width)
-
-    def _same_width(self, other: "Word") -> None:
-        if self.width != other.width:
-            raise ValueError(f"width mismatch: {self.width} vs {other.width}")
-
-    def __xor__(self, other: "Word") -> "Word":
-        self._same_width(other)
-        return Word(self.value ^ other.value, self.width)
-
-    def boxplus(self, other: "Word") -> "Word":
-        self._same_width(other)
-        return Word(add_mod(self.value, other.value, self.width), self.width)
-
-    def boxminus(self) -> "Word":
-        return Word(neg_mod(self.value, self.width), self.width)
-
-    def rotate(self, r: int) -> "Word":
-        return Word(rotate_left(self.value, r, self.width), self.width)
-
-    @property
-    def bits(self) -> tuple[int, ...]:
-        return bits_of(self.value, self.width)
-
-    @property
-    def hex(self) -> str:
-        """Lowercase hex, zero-padded to the word's nibble count."""
-        return format(self.value, f"0{(self.width + 3) // 4}x")
-
-    @classmethod
-    def from_hex(cls, text: str, width: int) -> "Word":
-        return cls(int(text, 16), width)
-
-
-@dataclass(frozen=True)
-class CyclicSubgroup:
-    """The subgroup of Z/2**width generated by 2**q."""
-
-    q: int
-    width: int
-
-    def __post_init__(self) -> None:
-        check_width(self.width)
-        if not 0 <= self.q <= self.width:
-            raise ValueError(f"exponent {self.q} out of range")
-
-    @property
-    def order(self) -> int:
-        return 1 << (self.width - self.q)
-
-    def contains(self, value: int) -> bool:
-        return subgroup_contains(value, self.q)
-
-    def members(self) -> list[int]:
-        return subgroup_members(self.q, self.width)
-
-
-@dataclass(frozen=True)
-class CyclicEndo:
-    """x -> z*x on Z/2**width."""
-
-    z: int
-    width: int
-
-    def __call__(self, x: int) -> int:
-        return endo_apply(self.z, x, self.width)
-
-    @property
-    def is_automorphism(self) -> bool:
-        return self.z % 2 == 1

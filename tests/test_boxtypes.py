@@ -105,14 +105,14 @@ def test_modular_translation_preserves_subgroup_types():
 
 
 def test_modular_translation_can_break_nonsubgroup_types():
-    found = boxtypes.find_translation_fragile_set(4, 2, 2)
-    assert found is not None
-    combo, v = found
-    arr = np.array(combo, dtype=np.int64)
-    before = boxtypes.type_of(arr, 2, 2)
-    after = boxtypes.type_of((arr + v) & 15, 2, 2)
-    assert before is not None
-    assert after != before
+    # {0, 1} at n=4, m=2 is typed (RW) but not a subgroup; adding 3
+    # carries into brick 2, and {3, 4} has no type at all
+    arr = np.array([0, 1], dtype=np.int64)
+    assert str(boxtypes.type_of(arr, 2, 2)) == "RW"
+    assert boxtypes.type_of((arr + 3) & 15, 2, 2) is None
+    # the same translation keeps the type of every subgroup
+    for q in range(5):
+        assert boxtypes.modular_translate_keeps_type(q, 3, 4, 2, 2)
 
 
 def test_bricklayer_identity_gamma():

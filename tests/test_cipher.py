@@ -198,6 +198,9 @@ def test_spec_io_errors(tmp_path):
     path.write_text(json.dumps({"n": 4, "m": 2, "delta": 2}))
     with pytest.raises(ValueError, match="missing field"):
         cipher.load_spec(path)
+    path.write_text("[" * 100_000 + "]" * 100_000)
+    with pytest.raises(ValueError, match="nested too deeply"):
+        cipher.load_spec(path)
 
 
 def test_tables_match_wordwise():

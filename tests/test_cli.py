@@ -154,7 +154,7 @@ def test_order_refuses_large_degree(capsys):
 def test_max_degree_cap_named_in_error(capsys):
     rc, _, err = run(["verdict", "--spec", GOST_FRAME], capsys)
     assert rc == 1
-    assert "--max-degree" in err
+    assert "exceeds the dense cap 2**24" in err
 
 
 def test_missing_spec_file_exit_1(capsys):
@@ -244,3 +244,100 @@ def test_console_entry_point():
 def test_exit_code_table(conclusion, code):
     from roundgroup import verify
     assert verify.EXIT_CODES[conclusion] == code
+
+
+def one_line_error(rc, err):
+    return rc == 1 and len(err.splitlines()) == 1 and err.startswith("error:")
+
+
+@pytest.mark.parametrize("argv,named", [
+    (["verdict"], "--spec"),
+    (["verdict", "--spec", CONFORMING_N4, "--budget", "x"], "--budget"),
+    (["order", "--spec", CONFORMING_N4, "--format", "yaml"], "--format"),
+    (["no-such-command"], "no-such-command"),
+    ([], "command"),
+])
+def test_usage_errors_exit_1(argv, named, capsys):
+    # argparse's own status 2 would read as an Imprimitive verdict
+    rc, out, err = run(argv, capsys)
+    assert one_line_error(rc, err), (rc, err)
+    assert named in err
+    assert out == ""
+
+
+@pytest.mark.parametrize("sboxes", ["5", "null", "[5, 6]"])
+def test_malformed_sboxes_exit_1(sboxes, tmp_path, capsys):
+    bad = tmp_path / "bad.json"
+    bad.write_text('{"n": 4, "m": 2, "delta": 2, "r": 2, "sboxes": %s}'
+                   % sboxes)
+    rc, _, err = run(["validate", "--spec", str(bad)], capsys)
+    assert one_line_error(rc, err), err
+
+
+@pytest.mark.parametrize("field", ['"n": null', '"r": [1]', '"m": {}',
+                                   '"delta": Infinity'])
+def test_malformed_integer_fields_exit_1(field, tmp_path, capsys):
+    data = {"n": "4", "m": "2", "delta": "2", "r": "2"}
+    key, value = field.split(": ")
+    data[key.strip('"')] = value
+    body = ", ".join(f'"{k}": {v}' for k, v in data.items())
+    bad = tmp_path / "bad.json"
+    bad.write_text('{%s, "sboxes": [[0, 1, 2, 3], [0, 1, 2, 3]]}' % body)
+    rc, _, err = run(["validate", "--spec", str(bad)], capsys)
+    assert one_line_error(rc, err), err
+
+
+def encrypt(tmp_path, capsys, states, keys=None):
+    path = tmp_path / "states.txt"
+    path.write_text(states)
+    argv = ["encrypt", "--spec", CONFORMING_N4, "--input", str(path)]
+    if keys is not None:
+        key_path = tmp_path / "keys.txt"
+        key_path.write_text(keys)
+        argv += ["--keys", str(key_path)]
+    return run(argv, capsys)
+
+
+@pytest.mark.parametrize("states,keys,where", [
+    ("-1 0\n", None, "state line 1"),
+    ("0 0\n3 -1\n", None, "state line 2"),
+    ("0 0\n", "-1\n", "key line 1"),
+    ("0 0\n", "1\n1 2 3 -4\n", "key line 2"),
+    ("zz 1\n", None, "state line 1"),
+    ("0 0\n", "# comment\nzz\n", "key line 2"),
+    ("0 0\n", "1 2\n", "key line 1"),
+])
+def test_bad_state_and_key_lines_named(states, keys, where, tmp_path,
+                                       capsys):
+    rc, out, err = encrypt(tmp_path, capsys, states, keys)
+    assert one_line_error(rc, err), err
+    assert where in err
+    assert out == ""
+
+
+@pytest.mark.parametrize("flag,value", [("--budget", "-5"),
+                                        ("--word-len", "0"),
+                                        ("--word-len", "-3")])
+def test_negative_budget_and_empty_words_rejected(flag, value, capsys):
+    rc, out, err = run(["verdict", "--spec", CONFORMING_N4, flag, value],
+                       capsys)
+    assert one_line_error(rc, err), err
+    assert flag in err
+    assert out == ""
+
+
+def test_budget_zero_stays_legal(capsys):
+    rc, out, _ = run(["verdict", "--spec", CONFORMING_N4, "--budget", "0"],
+                     capsys)
+    assert rc == 3  # delta = 2 is outside the theorem's scope
+    assert "giant-witness: NONE within budget 0" in out
+    assert "conclusion: Inconclusive" in out
+
+
+def test_removed_flags_are_usage_errors(capsys):
+    for argv in (["verdict", "--spec", CONFORMING_N4, "--max-degree", "16"],
+                 ["encrypt", "--spec", CONFORMING_N4, "--seed", "1"],
+                 ["selftest", "--seed", "1"]):
+        rc, _, err = run(argv, capsys)
+        assert one_line_error(rc, err), err
+        assert "unrecognized arguments" in err

@@ -16,24 +16,39 @@ def random_perm(n, rng):
     return rng.permutation(n).astype(np.int64)
 
 
+def is_perm(p):
+    return sorted(p.tolist()) == list(range(len(p)))
+
+
+def state(idx, n):
+    """The state (x1, x2) at dense index x1 + 2**n * x2."""
+    return idx & ((1 << n) - 1), idx >> n
+
+
+def index(st, n):
+    return st[0] | (st[1] << n)
+
+
+def round_table(spec, k, h):
+    """rho(k), then sigma, then rho(h), composed as dense tables."""
+    return perms.compose_all([perms.rho_perm(k, spec.n),
+                              perms.sigma_perm(spec),
+                              perms.rho_perm(h, spec.n)])
+
+
 def test_compose_inverse_power():
     rng = np.random.default_rng(5)
     p = random_perm(40, rng)
     q = random_perm(40, rng)
     x = 17
-    assert perms.compose(p, q)[x] == q[p[x]]
-    assert np.array_equal(perms.compose(p, perms.inverse(p)),
+    assert perms.compose_all([p, q])[x] == q[p[x]]
+    assert np.array_equal(perms.compose_all([p, perms.inverse(p)]),
                           perms.identity_perm(40))
     assert np.array_equal(perms.power(p, 0), perms.identity_perm(40))
     assert np.array_equal(perms.power(p, 5),
                           perms.compose_all([p, p, p, p, p]))
     assert np.array_equal(perms.power(p, -2),
                           perms.inverse(perms.power(p, 2)))
-
-
-def test_is_perm():
-    assert perms.is_perm(np.array([2, 0, 1]))
-    assert not perms.is_perm(np.array([2, 2, 1]))
 
 
 def test_sign_basics():
@@ -50,7 +65,7 @@ def test_sign_multiplicative():
     rng = np.random.default_rng(8)
     for _ in range(20):
         p, q = random_perm(30, rng), random_perm(30, rng)
-        assert perms.sign(perms.compose(p, q)) == \
+        assert perms.sign(perms.compose_all([p, q])) == \
             perms.sign(p) * perms.sign(q)
 
 
@@ -71,14 +86,6 @@ def test_cycle_reps_label_cycles():
     assert reps.tolist() == [0, 0, 2, 2, 2, 5]
 
 
-def test_state_indexing():
-    n = 4
-    for idx in range(256):
-        st = perms.index_state(idx, n)
-        assert perms.state_index(st, n) == idx
-    assert perms.state_index((3, 1), 4) == 3 + 16
-
-
 def test_degree_cap():
     with pytest.raises(ValueError, match="cap"):
         perms.check_degree(13)
@@ -89,11 +96,10 @@ def test_sigma_perm_matches_wordwise():
     for seed in range(3):
         spec = seeded_spec(4, 2, 2, seed=seed, bijective=(seed != 1))
         table = perms.sigma_perm(spec)
-        assert perms.is_perm(table)
+        assert is_perm(table)
         for idx in range(spec.degree):
-            st = perms.index_state(idx, spec.n)
-            out = cipher.sigma_apply(spec, st)
-            assert table[idx] == perms.state_index(out, spec.n)
+            out = cipher.sigma_apply(spec, state(idx, spec.n))
+            assert table[idx] == index(out, spec.n)
 
 
 def test_rho_perm_matches_wordwise():
@@ -102,44 +108,45 @@ def test_rho_perm_matches_wordwise():
     for _ in range(5):
         k = (int(rng.integers(0, 16)), int(rng.integers(0, 16)))
         table = perms.rho_perm(k, n)
-        assert perms.is_perm(table)
+        assert is_perm(table)
         for idx in range(256):
-            st = perms.index_state(idx, n)
-            assert table[idx] == perms.state_index(
-                cipher.rho_apply(k, st, n), n)
+            assert table[idx] == index(
+                cipher.rho_apply(k, state(idx, n), n), n)
 
 
 def test_keyed_round_perms_match_wordwise():
+    # rho(k) sigma rho(h) as composed tables against the scalar rounds;
+    # a keyed round is the instance k = (0, key), h = (-key, 0)
     spec = seeded_spec(4, 2, 3, seed=9)
+    n = spec.n
     rng = np.random.default_rng(3)
     for _ in range(5):
-        k = int(rng.integers(0, 16))
-        table = perms.gost_perm(spec, k)
+        key = int(rng.integers(0, 16))
+        table = round_table(spec, (0, key), ((-key) % 16, 0))
         for idx in range(spec.degree):
-            st = perms.index_state(idx, spec.n)
-            assert table[idx] == perms.state_index(
-                cipher.gost_round(spec, k, st), spec.n)
+            assert table[idx] == index(
+                cipher.gost_round(spec, key, state(idx, n)), n)
     for _ in range(5):
         k = (int(rng.integers(0, 16)), int(rng.integers(0, 16)))
         h = (int(rng.integers(0, 16)), int(rng.integers(0, 16)))
-        table = perms.generalized_perm(spec, k, h)
+        table = round_table(spec, k, h)
         for idx in range(spec.degree):
-            st = perms.index_state(idx, spec.n)
-            assert table[idx] == perms.state_index(
-                cipher.generalized_round(spec, k, h, st), spec.n)
+            assert table[idx] == index(
+                cipher.generalized_round(spec, k, h, state(idx, n)), n)
 
 
 def test_round_decomposition_as_tables():
-    # keyed round = rho((0,k)) sigma rho((-k,0)) at the table level
+    # keyed round = rho((0,k)) sigma rho((-k,0)) at the table level,
+    # on sampled states of an n=8 spec
     spec = seeded_spec(8, 2, 4, seed=21)
     n = spec.n
+    rng = np.random.default_rng(21)
     for k in (0, 1, 77, 200, 255):
-        expected = perms.compose_all([
-            perms.rho_perm((0, k), n),
-            perms.sigma_perm(spec),
-            perms.rho_perm(((-k) % 256, 0), n),
-        ])
-        assert np.array_equal(perms.gost_perm(spec, k), expected)
+        table = round_table(spec, (0, k), ((-k) % 256, 0))
+        assert is_perm(table)
+        for idx in rng.integers(0, spec.degree, 500).tolist():
+            assert table[idx] == index(
+                cipher.gost_round(spec, k, state(idx, n)), n)
 
 
 def test_translation_generator_cycle_structure():
