@@ -119,6 +119,16 @@ def member_pairs(triple: GoursatTriple) -> tuple[np.ndarray, np.ndarray]:
     return left, right
 
 
+def generators(triple: GoursatTriple) -> tuple[tuple[int, int], ...]:
+    """Two members that generate the subgroup: (2**s, phi(2**s)) and
+    (0, 2**tD) when s <= t, the mirror-image pair when t < s."""
+    mask = (1 << triple.n) - 1
+    s, sb, t, td, z = triple.to_tuple()
+    if s <= t:
+        return ((1 << s) & mask, (z << t) & mask), (0, (1 << td) & mask)
+    return ((z << s) & mask, (1 << t) & mask), ((1 << sb) & mask, 0)
+
+
 def contains(triple: GoursatTriple, a: int, c: int) -> bool:
     """Membership without materializing."""
     n = triple.n

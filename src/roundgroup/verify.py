@@ -13,8 +13,8 @@ parameter set at hand:
 * primitivity: any invariant partition would have to consist of the
   modular cosets of a subgroup of the state group, so scanning every
   Goursat subgroup settles it.  Candidates that pass the necessary
-  image-coset equation are then certified (or refuted) by an explicit
-  partition-invariance computation;
+  image-coset equation (tried on a few probe members first) are then
+  certified (or refuted) by an explicit partition-invariance computation;
 * case eliminations: with primitivity in hand, the remaining
   non-alternating possibilities die on small arithmetic: a diagonal
   collision check, a Sylow-exponent bound for the affine case, a
@@ -105,11 +105,35 @@ class BlockScanResult:
 
 
 def partition_invariant(labels: np.ndarray, perm: np.ndarray) -> bool:
-    """Does the permutation map label-classes onto label-classes?"""
-    _, rep_idx, inverse = np.unique(labels, return_index=True,
-                                    return_inverse=True)
-    expected = labels[perm[rep_idx]][inverse]
-    return bool(np.array_equal(labels[perm], expected))
+    """Does the permutation map label-classes onto label-classes?
+    Each state's image must share the label of the image of one fixed
+    member of its class (labels are non-negative); O(degree), no sort."""
+    rep = np.empty(int(labels.max()) + 1, dtype=np.int64)
+    rep[labels] = np.arange(len(labels))
+    image = labels[perm]
+    return bool(np.array_equal(image, image[rep[labels]]))
+
+
+# (i, j) coefficients of the probe members i*g1 + j*g2 of a subgroup
+# generated by g1, g2; fixed, so no RNG stream is touched
+PROBES = ((1, 0), (0, 1), (1, 1), (3, 5), (5, 3), (7, 11), (11, 7), (13, 1))
+
+
+def probe_refutes(triple: GoursatTriple, sigma: np.ndarray,
+                  shift: int) -> bool:
+    """Is some probe member h of the subgroup H sent by the swap map
+    outside H + (0, shift)?  Then sigma(H) != H + (0, shift): the
+    subgroup fails the set equation and cannot give blocks."""
+    n = triple.n
+    mask = (1 << n) - 1
+    (a1, c1), (a2, c2) = goursat.generators(triple)
+    for i, j in PROBES:
+        h = ((i * a1 + j * a2) & mask) | (((i * c1 + j * c2) & mask) << n)
+        image = int(sigma[h])
+        if not goursat.contains(triple, image & mask,
+                                ((image >> n) - shift) & mask):
+            return True
+    return False
 
 
 def block_scan(spec: CipherSpec,
@@ -119,10 +143,12 @@ def block_scan(spec: CipherSpec,
     The only way a subgroup's cosets can be an invariant partition is
     if the swap map sends the subgroup itself to its coset through the
     image of zero (the translations already force coset-to-coset
-    behaviour).  That set equation is the scan filter; survivors get
-    the full partition-invariance certification against all three
-    generators.  An empty candidate list plus transitivity therefore
-    proves primitivity.
+    behaviour).  That set equation is the scan filter.  It is tried
+    first on a few members (`probe_refutes`), which refutes most
+    subgroups without materializing them; survivors are compared as
+    whole sets and, if they pass, get the full partition-invariance
+    certification against all three generators.  An empty candidate
+    list plus transitivity therefore proves primitivity.
     """
     n = spec.n
     degree = perms.check_degree(n)
@@ -137,6 +163,8 @@ def block_scan(spec: CipherSpec,
         if not triple.is_proper_nontrivial:
             continue
         tested += 1
+        if probe_refutes(triple, sigma, shift):
+            continue
         left, right = goursat.member_pairs(triple)
         idx = left | (right << n)
         image = np.sort(sigma[idx])
@@ -287,6 +315,7 @@ class Verdict:
     wreath: WreathCheck
     psl: PslCheck
     witness: GiantWitness | None
+    witness_searched: bool  # the gate let the witness search run
     conclusion: str
 
     @property
@@ -313,8 +342,9 @@ def full_verdict(spec: CipherSpec, seed: int, budget: int = 10_000,
 
     primitive = transitivity.passed and not scan.certified
     witness = None
-    if (validation.bijective and parity.passed and transitivity.passed
-            and scan.empty):
+    searched = (validation.bijective and parity.passed
+                and transitivity.passed and scan.empty)
+    if searched:
         rng = np.random.default_rng(seed)
         witness = giant_witness(gens, rng, word_len=word_len, budget=budget)
 
@@ -333,7 +363,8 @@ def full_verdict(spec: CipherSpec, seed: int, budget: int = 10_000,
         conclusion = INCONCLUSIVE
 
     return Verdict(seed, budget, word_len, validation, parity, transitivity,
-                   scan, diag, affine, wreath, psl, witness, conclusion)
+                   scan, diag, affine, wreath, psl, witness, searched,
+                   conclusion)
 
 
 # ---------------------------------------------------------------------------

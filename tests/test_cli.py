@@ -5,6 +5,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from roundgroup import cipher, cli
@@ -332,6 +333,26 @@ def test_budget_zero_stays_legal(capsys):
     assert rc == 3  # delta = 2 is outside the theorem's scope
     assert "giant-witness: NONE within budget 0" in out
     assert "conclusion: Inconclusive" in out
+
+
+def test_witness_skipped_on_lossy_boxes(tmp_path, capsys):
+    # the search-ran label is test_budget_zero_stays_legal
+    lossy = tmp_path / "lossy.json"
+    cipher.save_spec(cipher.random_spec(2, 2, 2, np.random.default_rng(5),
+                                        bijective=False), lossy)
+    rc, out, _ = run(["verdict", "--spec", str(lossy)], capsys)
+    assert rc == 3
+    assert "giant-witness: SKIPPED (gated by earlier checks)" in out
+
+
+@pytest.mark.parametrize("command", ["validate", "scan-blocks", "types",
+                                     "order", "verdict"])
+def test_negative_seed_rejected(command, capsys):
+    rc, out, err = run([command, "--spec", CONFORMING_N4, "--seed", "-1"],
+                       capsys)
+    assert one_line_error(rc, err), err
+    assert "--seed" in err
+    assert out == ""
 
 
 def test_removed_flags_are_usage_errors(capsys):

@@ -71,6 +71,76 @@ def test_partition_invariant_detects_breakage():
     assert not verify.partition_invariant(labels, breaks)
 
 
+def set_equation_holds(triple, sigma, shift):
+    """sigma(H) == H + (0, shift), compared over every member of H."""
+    n = triple.n
+    mask = (1 << n) - 1
+    left, right = goursat.member_pairs(triple)
+    image = np.sort(sigma[left | (right << n)])
+    shifted = np.sort(left | (((right + shift) & mask) << n))
+    return bool(np.array_equal(image, shifted))
+
+
+def partition_invariant_oracle(labels, perm):
+    """The sort-based check that the linear partition_invariant replaced."""
+    _, rep_idx, inverse = np.unique(labels, return_index=True,
+                                    return_inverse=True)
+    expected = labels[perm[rep_idx]][inverse]
+    return bool(np.array_equal(labels[perm], expected))
+
+
+@pytest.mark.parametrize("spec", [
+    seeded_spec(6, 2, 3, seed=11),                    # conforming
+    seeded_spec(6, 3, 3, seed=12),                    # conforming
+    identity_spec(4, 2),                              # r = 0, identity boxes
+    identity_spec(6, 2),
+    seeded_spec(6, 2, 0, seed=13),                    # r = 0, random boxes
+    seeded_spec(4, 1, 0, seed=14),
+    seeded_spec(6, 2, 1, seed=15),                    # non-conforming r
+    seeded_spec(6, 2, 3, seed=16, bijective=False),   # lossy boxes
+    seeded_spec(4, 2, 0, seed=17, bijective=False),
+], ids=lambda spec: f"n{spec.n}m{spec.m}r{spec.r}"
+                    f"{'' if spec.bijective else '-lossy'}")
+def test_probe_reject_against_full_set_equation(spec):
+    gens = perms.standard_generators(spec)
+    sigma = gens[2]
+    shift = cipher.apply_s(spec, 0)
+    expected = []
+    refuted = 0
+    for triple in goursat.enumerate_subgroups(spec.n):
+        if not triple.is_proper_nontrivial:
+            continue
+        holds = set_equation_holds(triple, sigma, shift)
+        if verify.probe_refutes(triple, sigma, shift):
+            refuted += 1
+            assert not holds, triple.describe()
+        if holds:
+            labels = goursat.coset_labels(triple)
+            expected.append((triple, all(
+                partition_invariant_oracle(labels, g) for g in gens)))
+    assert refuted > 0
+    scan = verify.block_scan(spec, gens)
+    assert [(c.triple, c.certified) for c in scan.candidates] == expected
+
+
+def test_partition_invariant_matches_sort_oracle():
+    rng = np.random.default_rng(2024)
+    outcomes = set()
+    for spec in (identity_spec(3, 1), seeded_spec(3, 1, 1, seed=3),
+                 identity_spec(4, 2), seeded_spec(4, 2, 2, seed=4)):
+        gens = perms.standard_generators(spec)
+        candidates = gens + [rng.permutation(spec.degree) for _ in range(4)]
+        for triple in goursat.enumerate_subgroups(spec.n):
+            if not triple.is_proper_nontrivial:
+                continue
+            labels = goursat.coset_labels(triple)
+            for perm in candidates:
+                want = partition_invariant_oracle(labels, perm)
+                assert verify.partition_invariant(labels, perm) == want
+                outcomes.add(want)
+    assert outcomes == {True, False}
+
+
 def test_scan_agrees_with_generic_blocks_at_degree_256():
     specs = [identity_spec(4, 2), identity_spec(4, 1),
              seeded_spec(4, 2, 2, seed=1), seeded_spec(4, 2, 2, seed=2),
@@ -180,7 +250,7 @@ def test_full_verdict_imprimitive_control():
     assert v.conclusion == verify.IMPRIMITIVE
     assert v.exit_code == 2
     assert len(v.scan.certified) == 7
-    assert v.witness is None
+    assert v.witness is None and not v.witness_searched
 
 
 def test_full_verdict_nonbijective_gate():
@@ -189,7 +259,7 @@ def test_full_verdict_nonbijective_gate():
     assert v.conclusion == verify.INCONCLUSIVE
     assert v.exit_code == 3
     assert not v.validation.bijective
-    assert v.witness is None
+    assert v.witness is None and not v.witness_searched
 
 
 def test_full_verdict_theorem_applies_on_budget_zero():
@@ -197,7 +267,7 @@ def test_full_verdict_theorem_applies_on_budget_zero():
     # case-elimination chain, which is in scope at n=8
     spec = cipher.load_spec("specs/conforming_n8.json")
     v = verify.full_verdict(spec, seed=3, budget=0)
-    assert v.witness is None
+    assert v.witness is None and v.witness_searched
     assert v.conclusion == verify.THEOREM_APPLIES
     assert v.exit_code == 0
 
