@@ -56,19 +56,14 @@ MIX_LENGTH = 16
 
 
 def orbit_mask(gens: list[np.ndarray], start: int) -> np.ndarray:
-    """Boolean mask of the orbit of start, by vectorized frontier sweeps."""
-    degree = len(gens[0])
-    seen = np.zeros(degree, dtype=bool)
-    seen[start] = True
-    frontier = np.array([start], dtype=np.int64)
-    while frontier.size:
-        images = np.concatenate([g[frontier] for g in gens])
-        images = images[~seen[images]]
-        if images.size:
-            images = np.unique(images)
-            seen[images] = True
-        frontier = images
-    return seen
+    """Boolean mask of the orbit of start: the points whose least
+    reachable point (perms.components) is start's.  A bijection's
+    inverse is one of its powers, so it changes no label but lets labels
+    travel both ways; a non-bijective map joins without one."""
+    pool = list(gens) + [perms.inverse(g) for g in gens
+                         if np.bincount(g, minlength=len(g)).all()]
+    labels = perms.components(pool)
+    return labels == labels[start]
 
 
 # ---------------------------------------------------------------------------

@@ -9,6 +9,10 @@ States (x1, x2) are flattened to indices x1 + 2**n * x2, so the left
 word occupies the low bits.  All round maps materialize through the
 mixing-map table in O(N) vectorized steps.
 
+Cycles and orbits are one computation: components(maps) labels each
+point with the least point reachable from it, and sign, cycle_reps,
+cycle_lengths and groups.orbit_mask read those labels.
+
 DEGREE_CAP (2**24 states) bounds dense materialization;
 callers wanting larger parameter sets must stay with the wordwise maps
 in cipher, which are also the scalar oracle these arrays are tested
@@ -65,29 +69,59 @@ def power(p: np.ndarray, e: int) -> np.ndarray:
     return out
 
 
-def cycle_reps(p: np.ndarray) -> np.ndarray:
-    """Smallest element of each point's cycle, by pointer doubling.
+def components(maps) -> np.ndarray:
+    """For every point, the least point reachable from it under `maps`
+    (any maps): for permutations the orbit minimum, for one permutation
+    the cycle minimum.  Every update keeps m[i] reachable from i.
 
-    After k rounds m[i] = min of the first 2**k points on i's orbit,
-    so log2(N) rounds close every cycle.  Fully vectorized; this is
-    what keeps parity checks at degree 2**16 in the millisecond range.
+    One map: round k makes m[i] the least of the first 2**k points on
+    i's path.  These windows tile the path, so a round that changes no
+    label (round ceil(log2 L) + 1 at the latest, for a longest path L)
+    shows m[i] <= m[p**(2**k)(i)] everywhere, i.e. every label is the
+    path minimum; N-point windows cover every path, so ceil(log2 N)
+    rounds always suffice.  Several maps: each round applies every map,
+    from the second round on the doubled powers too, then m = m[m] to a
+    fixpoint.  Once no map lowers a label, m[i] <= m[g(i)] for every g,
+    so m[i] is at most every point reachable from i; every other round
+    lowers a label, so the loop ends.
     """
-    n = len(p)
-    m = np.arange(n, dtype=p.dtype)
-    q = p.copy()
-    span = 1
-    while span < n:
-        m = np.minimum(m, m[q])
-        q = q[q]
-        span <<= 1
-    return m
+    maps = list(maps)
+    degree = len(maps[0])
+    m = np.arange(degree, dtype=maps[0].dtype)
+    if len(maps) == 1:
+        q = maps[0]
+        for _ in range((degree - 1).bit_length()):
+            ahead = m[q]
+            if (ahead >= m).all():
+                break
+            m, q = np.minimum(m, ahead), q[q]
+        return m
+    powers = None
+    while True:
+        before = m
+        for g in maps:
+            m = np.minimum(m, m[g])
+        if np.array_equal(m, before):
+            return m
+        if powers is None:
+            powers = maps
+        else:
+            powers = [q[q] for q in powers]
+            for q in powers:
+                m = np.minimum(m, m[q])
+        while not np.array_equal(jumped := m[m], m):
+            m = jumped
+
+
+def cycle_reps(p: np.ndarray) -> np.ndarray:
+    """Least point of each point's cycle (of its path, for any map)."""
+    return components([p])
 
 
 def cycle_lengths(p: np.ndarray) -> np.ndarray:
     """Sorted cycle lengths (with multiplicity), vectorized."""
-    _, counts = np.unique(cycle_reps(p), return_counts=True)
-    counts.sort()
-    return counts
+    counts = np.bincount(cycle_reps(p))
+    return np.sort(counts[counts > 0])
 
 
 def cycle_lengths_walk(p: np.ndarray) -> list[int]:
@@ -116,7 +150,7 @@ def cycle_lengths_walk(p: np.ndarray) -> list[int]:
 
 def sign(p: np.ndarray) -> int:
     """+1 for even permutations: parity of (degree - cycle count)."""
-    ncycles = len(np.unique(cycle_reps(p)))
+    ncycles = np.count_nonzero(cycle_reps(p) == np.arange(len(p)))
     return 1 if (len(p) - ncycles) % 2 == 0 else -1
 
 

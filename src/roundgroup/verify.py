@@ -9,7 +9,8 @@ parameter set at hand:
 * parity: all three standard generators are even permutations, so the
   generated group sits inside the alternating group;
 * transitivity: the translation generators alone already act
-  transitively; computed by orbit sweep anyway;
+  transitively; computed anyway, as the orbit of state 0 read off the
+  least-reachable-point labels of perms.components;
 * primitivity: any invariant partition would have to consist of the
   modular cosets of a subgroup of the state group, so scanning every
   Goursat subgroup settles it.  Candidates that pass the necessary

@@ -146,6 +146,21 @@ def test_order_small_degree(capsys):
     assert "certificate: alternating-order-match" in out
 
 
+def test_order_on_lossy_boxes_is_a_group_order(tmp_path, capsys):
+    # the Feistel swap (x1, x2) -> (x2, x1 ^ S(x2)) is a bijection for
+    # any S, so lossy boxes still generate a group, and its order is
+    # certified like any other
+    spec = cipher.random_spec(1, 4, 1, np.random.default_rng(5),
+                              bijective=False)
+    assert not spec.bijective
+    lossy = tmp_path / "lossy.json"
+    cipher.save_spec(spec, lossy)
+    rc, out, _ = run(["order", "--spec", str(lossy)], capsys)
+    assert rc == 0
+    assert "identification: alternating group" in out
+    assert "certificate: alternating-order-match" in out
+
+
 def test_order_refuses_large_degree(capsys):
     rc, _, err = run(["order", "--spec", CONFORMING_N8], capsys)
     assert rc == 1
@@ -229,6 +244,17 @@ def test_selftest_passes(capsys):
     assert rc == 0
     assert "selftest: PASS (9/9)" in out
     assert "FAIL" not in out
+
+
+def test_verdict_imports_no_scipy():
+    # numpy is the only runtime dependency
+    code = ("import sys; from roundgroup import cli; "
+            f"rc = cli.main(['verdict', '--spec', {CONFORMING_N4!r}]); "
+            "print(rc, 'scipy' in sys.modules)")
+    proc = subprocess.run([sys.executable, "-c", code],
+                          capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split()[-2:] == ["0", "False"]
 
 
 def test_console_entry_point():

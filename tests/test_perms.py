@@ -1,10 +1,14 @@
-"""Dense permutation arrays: algebra, cycle scans, cipher materialization."""
+"""Dense permutation arrays: algebra, cycle and orbit labels,
+cipher materialization."""
+
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from roundgroup import cipher, perms
-from roundgroup.cipher import CipherSpec
+from roundgroup import cipher, groups, perms
+
+SPECS = Path(__file__).resolve().parent.parent / "specs"
 
 
 def seeded_spec(n, m, r, seed, bijective=True):
@@ -174,3 +178,135 @@ def test_standard_generators():
     gens = perms.standard_generators(spec)
     assert len(gens) == 3
     assert np.array_equal(gens[2], perms.sigma_perm(spec))
+
+
+# ---------------------------------------------------------------------------
+# components: against a forward-closure search and the replaced code
+
+
+def closure(maps, start):
+    """The points reachable from start under maps, by plain search."""
+    seen, todo = {start}, [start]
+    while todo:
+        x = todo.pop()
+        for g in maps:
+            y = int(g[x])
+            if y not in seen:
+                seen.add(y)
+                todo.append(y)
+    return seen
+
+
+def closure_labels(maps):
+    return [min(closure(maps, i)) for i in range(len(maps[0]))]
+
+
+@pytest.mark.parametrize("maps", [
+    ([3, 8, 6, 7, 1, 4, 2, 0, 5], [4, 1, 2, 8, 0, 7, 5, 4, 7]),
+    ([5, 0, 4, 2, 2, 2], [3, 4, 2, 5, 0, 1]),
+])
+def test_components_terminates_on_pinned_sets(maps):
+    # a loop that applies only the doubled powers after its first round
+    # never lowers these labels to the answer, so it never stops
+    maps = [np.array(g, dtype=np.int64) for g in maps]
+    assert perms.components(maps).tolist() == closure_labels(maps)
+
+
+def test_components_fuzz_against_closure():
+    rng = np.random.default_rng(20261018)
+    lossy = 0
+    for _ in range(5000):
+        degree = int(rng.integers(1, 12))
+        maps = [rng.permutation(degree) if rng.random() < 0.5
+                else rng.integers(0, degree, degree)
+                for _ in range(int(rng.integers(1, 4)))]
+        bijective = [is_perm(g) for g in maps]
+        lossy += not all(bijective)
+        assert perms.components(maps).tolist() == closure_labels(maps)
+        if len(maps) == 1:
+            assert perms.cycle_reps(maps[0]).tolist() == closure_labels(maps)
+        pool = maps + [perms.inverse(g) for g, b in zip(maps, bijective) if b]
+        labels = closure_labels(pool)
+        start = int(rng.integers(0, degree))
+        mask = groups.orbit_mask(maps, start).tolist()
+        assert mask == [x == labels[start] for x in labels]
+        if all(bijective):  # the orbit is start's forward closure
+            reached = closure(maps, start)
+            assert mask == [i in reached for i in range(degree)]
+    assert 2000 < lossy < 5000
+
+
+def doubling_reps(p):
+    """The replaced cycle_reps: ceil(log2 N) rounds, no early stop."""
+    n = len(p)
+    m = np.arange(n, dtype=p.dtype)
+    q = p.copy()
+    span = 1
+    while span < n:
+        m = np.minimum(m, m[q])
+        q = q[q]
+        span <<= 1
+    return m
+
+
+def unique_cycle_lengths(p):
+    _, counts = np.unique(doubling_reps(p), return_counts=True)
+    counts.sort()
+    return counts
+
+
+def unique_sign(p):
+    ncycles = len(np.unique(doubling_reps(p)))
+    return 1 if (len(p) - ncycles) % 2 == 0 else -1
+
+
+def sweep_orbit_mask(gens, start):
+    """The replaced orbit_mask: vectorized frontier sweeps."""
+    seen = np.zeros(len(gens[0]), dtype=bool)
+    seen[start] = True
+    frontier = np.array([start], dtype=np.int64)
+    while frontier.size:
+        images = np.concatenate([g[frontier] for g in gens])
+        images = images[~seen[images]]
+        if images.size:
+            images = np.unique(images)
+            seen[images] = True
+        frontier = images
+    return seen
+
+
+def oracle_specs():
+    specs = [cipher.load_spec(path) for path in sorted(SPECS.glob("*.json"))]
+    specs = [s for s in specs if s.n <= 8]
+    assert len(specs) == 4
+    for seed in range(2):
+        specs += [seeded_spec(4, 2, 2, seed),           # conforming
+                  seeded_spec(6, 2, 3, seed),
+                  seeded_spec(6, 3, 3, seed),
+                  seeded_spec(4, 2, 0, seed),           # r = 0
+                  seeded_spec(6, 3, 0, seed),
+                  seeded_spec(6, 2, 1, seed),           # non-conforming
+                  seeded_spec(4, 2, 1, seed),
+                  seeded_spec(4, 2, 2, seed, False),    # lossy
+                  seeded_spec(6, 2, 3, seed, False)]
+    assert {(s.conforming, s.bijective, s.r == 0) for s in specs} >= {
+        (True, True, False), (False, True, True), (False, True, False),
+        (True, False, False)}
+    return specs
+
+
+def test_components_match_replaced_code_on_specs():
+    rng = np.random.default_rng(44)
+    for spec in oracle_specs():
+        gens = perms.standard_generators(spec)
+        words = [groups.evaluate_witness_word(
+            gens, tuple(rng.integers(0, 6, 32).tolist())) for _ in range(3)]
+        for p in gens + words:
+            assert np.array_equal(perms.cycle_reps(p), doubling_reps(p))
+            assert perms.sign(p) == unique_sign(p)
+            assert np.array_equal(perms.cycle_lengths(p),
+                                  unique_cycle_lengths(p))
+        for subset in (gens, gens[2:], gens[::2], words[:1], words[1:]):
+            for start in (0, int(rng.integers(0, spec.degree))):
+                assert np.array_equal(groups.orbit_mask(subset, start),
+                                      sweep_orbit_mask(subset, start))
