@@ -380,7 +380,12 @@ def cmd_order(args) -> int:
                      "is_alternating": order == half,
                      "is_symmetric": order == 2 * half}
     emit(args, lines, data)
-    print(f"timing: chain {elapsed:.2f}s", file=sys.stderr)
+    # each residue is one array shared by every level it joined
+    strong = len({id(g) for lvl in chain.levels for g in lvl.gens})
+    print(f"timing: chain {elapsed:.2f}s levels={len(chain.levels)} "
+          f"strong_generators={strong} "
+          f"schreier_sifted={chain.schreier_sifted} "
+          f"absorbed={chain.absorbed}", file=sys.stderr)
     return 0
 
 

@@ -24,8 +24,10 @@ correctness story is spelled out:
       strong-generation criterion), which proves M = |G| with no
       randomness in the statement.  The rebuild matters: the random
       phase leaves hundreds of redundant strong generators behind,
-      and the completion cost is the number of (orbit point,
-      generator) pairs times the sift depth.
+      and completion sifts one Schreier generator per (orbit point,
+      generator) pair, in batches that cost one flat gather per level
+      of sift depth.  A generator joining a level sweeps its orbit
+      only when it maps an orbit point outside the orbit.
   Route (1) is what makes degree-65536-sized alternating targets
   tractable; route (2) covers the degenerate groups where no parity
   certificate exists.
@@ -194,6 +196,13 @@ class StabilizerChain:
         self.levels: list[_Level] = []
         self.certificate = "unverified"
         self._identity = np.arange(degree, dtype=np.int64)
+        # member[i] = level i's orbit as a boolean row, kept in step
+        # with posidx so a new generator tests every level at once
+        self._member = np.zeros((0, degree), dtype=bool)
+        # completion counters: Schreier generators sifted, residues
+        # absorbed from them
+        self.schreier_sifted = 0
+        self.absorbed = 0
 
     # -- bookkeeping
 
@@ -255,10 +264,11 @@ class StabilizerChain:
                     continue
                 ub = gen[lvl.u[j]]
                 lvl.posidx[b] = len(lvl.orbit)
+                self._member[i, b] = True
                 lvl.orbit.append(b)
                 lvl.u.append(ub)
                 inv = np.empty_like(ub)
-                inv[ub] = np.arange(self.degree, dtype=ub.dtype)
+                inv[ub] = self._identity
                 lvl.uinv.append(inv)
 
         old_len = len(lvl.orbit)
@@ -277,6 +287,7 @@ class StabilizerChain:
             moved = int(np.nonzero(residue != self._identity)[0][0])
             self.base.append(moved)
             self.levels.append(_Level(moved, self.degree))
+            self._member = np.vstack([self._member, self._identity == moved])
         if self._transversal_entries() > TRANSVERSAL_ENTRY_CAP:
             raise ValueError("transversal storage cap exceeded; the group "
                              "is too large for an exact chain at this degree")
@@ -285,10 +296,17 @@ class StabilizerChain:
         # elements use floor 0; residues discovered while verifying
         # level i are already products of level-(i+1) generators, so
         # joining levels <= i could never grow an orbit and would only
-        # bloat the verification work.
+        # bloat the verification work.  Each orbit is closed under its
+        # level's old generators; a permutation that maps a finite orbit
+        # into itself maps it onto itself, so the orbit can grow only
+        # where the residue sends one of its points outside it, and
+        # elsewhere the sweep would add nothing.
+        member = self._member[floor:stall + 1]
+        grows = (member & ~member[:, residue]).any(axis=1)
         for i in range(floor, stall + 1):
             self.levels[i].gens.append(residue)
-            self._extend_level(i, residue)
+            if grows[i - floor]:
+                self._extend_level(i, residue)
 
     def feed(self, p: np.ndarray) -> bool:
         """Sift p; absorb the residue if any.  True when p was new."""
@@ -304,9 +322,11 @@ class StabilizerChain:
         """Sift a batch of permutations from `start`, absorbing every
         failure into the chain (at `floor` discipline) as it appears.
 
-        Rows are dropped as they reach the identity; a row that stalls
-        is absorbed, after which the remaining rows resume at the stall
-        level since their partial reduction only used transversal
+        Identity rows are dropped once per batch and once more before
+        the bottom: an identity row meets position 0 at every level, so
+        carrying it never changes which row stalls first.  A row that
+        stalls is absorbed, after which the remaining rows resume at the
+        stall level since their partial reduction only used transversal
         entries that never change.  Returns the number absorbed.
         """
         absorbed = 0
@@ -328,9 +348,11 @@ class StabilizerChain:
                     pending.append((rows[keep], i))
                     rows = rows[:0]
                     break
-                rows = np.take_along_axis(lvl.uinvstack()[pos], rows, axis=1)
-                rows = rows[(rows != self._identity).any(axis=1)]
+                # row r becomes uinv[pos[r]][rows[r]]: one flat gather
+                rows = lvl.uinvstack().ravel()[rows
+                                               + (pos * self.degree)[:, None]]
                 i += 1
+            rows = rows[(rows != self._identity).any(axis=1)]
             if len(rows):
                 # fixes the whole base but is not the identity
                 self._add_generator(np.ascontiguousarray(rows[0]),
@@ -360,8 +382,9 @@ class StabilizerChain:
                 hi = min(lo + chunk, n_o)
                 u_rows = g[lvl.ustack()[lo:hi]]
                 pos = lvl.posidx[u_rows[:, lvl.point]]
-                schreier = np.take_along_axis(lvl.uinvstack()[pos],
-                                              u_rows, axis=1)
+                schreier = lvl.uinvstack().ravel()[
+                    u_rows + (pos * self.degree)[:, None]]
+                self.schreier_sifted += len(schreier)
                 absorbed += self._drain(schreier, i + 1, i + 1)
         return absorbed
 
@@ -387,6 +410,7 @@ class StabilizerChain:
                     continue
                 absorbed += self._verify_level(i, marks[i])
                 marks[i] = snapshot
+            self.absorbed += absorbed
             if not absorbed:
                 break
         self.certificate = "schreier-verified"

@@ -146,6 +146,33 @@ def test_order_small_degree(capsys):
     assert "certificate: alternating-order-match" in out
 
 
+CHAIN_COUNTERS = ["levels", "strong_generators", "schreier_sifted",
+                  "absorbed"]
+
+
+@pytest.mark.parametrize("fmt", ["text", "json"])
+def test_order_chain_counters_on_stderr_only(fmt, capsys):
+    argv = ["order", "--spec", IDENTITY_N4, "--seed", "3", "--format", fmt]
+    seen = []
+    for _ in range(2):
+        rc, out, err = run(argv, capsys)
+        assert rc == 0
+        line, = [l for l in err.splitlines()
+                 if l.startswith("timing: chain ")]
+        counters = dict(f.split("=") for f in line.split()[3:])
+        assert list(counters) == CHAIN_COUNTERS
+        for name in CHAIN_COUNTERS:
+            assert name not in out
+        seen.append((out, counters))
+    assert seen[0] == seen[1]
+    out, counters = seen[0]
+    base_length = (json.loads(out)["order"]["base_length"] if fmt == "json"
+                   else int(out.split("base length: ")[1].split()[0]))
+    assert int(counters["levels"]) == base_length
+    # the deterministic route sifts Schreier generators and absorbs some
+    assert int(counters["schreier_sifted"]) > int(counters["absorbed"]) > 0
+
+
 def test_order_on_lossy_boxes_is_a_group_order(tmp_path, capsys):
     # the Feistel swap (x1, x2) -> (x2, x1 ^ S(x2)) is a bijection for
     # any S, so lossy boxes still generate a group, and its order is

@@ -1,7 +1,9 @@
 """Orbits, blocks, stabilizer chains, witnesses: correctness against
 independent oracles (closure enumeration, cycle arithmetic, sympy)."""
 
+import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -262,3 +264,193 @@ def test_conjugates_detect_non_normal_subgroup():
     report = groups.conjugates_contained([perms.sigma_perm(spec)], gens,
                                          40, np.random.default_rng(8))
     assert report.failures > 0
+
+
+# ---------------------------------------------------------------------------
+# sift kernels against their straightforward versions
+
+ROOT = Path(__file__).resolve().parent.parent
+SPECS = ROOT / "specs"
+
+
+class PlainKernels(groups.StabilizerChain):
+    """The chain with its sift kernels written the straightforward way,
+    kept as an oracle: every level up to the stall is swept when a
+    generator joins it, each level reduces its rows with
+    take_along_axis, and identity rows are dropped after every level."""
+
+    def _add_generator(self, residue, stall, floor=0):
+        if stall == len(self.levels):
+            moved = int(np.nonzero(residue != self._identity)[0][0])
+            self.base.append(moved)
+            self.levels.append(groups._Level(moved, self.degree))
+            # the shared _extend_level records orbit growth in this row
+            self._member = np.vstack([self._member, self._identity == moved])
+        if self._transversal_entries() > groups.TRANSVERSAL_ENTRY_CAP:
+            raise ValueError("transversal storage cap exceeded")
+        for i in range(floor, stall + 1):
+            self.levels[i].gens.append(residue)
+            self._extend_level(i, residue)
+
+    def _drain(self, rows, start, floor):
+        absorbed = 0
+        pending = [(rows, start)]
+        while pending:
+            rows, i = pending.pop()
+            rows = rows[(rows != self._identity).any(axis=1)]
+            while len(rows) and i < len(self.levels):
+                lvl = self.levels[i]
+                pos = lvl.posidx[rows[:, lvl.point]]
+                stalled = pos < 0
+                if stalled.any():
+                    j = int(np.nonzero(stalled)[0][0])
+                    self._add_generator(np.ascontiguousarray(rows[j]),
+                                        i, floor)
+                    absorbed += 1
+                    keep = np.ones(len(rows), dtype=bool)
+                    keep[j] = False
+                    pending.append((rows[keep], i))
+                    rows = rows[:0]
+                    break
+                rows = np.take_along_axis(lvl.uinvstack()[pos], rows, axis=1)
+                rows = rows[(rows != self._identity).any(axis=1)]
+                i += 1
+            if len(rows):
+                self._add_generator(np.ascontiguousarray(rows[0]),
+                                    len(self.levels), floor)
+                absorbed += 1
+                pending.append((rows[1:], i))
+        return absorbed
+
+    def _verify_level(self, i, done):
+        lvl = self.levels[i]
+        done_o, done_g = done
+        n_o, n_g = len(lvl.orbit), len(lvl.gens)
+        absorbed = 0
+        chunk = max(1, (1 << 22) // self.degree)
+        for gi in range(n_g):
+            g = lvl.gens[gi]
+            o_start = 0 if gi >= done_g else done_o
+            for lo in range(o_start, n_o, chunk):
+                hi = min(lo + chunk, n_o)
+                u_rows = g[lvl.ustack()[lo:hi]]
+                pos = lvl.posidx[u_rows[:, lvl.point]]
+                schreier = np.take_along_axis(lvl.uinvstack()[pos],
+                                              u_rows, axis=1)
+                absorbed += self._drain(schreier, i + 1, i + 1)
+        return absorbed
+
+
+def check_chain_invariants(chain):
+    degree = chain.degree
+    ident = np.arange(degree, dtype=np.int64)
+    assert chain.base == [lvl.point for lvl in chain.levels]
+    assert chain._member.shape == (len(chain.levels), degree)
+    for k, lvl in enumerate(chain.levels):
+        orbit = np.array(lvl.orbit, dtype=np.int64)
+        assert len(set(lvl.orbit)) == len(orbit)
+        inside = np.zeros(degree, dtype=bool)
+        inside[orbit] = True
+        for g in lvl.gens:
+            assert inside[g[orbit]].all(), (k, "orbit not closed")
+            assert (g[chain.base[:k]] == chain.base[:k]).all(), k
+        assert len(lvl.u) == len(lvl.uinv) == len(orbit)
+        for point, u, uinv in zip(lvl.orbit, lvl.u, lvl.uinv):
+            assert u[lvl.point] == point
+            assert np.array_equal(uinv[u], ident)
+        expected = np.full(degree, -1, dtype=np.int64)
+        expected[orbit] = np.arange(len(orbit))
+        assert np.array_equal(lvl.posidx, expected), k
+        assert np.array_equal(chain._member[k], lvl.posidx >= 0), k
+
+
+def chain_snapshot(chain):
+    return (chain.base, [lvl.orbit for lvl in chain.levels],
+            [[g.tobytes() for g in lvl.gens] for lvl in chain.levels],
+            chain.order, chain.certificate, chain.absorbed)
+
+
+def spec_generators(name):
+    return perms.standard_generators(cipher.load_spec(SPECS / f"{name}.json"))
+
+
+KERNEL_CASES = {
+    "conforming_n4": (lambda: spec_generators("conforming_n4"), 7),
+    "identity_r0_n4": (lambda: spec_generators("identity_r0_n4"), 0),
+    "lossy_n4": (lambda: perms.standard_generators(
+        seeded_spec(4, 1, 1, seed=5, bijective=False)), 5),
+    "lossy_r0_n4": (lambda: perms.standard_generators(
+        seeded_spec(4, 1, 0, seed=6, bijective=False)), 6),
+    "conforming_n3": (lambda: perms.standard_generators(
+        seeded_spec(3, 1, 1, seed=2)), 2),
+    "r0_n3": (lambda: perms.standard_generators(
+        seeded_spec(3, 1, 0, seed=3)), 3),
+    "nonconforming_n3": (lambda: perms.standard_generators(
+        seeded_spec(3, 3, 1, seed=4)), 4),
+    "C4": (lambda: [C4], 0),
+    "S4": (lambda: S4_GENS, 1),
+    "A4": (lambda: A4_GENS, 2),
+    "D4": (lambda: D4_GENS, 3),
+}
+
+
+@pytest.fixture
+def checked_growth(monkeypatch):
+    """After every generator joins the chain, each level it joined keeps
+    its member row equal to posidx >= 0 and its orbit closed under the
+    new generator.  Checked as the chain grows, because a chain that
+    breaks either can sift forever instead of failing."""
+    add = groups.StabilizerChain._add_generator
+
+    def checked(self, residue, stall, floor=0):
+        add(self, residue, stall, floor)
+        inside = np.stack([lvl.posidx >= 0
+                           for lvl in self.levels[floor:stall + 1]])
+        assert np.array_equal(self._member[floor:stall + 1], inside)
+        assert inside[:, residue][inside].all(), "orbit left open"
+
+    monkeypatch.setattr(groups.StabilizerChain, "_add_generator", checked)
+
+
+@pytest.mark.parametrize("case", sorted(KERNEL_CASES))
+def test_sift_kernels_match_plain_kernels(case, monkeypatch,
+                                         checked_growth):
+    make_gens, seed = KERNEL_CASES[case]
+    gens = make_gens()
+    chain = groups.schreier_sims(gens, np.random.default_rng(seed))
+    check_chain_invariants(chain)
+    monkeypatch.setattr(groups, "StabilizerChain", PlainKernels)
+    plain = groups.schreier_sims(gens, np.random.default_rng(seed))
+    assert isinstance(plain, PlainKernels)
+    check_chain_invariants(plain)
+    assert chain_snapshot(chain) == chain_snapshot(plain)
+
+
+def test_deterministic_route_vs_sympy_at_degree_64():
+    # r=0 keeps these groups small, so sympy answers in milliseconds;
+    # the full alternating group of degree 64 would take it many seconds
+    sympy_perms = pytest.importorskip("sympy.combinatorics")
+    Permutation = sympy_perms.Permutation
+    PermutationGroup = sympy_perms.PermutationGroup
+    for bijective in (True, False):
+        for seed in range(4):
+            spec = seeded_spec(3, 1, 0, seed, bijective)
+            gens = perms.standard_generators(spec)
+            chain = groups.schreier_sims(gens, np.random.default_rng(seed))
+            assert chain.certificate == "schreier-verified"
+            check_chain_invariants(chain)
+            theirs = PermutationGroup(
+                [Permutation(g.tolist()) for g in gens]).order()
+            assert chain.order == theirs, (bijective, seed)
+
+
+def test_identity_r0_n4_matches_pinned_order():
+    pins = json.loads(
+        (ROOT / "perfbench" / "data" / "pinned_orders.json").read_text())
+    pin = pins["identity_r0_n4"]
+    spec = cipher.load_spec(SPECS / "identity_r0_n4.json")
+    assert spec.digest() == pin["spec_sha256"]
+    chain = groups.schreier_sims(perms.standard_generators(spec),
+                                 np.random.default_rng(0))
+    assert chain.certificate == "schreier-verified"
+    assert chain.order == int(pin["order"])
