@@ -4,22 +4,15 @@ The subgroup landscape behind the block scan
 
 The block scan tests every subgroup of the direct product
 Z/2^n x Z/2^n.  Goursat's lemma parametrizes them by five integers;
-this script counts them, checks the small cases against brute force,
-and shows the box-type census that the structural argument runs on.
+this script counts them and shows the box-type census that the
+structural argument runs on.
 """
 
 from roundgroup import boxtypes, goursat
 
 print("subgroups of Z/2^n x Z/2^n by word size:")
 for n in range(1, 9):
-    print(f"  n={n:2d}: {goursat.count_subgroups(n):5d}")
-
-# brute force agrees where brute force is possible
-for n in (1, 2, 3):
-    enumerated = {goursat.member_set(t)
-                  for t in goursat.enumerate_subgroups(n)}
-    assert enumerated == goursat.brute_force_subgroups(n)
-print("brute-force cross-check passed for n in {1, 2, 3}")
+    print(f"  n={n:2d}: {len(goursat.enumerate_subgroups(n)):5d}")
 
 # each cyclic subgroup 2^q Z / 2^n Z meets the S-box bricks in one of
 # three ways per brick: pinned to a single value (W), ranging over the

@@ -19,14 +19,15 @@ q falls strictly inside a brick that brick is Ruled (its projection is
 a proper subgroup of the brick).  q a multiple of m gives whites then
 blacks with no ruled brick: a "whole" subgroup.
 
-The calculus proved about these types elsewhere and tested here:
-xor-translation preserves types of arbitrary typed sets;
-modular-translation preserves types of subgroups (not of arbitrary
-typed sets: carries can break them); a bijective bricklayer preserves
-subgroup types and sends whole subgroups to an exact modular coset;
-and on conforming bijective parameter sets the full mixing map always
-CHANGES the type of every proper nontrivial subgroup, which is the
-engine behind the imprimitivity scan coming up empty.
+The calculus proved about these types elsewhere, and checked by the
+tests against reference implementations: xor-translation preserves
+types of arbitrary typed sets; modular-translation preserves types of
+subgroups (not of arbitrary typed sets: carries can break them); a
+bijective bricklayer preserves subgroup types and sends whole
+subgroups to an exact modular coset.  What this module computes is the
+last step: on conforming bijective parameter sets the full mixing map
+always CHANGES the type of every proper nontrivial subgroup, which is
+the engine behind the imprimitivity scan coming up empty.
 """
 
 from __future__ import annotations
@@ -35,7 +36,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cipher import CipherSpec, gamma_table, s_table
+from .cipher import CipherSpec, s_table
 
 WHITE = "W"
 RULED = "R"
@@ -90,64 +91,8 @@ def subgroup_type(q: int, m: int, delta: int) -> TypeVector:
     return TypeVector(tuple(codes))
 
 
-def is_whole(q: int, m: int) -> bool:
-    return q % m == 0
-
-
 def subgroup_members_array(q: int, n: int) -> np.ndarray:
     return np.arange(1 << (n - q), dtype=np.int64) << q
-
-
-# ---------------------------------------------------------------------------
-# the four translation / bricklayer checks
-
-
-def xor_translate_keeps_type(values, v: int, m: int, delta: int) -> bool:
-    """Xor by any word leaves the type of any typed set unchanged."""
-    before = type_of(values, m, delta)
-    if before is None:
-        raise ValueError("set has no type; out of scope")
-    arr = np.asarray(list(values) if not isinstance(values, np.ndarray)
-                     else values, dtype=np.int64)
-    after = type_of(arr ^ v, m, delta)
-    return after == before
-
-
-def modular_translate_keeps_type(q: int, v: int, n: int, m: int,
-                                 delta: int) -> bool:
-    """Adding v mod 2**n to the subgroup <2**q> keeps its type.
-
-    True for subgroups despite carries; arbitrary typed sets can lose
-    or change their type under the same translation.
-    """
-    mask = (1 << n) - 1
-    translated = (subgroup_members_array(q, n) + v) & mask
-    return type_of(translated, m, delta) == subgroup_type(q, m, delta)
-
-
-@dataclass(frozen=True)
-class BricklayerCheck:
-    q: int
-    whole: bool
-    type_preserved: bool
-    coset_identity: bool | None  # whole subgroups only
-
-
-def bricklayer_check(spec: CipherSpec, q: int) -> BricklayerCheck:
-    """The bricklayer against <2**q>: type preservation always, and
-    for whole subgroups the exact set identity
-    gamma(D) = gamma(0) + D (modular coset of the image of zero)."""
-    n, m, delta = spec.n, spec.m, spec.delta
-    mask = (1 << n) - 1
-    table = gamma_table(spec)
-    members = subgroup_members_array(q, n)
-    image = np.unique(table[members])
-    type_ok = type_of(image, m, delta) == subgroup_type(q, m, delta)
-    coset: bool | None = None
-    if is_whole(q, m):
-        shifted = np.sort((members + int(table[0])) & mask)
-        coset = bool(np.array_equal(image, shifted))
-    return BricklayerCheck(q, is_whole(q, m), type_ok, coset)
 
 
 def s_image(spec: CipherSpec, q: int) -> np.ndarray:

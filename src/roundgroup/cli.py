@@ -1,7 +1,7 @@
 """Command-line front end.
 
 Subcommands: encrypt, validate, scan-blocks, types, goursat, order,
-verdict, selftest.  Reports echo the seed and caps in a header and are
+verdict.  Reports echo the seed and caps in a header and are
 byte-stable for a fixed command line: anything nondeterministic
 (timings) goes to stderr, never into the report body.  Each report is
 built once, as text lines and a JSON record side by side.
@@ -98,8 +98,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=int, help="word width (alternative to --spec)")
     p.add_argument("--list", action="store_true",
                    help="print every triple, not just the count")
-    p.add_argument("--check", action="store_true",
-                   help="cross-check against brute force (n <= 3)")
 
     add("order", "exact order of the generated group")
 
@@ -108,9 +106,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="giant-witness trial budget (default 10000)")
     p.add_argument("--word-len", type=_int_from(1), default=32,
                    help="witness word length (default 32)")
-
-    add("selftest", "internal invariant suite at toy sizes", spec=False,
-        seed=False)
     return parser
 
 
@@ -324,18 +319,6 @@ def cmd_goursat(args) -> int:
     triples = goursat.enumerate_subgroups(n)
     lines = [f"tool: {TOOL}", f"n: {n}", f"subgroups: {len(triples)}"]
     data = {"tool": TOOL, "n": n, "count": len(triples)}
-    if args.check:
-        if n > 3:
-            raise ValueError("--check needs n <= 3")
-        brute = goursat.brute_force_subgroups(n)
-        match = {goursat.member_set(t) for t in triples} == brute
-        lines.append(f"brute-force sets: {len(brute)} "
-                     f"({'match' if match else 'MISMATCH'})")
-        data["brute_force_count"] = len(brute)
-        data["brute_force_match"] = match
-        if not match:
-            emit(args, lines, data)
-            return 1
     if args.list:
         for t in triples:
             lines.append(f"  {t.describe()} size={t.size}")
@@ -485,109 +468,6 @@ def cmd_verdict(args) -> int:
 
 
 # ---------------------------------------------------------------------------
-# selftest
-
-
-def selftest_checks():
-    states = [(i & 15, i >> 4) for i in range(256)]  # every state at n=4
-
-    def words_basics():
-        return all(
-            words.add_mod(x, words.involution(n), n) == x ^ words.involution(n)
-            and all(words.rotate_left(words.rotate_left(x, r, n), n - r, n)
-                    == x for r in range(n))
-            for n in (2, 3, 4) for x in range(1 << n))
-
-    def feistel_inverse():
-        rng = np.random.default_rng(0)
-        specs = [cipher.random_spec(2, 2, 2, rng, bij)
-                 for bij in (True, False)]
-        return all(cipher.sigma_inverse_apply(s, cipher.sigma_apply(s, st))
-                   == st for s in specs for st in states)
-
-    def round_decomposition():
-        spec = cipher.random_spec(2, 2, 2, np.random.default_rng(1))
-        return all(
-            cipher.gost_round(spec, k, st) == cipher.rho_apply(
-                (words.neg_mod(k, 4), 0),
-                cipher.sigma_apply(spec, cipher.rho_apply((0, k), st, 4)), 4)
-            for k in range(16) for st in states)
-
-    def goursat_brute_force():
-        return goursat.count_subgroups(1) == 5 and all(
-            {goursat.member_set(t) for t in goursat.enumerate_subgroups(n)}
-            == goursat.brute_force_subgroups(n) for n in (1, 2, 3))
-
-    def subgroup_types():
-        return all(
-            boxtypes.type_of(boxtypes.subgroup_members_array(q, n), m, delta)
-            == boxtypes.subgroup_type(q, m, delta)
-            for n, m, delta in ((4, 2, 2), (6, 2, 3), (8, 2, 4))
-            for q in range(n + 1))
-
-    def translation_lemmas():
-        rng = np.random.default_rng(2)
-        for q in range(9):
-            members = boxtypes.subgroup_members_array(q, 8)
-            for v in rng.integers(0, 256, 25).tolist():
-                if not (boxtypes.xor_translate_keeps_type(members, v, 2, 4)
-                        and boxtypes.modular_translate_keeps_type(
-                            q, v, 8, 2, 4)):
-                    return False
-        return True
-
-    def scan_vs_generic_blocks():
-        rng = np.random.default_rng(3)
-        specs = [CipherSpec(4, 2, 2, 0, cipher.identity_sboxes(2, 2)),
-                 CipherSpec(4, 1, 4, 0, cipher.identity_sboxes(4, 1))]
-        specs += [cipher.random_spec(2, 2, r, rng) for r in (0, 1, 2, 3)]
-        specs.append(cipher.random_spec(2, 2, 2, rng, bijective=False))
-        return all(verify.atkinson_agrees_with_scan(s) for s in specs)
-
-    def chain_known_orders():
-        rng = np.random.default_rng(4)
-        c4 = np.array([1, 2, 3, 0], dtype=np.int64)
-        flip = np.array([3, 2, 1, 0], dtype=np.int64)
-        trans = [perms.rho_perm((1, 0), 2), perms.rho_perm((0, 1), 2)]
-        return [groups.schreier_sims(gens, rng).order
-                for gens in ([c4], [c4, flip], trans)] == [4, 8, 16]
-
-    def generator_parity():
-        rng = np.random.default_rng(5)
-        specs = [cipher.random_spec(m, n // m, min(1, n - 1), rng)
-                 for n, m in ((2, 1), (3, 1), (4, 2))]
-        return all(perms.sign(g) == 1
-                   for s in specs for g in perms.standard_generators(s))
-
-    return [("word arithmetic", words_basics),
-            ("feistel inverse", feistel_inverse),
-            ("round decomposition", round_decomposition),
-            ("subgroup enumeration vs brute force", goursat_brute_force),
-            ("subgroup types", subgroup_types),
-            ("translation lemmas", translation_lemmas),
-            ("scan vs generic blocks at degree 256", scan_vs_generic_blocks),
-            ("chain orders", chain_known_orders),
-            ("generator parity", generator_parity)]
-
-
-def cmd_selftest(args) -> int:
-    failures = 0
-    lines = [f"tool: {TOOL}", "-- selftest --"]
-    results = []
-    for name, fn in selftest_checks():
-        ok = bool(fn())
-        results.append({"name": name, "ok": ok})
-        lines.append(f"{'ok' if ok else 'FAIL'}: {name}")
-        if not ok:
-            failures += 1
-    lines.append(f"selftest: {'PASS' if failures == 0 else 'FAIL'} "
-                 f"({len(results) - failures}/{len(results)})")
-    emit(args, lines, {"selftest": results,
-                       "passed": failures == 0})
-    return 0 if failures == 0 else 1
-
-
-# ---------------------------------------------------------------------------
 
 
 COMMANDS = {
@@ -598,7 +478,6 @@ COMMANDS = {
     "goursat": cmd_goursat,
     "order": cmd_order,
     "verdict": cmd_verdict,
-    "selftest": cmd_selftest,
 }
 
 

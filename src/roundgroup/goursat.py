@@ -25,8 +25,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import words
-
 
 @dataclass(frozen=True, order=True)
 class GoursatTriple:
@@ -51,10 +49,6 @@ class GoursatTriple:
                 raise ValueError("trivial quotient needs z = 1")
         elif not (self.z % 2 == 1 and 1 <= self.z < (1 << k)):
             raise ValueError(f"z = {self.z} not an odd residue below 2**{k}")
-
-    @property
-    def quotient_exponent(self) -> int:
-        return self.sb - self.s
 
     @property
     def size(self) -> int:
@@ -93,10 +87,6 @@ def enumerate_subgroups(n: int) -> list[GoursatTriple]:
                         out.append(GoursatTriple(n, s, s + k, t, t + k, z))
     out.sort()
     return out
-
-
-def count_subgroups(n: int) -> int:
-    return len(enumerate_subgroups(n))
 
 
 def member_pairs(triple: GoursatTriple) -> tuple[np.ndarray, np.ndarray]:
@@ -165,45 +155,3 @@ def coset_labels(triple: GoursatTriple) -> np.ndarray:
         lab1 = x2 & ((1 << t) - 1)
         lab2 = (x1 - (x2 * (z << (s - t)))) & ((1 << sb) - 1)
     return lab1 | (lab2 << n)
-
-
-# ---------------------------------------------------------------------------
-# independent brute-force route (the enumeration oracle for tiny n)
-
-
-def closure_of(seed: set[tuple[int, int]], n: int) -> frozenset[tuple[int, int]]:
-    group = {(0, 0)}
-    frontier = list(seed)
-    while frontier:
-        el = frontier.pop()
-        if el in group:
-            continue
-        group.add(el)
-        adds = [(words.add_mod(el[0], o[0], n), words.add_mod(el[1], o[1], n))
-                for o in group]
-        frontier.extend(a for a in adds if a not in group)
-    return frozenset(group)
-
-
-def brute_force_subgroups(n: int) -> set[frozenset[tuple[int, int]]]:
-    """Full subgroup lattice by closure growth; n <= 3 only."""
-    if n > 3:
-        raise ValueError("brute force oracle limited to n <= 3")
-    everything = [(a, c) for a in range(1 << n) for c in range(1 << n)]
-    found = {closure_of(set(), n)}
-    frontier = [closure_of(set(), n)]
-    while frontier:
-        base = frontier.pop()
-        for el in everything:
-            if el in base:
-                continue
-            grown = closure_of(set(base) | {el}, n)
-            if grown not in found:
-                found.add(grown)
-                frontier.append(grown)
-    return found
-
-
-def member_set(triple: GoursatTriple) -> frozenset[tuple[int, int]]:
-    left, right = member_pairs(triple)
-    return frozenset(zip(left.tolist(), right.tolist()))

@@ -1,6 +1,6 @@
 """Permutation-group machinery over dense image arrays: orbits,
-minimal block systems, stabilizer chains with exactness certificates,
-a large-prime-cycle certificate, and a conjugation sampler.
+stabilizer chains with exactness certificates, and a large-prime-cycle
+certificate.
 
 Everything here is generic in the generators; nothing knows about the
 cipher.  The stabilizer chain is the only delicate piece, so its
@@ -66,88 +66,6 @@ def orbit_mask(gens: list[np.ndarray], start: int) -> np.ndarray:
                          if np.bincount(g, minlength=len(g)).all()]
     labels = perms.components(pool)
     return labels == labels[start]
-
-
-# ---------------------------------------------------------------------------
-# minimal block systems (union-find refinement)
-
-
-@dataclass(frozen=True)
-class BlockSystem:
-    """A nontrivial invariant partition; labels[i] = smallest point of
-    the block containing i."""
-
-    labels: np.ndarray
-    n_blocks: int
-    seed_pair: tuple[int, int]
-
-    @property
-    def block_size(self) -> int:
-        return len(self.labels) // self.n_blocks
-
-
-def minimal_partition(gens: list[np.ndarray], alpha: int,
-                      beta: int) -> np.ndarray:
-    """Labels of the finest invariant partition with alpha, beta together.
-
-    Classic union-find refinement: whenever two points
-    share a block, their images under every generator must too; merged
-    pairs are queued until stable.
-    """
-    degree = len(gens[0])
-    parent = list(range(degree))
-
-    def find(x: int) -> int:
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    glists = [g.tolist() for g in gens]
-    parent[find(beta)] = find(alpha)
-    queue = [(alpha, beta)]
-    while queue:
-        a, b = queue.pop()
-        for g in glists:
-            ra, rb = find(g[a]), find(g[b])
-            if ra != rb:
-                parent[rb] = ra
-                queue.append((ra, rb))
-    roots = np.fromiter((find(i) for i in range(degree)), dtype=np.int64,
-                        count=degree)
-    # canonical labels: smallest member of each class
-    mins = np.full(degree, degree, dtype=np.int64)
-    np.minimum.at(mins, roots, np.arange(degree, dtype=np.int64))
-    return mins[roots]
-
-
-def minimal_blocks(gens: list[np.ndarray], alpha: int,
-                   beta: int) -> BlockSystem | None:
-    """The minimal block system whose block joins alpha and beta, or
-    None when that system is the trivial one-block partition."""
-    labels = minimal_partition(gens, alpha, beta)
-    n_blocks = len(np.unique(labels))
-    if n_blocks <= 1:
-        return None
-    return BlockSystem(labels, n_blocks, (alpha, beta))
-
-
-def primitivity_by_pairs(gens: list[np.ndarray]) -> BlockSystem | None:
-    """None iff primitive: sweeps seed pairs (0, beta) for all beta.
-
-    Requires transitivity (a block system of an intransitive group is
-    not meaningful here); capped at the chain degree bound since the
-    sweep is quadratic-ish.
-    """
-    degree = len(gens[0])
-    if degree > BSGS_DEGREE_CAP:
-        raise ValueError(f"pairwise block sweep capped at degree "
-                         f"{BSGS_DEGREE_CAP}, got {degree}")
-    for beta in range(1, degree):
-        system = minimal_blocks(gens, 0, beta)
-        if system is not None:
-            return system
-    return None
 
 
 # ---------------------------------------------------------------------------
@@ -222,12 +140,8 @@ class StabilizerChain:
         """(None, -1) when p reduces to the identity; otherwise the
         residue and the level index where reduction stalled (equal to
         the chain length when the residue fixes the whole base)."""
-        return self._sift_from(p, 0)
-
-    def _sift_from(self, p: np.ndarray, start: int):
         r = p
-        for i in range(start, len(self.levels)):
-            lvl = self.levels[i]
+        for i, lvl in enumerate(self.levels):
             j = int(lvl.posidx[r[lvl.point]])
             if j < 0:
                 return r, i
@@ -236,12 +150,6 @@ class StabilizerChain:
         if (r == self._identity).all():
             return None, -1
         return r, len(self.levels)
-
-    def contains(self, p: np.ndarray) -> bool:
-        if self.certificate == "unverified":
-            raise ValueError("membership test on an unverified chain")
-        residue, _ = self.sift(p)
-        return residue is None
 
     # -- growth
 
@@ -548,50 +456,3 @@ def giant_witness(gens: list[np.ndarray], rng: np.random.Generator,
             continue  # never happens; belt over braces
         return GiantWitness(word, hit, trial, other)
     return None
-
-
-# ---------------------------------------------------------------------------
-# conjugation sampling (normal-closure evidence)
-
-
-@dataclass(frozen=True)
-class ConjugacyReport:
-    samples: int
-    failures: int
-    subgroup_order: int
-    certificate: str
-
-    @property
-    def all_contained(self) -> bool:
-        return self.failures == 0
-
-
-def conjugates_contained(subgroup_gens: list[np.ndarray],
-                         ambient_gens: list[np.ndarray],
-                         samples: int,
-                         rng: np.random.Generator) -> ConjugacyReport:
-    """Sift g^-1 w g into a chain for the subgroup, for random subgroup
-    words w and random ambient elements g.  Zero failures is sampled
-    evidence that the subgroup is normal in the ambient group."""
-    chain = schreier_sims(subgroup_gens, rng)
-    sub_pool = list(subgroup_gens) + [perms.inverse(g)
-                                      for g in subgroup_gens]
-    amb_pool = list(ambient_gens) + [perms.inverse(g)
-                                     for g in ambient_gens]
-    failures = 0
-    for _ in range(samples):
-        w = random_products(sub_pool, rng, MIX_LENGTH)
-        g = random_products(amb_pool, rng, MIX_LENGTH)
-        conj = perms.compose_all([perms.inverse(g), w, g])
-        if not chain.contains(conj):
-            failures += 1
-    return ConjugacyReport(samples, failures, chain.order,
-                           chain.certificate)
-
-
-def words_of_length(gens: list[np.ndarray], length: int) -> list[np.ndarray]:
-    """All products of exactly `length` generators (no inverses)."""
-    out = [perms.identity_perm(len(gens[0]))]
-    for _ in range(length):
-        out = [g[w] for w in out for g in gens]
-    return out

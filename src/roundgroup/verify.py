@@ -366,17 +366,3 @@ def full_verdict(spec: CipherSpec, seed: int, budget: int = 10_000,
     return Verdict(seed, budget, word_len, validation, parity, transitivity,
                    scan, diag, affine, wreath, psl, witness, searched,
                    conclusion)
-
-
-# ---------------------------------------------------------------------------
-# cross-checks used by tests and the selftest command
-
-
-def atkinson_agrees_with_scan(spec: CipherSpec) -> bool:
-    """At sweep-capped degrees, the generic minimal-block sweep and the
-    Goursat scan must return the same primitivity verdict."""
-    from .groups import primitivity_by_pairs
-    gens = perms.standard_generators(spec)
-    scan = block_scan(spec, gens)
-    generic = primitivity_by_pairs(gens)
-    return (generic is None) == (len(scan.certified) == 0)

@@ -1,0 +1,283 @@
+"""Reference implementations the tests check the certifier against.
+
+None of this runs inside a `roundgroup` subcommand.  Each helper is a
+slower or more generic route to a fact the certifier reaches its own
+way:
+
+* generic minimal block systems by union-find refinement, against the
+  Goursat block scan;
+* membership in a verified stabilizer chain and a conjugation sampler,
+  for sampled evidence of normal subgroups;
+* the box-type translation lemmas and the bricklayer check, the steps
+  of the type calculus before the mixing map;
+* a brute-force closure walk over the subgroup lattice of
+  Z/2**n x Z/2**n for n <= 3, against the Goursat enumeration.
+"""
+
+from __future__ import annotations
+
+from dataclasses import dataclass
+
+import numpy as np
+
+from roundgroup import perms, words
+from roundgroup.boxtypes import (subgroup_members_array, subgroup_type,
+                                 type_of)
+from roundgroup.cipher import CipherSpec, gamma_table
+from roundgroup.goursat import GoursatTriple, enumerate_subgroups, member_pairs
+from roundgroup.groups import (BSGS_DEGREE_CAP, MIX_LENGTH, StabilizerChain,
+                               random_products, schreier_sims)
+from roundgroup.verify import block_scan
+
+
+# ---------------------------------------------------------------------------
+# minimal block systems (union-find refinement)
+
+
+@dataclass(frozen=True)
+class BlockSystem:
+    """A nontrivial invariant partition; labels[i] = smallest point of
+    the block containing i."""
+
+    labels: np.ndarray
+    n_blocks: int
+    seed_pair: tuple[int, int]
+
+    @property
+    def block_size(self) -> int:
+        return len(self.labels) // self.n_blocks
+
+
+def minimal_partition(gens: list[np.ndarray], alpha: int,
+                      beta: int) -> np.ndarray:
+    """Labels of the finest invariant partition with alpha, beta together.
+
+    Classic union-find refinement: whenever two points
+    share a block, their images under every generator must too; merged
+    pairs are queued until stable.
+    """
+    degree = len(gens[0])
+    parent = list(range(degree))
+
+    def find(x: int) -> int:
+        while parent[x] != x:
+            parent[x] = parent[parent[x]]
+            x = parent[x]
+        return x
+
+    glists = [g.tolist() for g in gens]
+    parent[find(beta)] = find(alpha)
+    queue = [(alpha, beta)]
+    while queue:
+        a, b = queue.pop()
+        for g in glists:
+            ra, rb = find(g[a]), find(g[b])
+            if ra != rb:
+                parent[rb] = ra
+                queue.append((ra, rb))
+    roots = np.fromiter((find(i) for i in range(degree)), dtype=np.int64,
+                        count=degree)
+    # canonical labels: smallest member of each class
+    mins = np.full(degree, degree, dtype=np.int64)
+    np.minimum.at(mins, roots, np.arange(degree, dtype=np.int64))
+    return mins[roots]
+
+
+def minimal_blocks(gens: list[np.ndarray], alpha: int,
+                   beta: int) -> BlockSystem | None:
+    """The minimal block system whose block joins alpha and beta, or
+    None when that system is the trivial one-block partition."""
+    labels = minimal_partition(gens, alpha, beta)
+    n_blocks = len(np.unique(labels))
+    if n_blocks <= 1:
+        return None
+    return BlockSystem(labels, n_blocks, (alpha, beta))
+
+
+def primitivity_by_pairs(gens: list[np.ndarray]) -> BlockSystem | None:
+    """None iff primitive: sweeps seed pairs (0, beta) for all beta.
+
+    Requires transitivity (a block system of an intransitive group is
+    not meaningful here); capped at the chain degree bound since the
+    sweep is quadratic-ish.
+    """
+    degree = len(gens[0])
+    if degree > BSGS_DEGREE_CAP:
+        raise ValueError(f"pairwise block sweep capped at degree "
+                         f"{BSGS_DEGREE_CAP}, got {degree}")
+    for beta in range(1, degree):
+        system = minimal_blocks(gens, 0, beta)
+        if system is not None:
+            return system
+    return None
+
+
+def atkinson_agrees_with_scan(spec: CipherSpec) -> bool:
+    """At sweep-capped degrees, the generic minimal-block sweep and the
+    Goursat scan must return the same primitivity verdict."""
+    gens = perms.standard_generators(spec)
+    scan = block_scan(spec, gens)
+    generic = primitivity_by_pairs(gens)
+    return (generic is None) == (len(scan.certified) == 0)
+
+
+# ---------------------------------------------------------------------------
+# chain membership and conjugation sampling (normal-closure evidence)
+
+
+def chain_contains(chain: StabilizerChain, p: np.ndarray) -> bool:
+    """Does p sift to the identity?  Sound only once the chain's order
+    is proved exact, so an unverified chain is refused."""
+    if chain.certificate == "unverified":
+        raise ValueError("membership test on an unverified chain")
+    residue, _ = chain.sift(p)
+    return residue is None
+
+
+@dataclass(frozen=True)
+class ConjugacyReport:
+    samples: int
+    failures: int
+    subgroup_order: int
+    certificate: str
+
+    @property
+    def all_contained(self) -> bool:
+        return self.failures == 0
+
+
+def conjugates_contained(subgroup_gens: list[np.ndarray],
+                         ambient_gens: list[np.ndarray],
+                         samples: int,
+                         rng: np.random.Generator) -> ConjugacyReport:
+    """Sift g^-1 w g into a chain for the subgroup, for random subgroup
+    words w and random ambient elements g.  Zero failures is sampled
+    evidence that the subgroup is normal in the ambient group."""
+    chain = schreier_sims(subgroup_gens, rng)
+    sub_pool = list(subgroup_gens) + [perms.inverse(g)
+                                      for g in subgroup_gens]
+    amb_pool = list(ambient_gens) + [perms.inverse(g)
+                                     for g in ambient_gens]
+    failures = 0
+    for _ in range(samples):
+        w = random_products(sub_pool, rng, MIX_LENGTH)
+        g = random_products(amb_pool, rng, MIX_LENGTH)
+        conj = perms.compose_all([perms.inverse(g), w, g])
+        if not chain_contains(chain, conj):
+            failures += 1
+    return ConjugacyReport(samples, failures, chain.order,
+                           chain.certificate)
+
+
+def words_of_length(gens: list[np.ndarray], length: int) -> list[np.ndarray]:
+    """All products of exactly `length` generators (no inverses)."""
+    out = [perms.identity_perm(len(gens[0]))]
+    for _ in range(length):
+        out = [g[w] for w in out for g in gens]
+    return out
+
+
+# ---------------------------------------------------------------------------
+# the four translation / bricklayer checks
+
+
+def is_whole(q: int, m: int) -> bool:
+    return q % m == 0
+
+
+def xor_translate_keeps_type(values, v: int, m: int, delta: int) -> bool:
+    """Xor by any word leaves the type of any typed set unchanged."""
+    before = type_of(values, m, delta)
+    if before is None:
+        raise ValueError("set has no type; out of scope")
+    arr = np.asarray(list(values) if not isinstance(values, np.ndarray)
+                     else values, dtype=np.int64)
+    after = type_of(arr ^ v, m, delta)
+    return after == before
+
+
+def modular_translate_keeps_type(q: int, v: int, n: int, m: int,
+                                 delta: int) -> bool:
+    """Adding v mod 2**n to the subgroup <2**q> keeps its type.
+
+    True for subgroups despite carries; arbitrary typed sets can lose
+    or change their type under the same translation.
+    """
+    mask = (1 << n) - 1
+    translated = (subgroup_members_array(q, n) + v) & mask
+    return type_of(translated, m, delta) == subgroup_type(q, m, delta)
+
+
+@dataclass(frozen=True)
+class BricklayerCheck:
+    q: int
+    whole: bool
+    type_preserved: bool
+    coset_identity: bool | None  # whole subgroups only
+
+
+def bricklayer_check(spec: CipherSpec, q: int) -> BricklayerCheck:
+    """The bricklayer against <2**q>: type preservation always, and
+    for whole subgroups the exact set identity
+    gamma(D) = gamma(0) + D (modular coset of the image of zero)."""
+    n, m, delta = spec.n, spec.m, spec.delta
+    mask = (1 << n) - 1
+    table = gamma_table(spec)
+    members = subgroup_members_array(q, n)
+    image = np.unique(table[members])
+    type_ok = type_of(image, m, delta) == subgroup_type(q, m, delta)
+    coset: bool | None = None
+    if is_whole(q, m):
+        shifted = np.sort((members + int(table[0])) & mask)
+        coset = bool(np.array_equal(image, shifted))
+    return BricklayerCheck(q, is_whole(q, m), type_ok, coset)
+
+
+# ---------------------------------------------------------------------------
+# independent brute-force route (the enumeration oracle for tiny n)
+
+
+def quotient_exponent(triple: GoursatTriple) -> int:
+    return triple.sb - triple.s
+
+
+def count_subgroups(n: int) -> int:
+    return len(enumerate_subgroups(n))
+
+
+def closure_of(seed: set[tuple[int, int]], n: int) -> frozenset[tuple[int, int]]:
+    group = {(0, 0)}
+    frontier = list(seed)
+    while frontier:
+        el = frontier.pop()
+        if el in group:
+            continue
+        group.add(el)
+        adds = [(words.add_mod(el[0], o[0], n), words.add_mod(el[1], o[1], n))
+                for o in group]
+        frontier.extend(a for a in adds if a not in group)
+    return frozenset(group)
+
+
+def brute_force_subgroups(n: int) -> set[frozenset[tuple[int, int]]]:
+    """Full subgroup lattice by closure growth; n <= 3 only."""
+    if n > 3:
+        raise ValueError("brute force oracle limited to n <= 3")
+    everything = [(a, c) for a in range(1 << n) for c in range(1 << n)]
+    found = {closure_of(set(), n)}
+    frontier = [closure_of(set(), n)]
+    while frontier:
+        base = frontier.pop()
+        for el in everything:
+            if el in base:
+                continue
+            grown = closure_of(set(base) | {el}, n)
+            if grown not in found:
+                found.add(grown)
+                frontier.append(grown)
+    return found
+
+
+def member_set(triple: GoursatTriple) -> frozenset[tuple[int, int]]:
+    left, right = member_pairs(triple)
+    return frozenset(zip(left.tolist(), right.tolist()))

@@ -15,6 +15,8 @@ import numpy as np
 from roundgroup import boxtypes, cipher, cli, goursat, groups, perms, verify
 from roundgroup.cipher import CipherSpec
 
+import oracles
+
 SPECS = Path(__file__).resolve().parent.parent / "specs"
 
 # n=8 conforming grid shared by criteria 2 and 3
@@ -83,7 +85,7 @@ def test_ac04_identity_r0_blocks_at_every_width():
         assert v.conclusion == verify.IMPRIMITIVE
         assert v.exit_code == 2
         if n == 4:
-            system = groups.primitivity_by_pairs(
+            system = oracles.primitivity_by_pairs(
                 perms.standard_generators(spec))
             assert system is not None and system.n_blocks > 1
     print("\nAC4 negative control: r=0 identity blocks for every "
@@ -130,7 +132,7 @@ def test_ac05_scan_matches_generic_blocks_with_exact_orders():
     certificates = Counter()
     for i in range(50):
         spec = _mixed_spec(i)
-        assert verify.atkinson_agrees_with_scan(spec), i
+        assert oracles.atkinson_agrees_with_scan(spec), i
         chain = groups.schreier_sims(perms.standard_generators(spec),
                                      np.random.default_rng(160_000 + i))
         assert chain.certificate in ("alternating-order-match",
@@ -156,9 +158,9 @@ def test_ac06_type_calculus_zero_violations():
                 boxtypes.subgroup_type(q, m, delta), (n, q)
             for _ in range(20):
                 v = int(rng.integers(0, 1 << n))
-                assert boxtypes.xor_translate_keeps_type(
+                assert oracles.xor_translate_keeps_type(
                     members, v, m, delta), (n, q, v)
-                assert boxtypes.modular_translate_keeps_type(
+                assert oracles.modular_translate_keeps_type(
                     q, v, n, m, delta), (n, q, v)
                 translations += 2
     assert translations >= 200 * len(frames)
@@ -168,7 +170,7 @@ def test_ac06_type_calculus_zero_violations():
             spec = cipher.random_spec(m, delta, 0,
                                       np.random.default_rng(171_000 + s))
             for q in range(n + 1):
-                check = boxtypes.bricklayer_check(spec, q)
+                check = oracles.bricklayer_check(spec, q)
                 assert check.type_preserved, (n, q, s)
                 assert check.coset_identity is (True if check.whole
                                                 else None)
@@ -186,10 +188,10 @@ def test_ac06_type_calculus_zero_violations():
 
 def test_ac07_goursat_enumeration_matches_brute_force():
     for n in (1, 2, 3):
-        enumerated = {goursat.member_set(t)
+        enumerated = {oracles.member_set(t)
                       for t in goursat.enumerate_subgroups(n)}
-        assert enumerated == goursat.brute_force_subgroups(n), n
-    assert goursat.count_subgroups(1) == 5
+        assert enumerated == oracles.brute_force_subgroups(n), n
+    assert oracles.count_subgroups(1) == 5
     print("\nAC7 subgroup enumeration: matches brute force for "
           "n in {1,2,3}, count 5 at n=1: PASS")
 
@@ -223,9 +225,9 @@ def test_ac09_fold_product_subgroups_normal():
     spec = cipher.load_spec(SPECS / "conforming_n4.json")
     gens = perms.standard_generators(spec)
     for fold in (2, 4, 8):
-        sub = groups.words_of_length(gens, fold)
+        sub = oracles.words_of_length(gens, fold)
         assert len(sub) == 3 ** fold
-        report = groups.conjugates_contained(
+        report = oracles.conjugates_contained(
             sub, gens, 100, np.random.default_rng(180_000 + fold))
         assert report.samples == 100
         assert report.failures == 0, (fold, report.failures)

@@ -6,6 +6,8 @@ import pytest
 from roundgroup import cipher, goursat, perms, verify
 from roundgroup.cipher import CipherSpec
 
+import oracles
+
 
 def seeded_spec(n, m, r, seed, bijective=True):
     rng = np.random.default_rng(seed)
@@ -148,7 +150,7 @@ def test_scan_agrees_with_generic_blocks_at_degree_256():
              seeded_spec(4, 2, 1, seed=4),      # non-conforming rotation
              seeded_spec(4, 2, 2, seed=5, bijective=False)]
     for spec in specs:
-        assert verify.atkinson_agrees_with_scan(spec)
+        assert oracles.atkinson_agrees_with_scan(spec)
 
 
 def test_diagonal_check():
