@@ -235,12 +235,7 @@ def gamma_table(spec: CipherSpec) -> np.ndarray:
 
 
 def s_table(spec: CipherSpec) -> np.ndarray:
-    g = gamma_table(spec)
-    r, n = spec.r, spec.n
-    if r == 0:
-        return g
-    m = (1 << n) - 1
-    return ((g << r) | (g >> (n - r))) & m
+    return words.rotate_left(gamma_table(spec), spec.r, spec.n)
 
 
 # ---------------------------------------------------------------------------

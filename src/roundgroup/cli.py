@@ -1,10 +1,11 @@
 """Command-line front end.
 
 Subcommands: encrypt, validate, scan-blocks, types, goursat, order,
-verdict.  Reports echo the seed and caps in a header and are
-byte-stable for a fixed command line: anything nondeterministic
-(timings) goes to stderr, never into the report body.  Each report is
-built once, as text lines and a JSON record side by side.
+verdict.  Each report (all but encrypt and goursat) is a function
+returning its text lines and JSON record, built side by side, its exit
+code and its timing; one runner, `run_report`, loads the spec and emits
+header (seed and caps) and body as text or JSON, the timing on stderr,
+so the body is byte-stable for a fixed command line.
 
 Exit codes: 0 clean, 2 a certified invariant partition was found,
 3 inconclusive verdict, 1 usage or I/O errors.
@@ -94,8 +95,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = add("goursat", "enumerate subgroups of the state translation "
             "group", spec=False, seed=False)
-    p.add_argument("--spec", help="take n from this spec file")
-    p.add_argument("--n", type=int, help="word width (alternative to --spec)")
+    p.add_argument("--n", type=int, required=True, help="word width")
     p.add_argument("--list", action="store_true",
                    help="print every triple, not just the count")
 
@@ -109,9 +109,14 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def header(args, spec: CipherSpec) -> tuple[list[str], dict]:
-    """Report header as text lines and JSON record.  The caps are read
-    from the modules that enforce them."""
+Report = tuple[list[str], dict, int, str | None]  # body, record, exit, timing
+
+
+def run_report(report, args) -> int:
+    """Load the spec, run `report(args, spec)` and emit its body under
+    the header; the caps are read from the modules that enforce them."""
+    spec = cipher.load_spec(args.spec)
+    body, record, code, timing = report(args, spec)
     caps = {"materialize_log2": perms.DEGREE_CAP.bit_length() - 1,
             "chain_degree_log2": groups.BSGS_DEGREE_CAP.bit_length() - 1}
     params = {"n": spec.n, "m": spec.m, "delta": spec.delta, "r": spec.r}
@@ -123,7 +128,10 @@ def header(args, spec: CipherSpec) -> tuple[list[str], dict]:
              f"chain-degree=2^{caps['chain_degree_log2']}"]
     data = {"tool": TOOL, "seed": args.seed, "caps": caps,
             "spec": {"path": args.spec, "sha256": spec.digest(), **params}}
-    return lines, data
+    emit(args, lines + body, {**data, **record})
+    if timing is not None:
+        print(f"timing: {timing}", file=sys.stderr)
+    return code
 
 
 def emit(args, text_lines: list[str], data: dict) -> None:
@@ -206,12 +214,9 @@ def cmd_encrypt(args) -> int:
 # validate
 
 
-def cmd_validate(args) -> int:
-    spec = cipher.load_spec(args.spec)
+def validate_report(args, spec: CipherSpec) -> Report:
     val = cipher.validate_spec(spec)
-    lines, data = header(args, spec)
-    lines.append("-- validation --")
-    record = data["validation"] = {}
+    lines, record = ["-- validation --"], {}
     for name, ok in (("conforming", val.conforming),
                      ("bijective", val.bijective),
                      ("theorem-scope", val.theorem_scope),
@@ -220,8 +225,7 @@ def cmd_validate(args) -> int:
         record[name.replace("-", "_")] = ok
     lines += [f"note: {note}" for note in val.notes]
     record["notes"] = list(val.notes)
-    emit(args, lines, data)
-    return 0
+    return lines, {"validation": record}, 0, None
 
 
 # ---------------------------------------------------------------------------
@@ -245,46 +249,39 @@ def scan_report(scan: verify.BlockScanResult, n: int,
                    "candidates": candidates}
 
 
-def cmd_scan_blocks(args) -> int:
-    spec = cipher.load_spec(args.spec)
+def scan_blocks_report(args, spec: CipherSpec) -> Report:
     gens = perms.standard_generators(spec)
     t0 = time.monotonic()
     trans = verify.transitivity_check(gens)
     scan = verify.block_scan(spec, gens)
     elapsed = time.monotonic() - t0
+    primitive = verify.is_primitive(trans, scan)
     candidate_lines, record = scan_report(scan, spec.n)
-    lines, data = header(args, spec)
-    lines += ["-- block scan --",
-              f"transitive: {_yes(trans.passed)} "
-              f"(orbit {trans.orbit_size} of {trans.degree})",
-              f"subgroups tested: {scan.subgroups_tested}",
-              f"forced shift: (0, 0x{record['shift_hex']})"]
+    lines = ["-- block scan --",
+             f"transitive: {_yes(trans.passed)} "
+             f"(orbit {trans.orbit_size} of {trans.degree})",
+             f"subgroups tested: {scan.subgroups_tested}",
+             f"forced shift: (0, 0x{record['shift_hex']})", *candidate_lines]
     if scan.empty:
         lines.append("result: empty (no invariant subgroup-coset "
                      "partition exists)")
-        if trans.passed:
-            lines.append("primitive: yes")
     else:
-        lines += candidate_lines
         lines.append(f"result: {len(scan.certified)} certified of "
                      f"{len(scan.candidates)} candidates")
-    data["scan"] = dict(record, transitive=trans.passed,
-                        primitive=trans.passed and not scan.certified)
-    emit(args, lines, data)
-    print(f"timing: scan {elapsed:.2f}s", file=sys.stderr)
-    return 2 if scan.certified else 0
+    if primitive:
+        lines.append("primitive: yes")
+    return (lines, {"scan": dict(record, transitive=trans.passed,
+                                 primitive=primitive)},
+            2 if scan.certified else 0, f"scan {elapsed:.2f}s")
 
 
 # ---------------------------------------------------------------------------
 # types
 
 
-def cmd_types(args) -> int:
-    spec = cipher.load_spec(args.spec)
+def types_report(args, spec: CipherSpec) -> Report:
     n, m, delta = spec.n, spec.m, spec.delta
-    lines, data = header(args, spec)
-    lines.append("-- box types --")
-    rows = []
+    lines, rows = ["-- box types --"], []
     for q in range(1, n):
         dtype = boxtypes.subgroup_type(q, m, delta)
         image_type = boxtypes.type_of(boxtypes.s_image(spec, q), m, delta)
@@ -297,10 +294,8 @@ def cmd_types(args) -> int:
     cv = boxtypes.s_image_coset_violations(spec)
     lines.append(f"type violations: {tv or 'none'}")
     lines.append(f"coset violations: {cv or 'none'}")
-    data["types"] = {"rows": rows, "type_violations": tv,
-                     "coset_violations": cv}
-    emit(args, lines, data)
-    return 0
+    return lines, {"types": {"rows": rows, "type_violations": tv,
+                             "coset_violations": cv}}, 0, None
 
 
 # ---------------------------------------------------------------------------
@@ -308,12 +303,7 @@ def cmd_types(args) -> int:
 
 
 def cmd_goursat(args) -> int:
-    if args.n is not None:
-        n = args.n
-    elif args.spec:
-        n = cipher.load_spec(args.spec).n
-    else:
-        raise ValueError("goursat needs --n or --spec")
+    n = args.n
     if not 1 <= n <= 16:
         raise ValueError("subgroup enumeration supported for 1 <= n <= 16")
     triples = goursat.enumerate_subgroups(n)
@@ -331,8 +321,7 @@ def cmd_goursat(args) -> int:
 # order
 
 
-def cmd_order(args) -> int:
-    spec = cipher.load_spec(args.spec)
+def order_report(args, spec: CipherSpec) -> Report:
     degree = spec.degree
     if degree > groups.BSGS_DEGREE_CAP:
         raise ValueError(
@@ -352,34 +341,36 @@ def cmd_order(args) -> int:
     else:
         identification = (f"proper subgroup (index {2 * half // order} "
                           f"in the symmetric group)")
-    lines, data = header(args, spec)
-    lines += ["-- group order --", f"degree: {degree}", f"order: {order}",
-              f"identification: {identification}",
-              f"certificate: {chain.certificate}",
-              f"base length: {len(chain.base)}"]
-    data["order"] = {"degree": degree, "order": str(order),
-                     "certificate": chain.certificate,
-                     "base_length": len(chain.base),
-                     "is_alternating": order == half,
-                     "is_symmetric": order == 2 * half}
-    emit(args, lines, data)
+    lines = ["-- group order --", f"degree: {degree}", f"order: {order}",
+             f"identification: {identification}",
+             f"certificate: {chain.certificate}",
+             f"base length: {len(chain.base)}"]
+    record = {"degree": degree, "order": str(order),
+              "certificate": chain.certificate,
+              "base_length": len(chain.base),
+              "is_alternating": order == half,
+              "is_symmetric": order == 2 * half}
     # each residue is one array shared by every level it joined
     strong = len({id(g) for lvl in chain.levels for g in lvl.gens})
-    print(f"timing: chain {elapsed:.2f}s levels={len(chain.levels)} "
-          f"strong_generators={strong} "
-          f"schreier_sifted={chain.schreier_sifted} "
-          f"absorbed={chain.absorbed}", file=sys.stderr)
-    return 0
+    return lines, {"order": record}, 0, (
+        f"chain {elapsed:.2f}s levels={len(chain.levels)} "
+        f"strong_generators={strong} "
+        f"schreier_sifted={chain.schreier_sifted} "
+        f"absorbed={chain.absorbed}")
 
 
 # ---------------------------------------------------------------------------
 # verdict
 
 
-def verdict_report(v: verify.Verdict, n: int) -> tuple[list[str], dict]:
+def verdict_report(args, spec: CipherSpec) -> Report:
     """The verdict's text lines and JSON record, each check's line and
     record made together."""
-    val = v.validation
+    t0 = time.monotonic()
+    v = verify.full_verdict(spec, seed=args.seed, budget=args.budget,
+                            word_len=args.word_len)
+    elapsed = time.monotonic() - t0
+    n, val = spec.n, v.validation
     lines = [f"budget: {v.budget}  word-len: {v.word_len}", "-- checks --"]
     record = {"budget": v.budget, "word_len": v.word_len,
               "validation": {"conforming": val.conforming,
@@ -451,39 +442,28 @@ def verdict_report(v: verify.Verdict, n: int) -> tuple[list[str], dict]:
         check("witness", "giant-witness: SKIPPED (gated by earlier checks)",
               None)
     check("conclusion", f"conclusion: {v.conclusion}", v.conclusion)
-    return lines, record
-
-
-def cmd_verdict(args) -> int:
-    spec = cipher.load_spec(args.spec)
-    t0 = time.monotonic()
-    v = verify.full_verdict(spec, seed=args.seed, budget=args.budget,
-                            word_len=args.word_len)
-    elapsed = time.monotonic() - t0
-    lines, data = header(args, spec)
-    verdict_lines, data["verdict"] = verdict_report(v, spec.n)
-    emit(args, lines + verdict_lines, data)
-    print(f"timing: verdict {elapsed:.2f}s", file=sys.stderr)
-    return v.exit_code
+    return lines, {"verdict": record}, v.exit_code, f"verdict {elapsed:.2f}s"
 
 
 # ---------------------------------------------------------------------------
 
 
-COMMANDS = {
-    "encrypt": cmd_encrypt,
-    "validate": cmd_validate,
-    "scan-blocks": cmd_scan_blocks,
-    "types": cmd_types,
-    "goursat": cmd_goursat,
-    "order": cmd_order,
-    "verdict": cmd_verdict,
+COMMANDS = {"encrypt": cmd_encrypt, "goursat": cmd_goursat}
+
+REPORTS = {
+    "validate": validate_report,
+    "scan-blocks": scan_blocks_report,
+    "types": types_report,
+    "order": order_report,
+    "verdict": verdict_report,
 }
 
 
 def main(argv=None) -> int:
     try:
         args = build_parser().parse_args(argv)
+        if args.command in REPORTS:
+            return run_report(REPORTS[args.command], args)
         return COMMANDS[args.command](args)
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -387,7 +387,10 @@ class GiantWitness:
     (Jordan's single-cycle criterion); with every generator even the
     group then IS the alternating group.  The witness records the pool
     word (indices < len(gens) are generators, the rest their
-    inverses), the prime, and how many trials the search used.
+    inverses), the prime, how many trials the search used, and the lcm
+    of the other cycle lengths.  The p-cycle is the word's longest;
+    the others are shorter, hence coprime to p, so the word's power by
+    other_lcm is a bare p-cycle without a recheck.
     """
 
     word: tuple[int, ...]
@@ -426,11 +429,11 @@ def giant_witness(gens: list[np.ndarray], rng: np.random.Generator,
                   budget: int = 10_000) -> GiantWitness | None:
     """Search random generator words for a large-prime-cycle element.
 
-    A hit is an element with exactly one cycle of prime length p,
-    degree/2 < p < degree-2; every other cycle is shorter than p and
-    hence coprime to it, so raising to the lcm of the other lengths
-    leaves a bare p-cycle.  That power is computed and its cycle type
-    verified before the witness is returned.  None means budget
+    A hit is an element whose longest cycle has prime length p,
+    degree/2 < p < degree-2.  At most one cycle is longer than
+    degree/2, so each trial is decided by the longest cycle alone;
+    the others are shorter than p and hence coprime to it, and
+    other_lcm is the lcm of their lengths.  None means budget
     exhausted: never evidence of absence.
     """
     degree = len(gens[0])
@@ -438,21 +441,9 @@ def giant_witness(gens: list[np.ndarray], rng: np.random.Generator,
     for trial in range(1, budget + 1):
         word = tuple(int(i) for i in rng.integers(0, len(pool), word_len))
         w = perms.compose_all([pool[i] for i in word])
-        lengths, counts = np.unique(perms.cycle_lengths(w),
-                                    return_counts=True)
-        hit = None
-        for length, count in zip(lengths.tolist(), counts.tolist()):
-            if (count == 1 and degree // 2 < length < degree - 2
-                    and _is_prime(length)):
-                hit = length
-                break
-        if hit is None:
-            continue
-        other = math.lcm(*(l for l in lengths.tolist() if l != hit)) \
-            if len(lengths) > 1 else 1
-        power = perms.power(w, other)
-        plengths = perms.cycle_lengths(power)
-        if plengths[-1] != hit or (plengths[:-1] != 1).any():
-            continue  # never happens; belt over braces
-        return GiantWitness(word, hit, trial, other)
+        lengths = perms.cycle_lengths(w)
+        p = int(lengths[-1])
+        if degree // 2 < p < degree - 2 and _is_prime(p):
+            return GiantWitness(word, p, trial,
+                                math.lcm(*lengths[:-1].tolist()))
     return None

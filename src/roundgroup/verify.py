@@ -15,7 +15,9 @@ parameter set at hand:
   modular cosets of a subgroup of the state group, so scanning every
   Goursat subgroup settles it.  Candidates that pass the necessary
   image-coset equation (tried on a few probe members first) are then
-  certified (or refuted) by an explicit partition-invariance computation;
+  certified (or refuted) by an explicit partition-invariance computation.
+  Primitive means transitive with no certified candidate (`is_primitive`);
+  a refuted candidate does not hold back the witness search;
 * case eliminations: with primitivity in hand, the remaining
   non-alternating possibilities die on small arithmetic: a diagonal
   collision check, a Sylow-exponent bound for the affine case, a
@@ -105,6 +107,13 @@ class BlockScanResult:
         return not self.candidates
 
 
+def is_primitive(transitivity: TransitivityCheck,
+                 scan: BlockScanResult) -> bool:
+    """Transitive with no certified block candidate: every invariant
+    partition is one of the subgroup-coset partitions the scan tests."""
+    return transitivity.passed and not scan.certified
+
+
 def partition_invariant(labels: np.ndarray, perm: np.ndarray) -> bool:
     """Does the permutation map label-classes onto label-classes?
     Each state's image must share the label of the image of one fixed
@@ -148,8 +157,8 @@ def block_scan(spec: CipherSpec,
     first on a few members (`probe_refutes`), which refutes most
     subgroups without materializing them; survivors are compared as
     whole sets and, if they pass, get the full partition-invariance
-    certification against all three generators.  An empty candidate
-    list plus transitivity therefore proves primitivity.
+    certification against all three generators.  No certified
+    candidate plus transitivity therefore proves primitivity.
     """
     n = spec.n
     degree = perms.check_degree(n)
@@ -321,7 +330,7 @@ class Verdict:
 
     @property
     def primitive(self) -> bool:
-        return self.transitivity.passed and not self.scan.certified
+        return is_primitive(self.transitivity, self.scan)
 
     @property
     def exit_code(self) -> int:
@@ -341,10 +350,9 @@ def full_verdict(spec: CipherSpec, seed: int, budget: int = 10_000,
     wreath = wreath_check(spec)
     psl = psl_check(spec.n)
 
-    primitive = transitivity.passed and not scan.certified
+    primitive = is_primitive(transitivity, scan)
     witness = None
-    searched = (validation.bijective and parity.passed
-                and transitivity.passed and scan.empty)
+    searched = validation.bijective and parity.passed and primitive
     if searched:
         rng = np.random.default_rng(seed)
         witness = giant_witness(gens, rng, word_len=word_len, budget=budget)
@@ -353,11 +361,10 @@ def full_verdict(spec: CipherSpec, seed: int, budget: int = 10_000,
         conclusion = IMPRIMITIVE
     elif not validation.bijective:
         conclusion = INCONCLUSIVE
-    elif (witness is not None and parity.passed and transitivity.passed
-            and primitive):
+    elif witness is not None:  # found only past the gate above
         conclusion = ALT_CERTIFIED
-    elif (validation.theorem_scope and parity.passed and transitivity.passed
-            and primitive and diag.passed and affine.excluded
+    elif (validation.theorem_scope and parity.passed and primitive
+            and diag.passed and affine.excluded
             and wreath.excluded and psl.excluded):
         conclusion = THEOREM_APPLIES
     else:

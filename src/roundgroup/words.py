@@ -49,7 +49,8 @@ def rotate_left(value: int, r: int, width: int) -> int:
     """Rotate bit i to bit (i + r) mod width.
 
     This is the package's only rotation; see the module docstring for
-    why it matches the rightward shift on displayed bit strings.
+    why it matches the rightward shift on displayed bit strings.  It
+    applies elementwise to an int64 array of words (cipher.s_table).
     """
     r %= width
     m = mask(width)

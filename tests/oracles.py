@@ -11,11 +11,14 @@ way:
 * the box-type translation lemmas and the bricklayer check, the steps
   of the type calculus before the mixing map;
 * a brute-force closure walk over the subgroup lattice of
-  Z/2**n x Z/2**n for n <= 3, against the Goursat enumeration.
+  Z/2**n x Z/2**n for n <= 3, against the Goursat enumeration;
+* the giant-witness search that scans every cycle length and rechecks
+  the power on a hit, against the search decided by the longest cycle.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -25,8 +28,9 @@ from roundgroup.boxtypes import (subgroup_members_array, subgroup_type,
                                  type_of)
 from roundgroup.cipher import CipherSpec, gamma_table
 from roundgroup.goursat import GoursatTriple, enumerate_subgroups, member_pairs
-from roundgroup.groups import (BSGS_DEGREE_CAP, MIX_LENGTH, StabilizerChain,
-                               random_products, schreier_sims)
+from roundgroup.groups import (BSGS_DEGREE_CAP, MIX_LENGTH, GiantWitness,
+                               StabilizerChain, _is_prime, random_products,
+                               schreier_sims)
 from roundgroup.verify import block_scan
 
 
@@ -281,3 +285,39 @@ def brute_force_subgroups(n: int) -> set[frozenset[tuple[int, int]]]:
 def member_set(triple: GoursatTriple) -> frozenset[tuple[int, int]]:
     left, right = member_pairs(triple)
     return frozenset(zip(left.tolist(), right.tolist()))
+
+
+# ---------------------------------------------------------------------------
+# giant witness by the full cycle type (the recheck route)
+
+
+def giant_witness_reference(gens: list[np.ndarray], rng: np.random.Generator,
+                            word_len: int = 32,
+                            budget: int = 10_000) -> GiantWitness | None:
+    """A hit is a cycle length occurring once, prime, in
+    (degree/2, degree-2); the power by the lcm of the other lengths is
+    computed and its cycle type verified before the witness is
+    returned."""
+    degree = len(gens[0])
+    pool = list(gens) + [perms.inverse(g) for g in gens]
+    for trial in range(1, budget + 1):
+        word = tuple(int(i) for i in rng.integers(0, len(pool), word_len))
+        w = perms.compose_all([pool[i] for i in word])
+        lengths, counts = np.unique(perms.cycle_lengths(w),
+                                    return_counts=True)
+        hit = None
+        for length, count in zip(lengths.tolist(), counts.tolist()):
+            if (count == 1 and degree // 2 < length < degree - 2
+                    and _is_prime(length)):
+                hit = length
+                break
+        if hit is None:
+            continue
+        other = math.lcm(*(l for l in lengths.tolist() if l != hit)) \
+            if len(lengths) > 1 else 1
+        power = perms.power(w, other)
+        plengths = perms.cycle_lengths(power)
+        if plengths[-1] != hit or (plengths[:-1] != 1).any():
+            continue  # never happens; belt over braces
+        return GiantWitness(word, hit, trial, other)
+    return None

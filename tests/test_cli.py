@@ -83,9 +83,14 @@ def test_verdict_body_byte_stable(capsys):
 
 
 def test_timing_goes_to_stderr_only(capsys):
-    _, out, err = run(["verdict", "--spec", CONFORMING_N4], capsys)
-    assert "timing:" in err
-    assert "timing" not in out
+    for command, timed in (("validate", 0), ("scan-blocks", 1),
+                           ("types", 0), ("order", 1), ("verdict", 1)):
+        for fmt in ("text", "json"):
+            _, out, err = run([command, "--spec", CONFORMING_N4,
+                               "--format", fmt], capsys)
+            assert "timing" not in out, (command, fmt)
+            assert [l.split()[0] for l in err.splitlines()] == \
+                ["timing:"] * timed, (command, fmt)
 
 
 def test_scan_blocks_identity_exit_2(capsys):
@@ -99,6 +104,41 @@ def test_scan_blocks_conforming_primitive(capsys):
     assert rc == 0
     assert "result: empty" in out
     assert "primitive: yes" in out
+
+
+def drift_spec(seed):
+    # seed 89: n=6, r=5, bijective; the scan's one candidate,
+    # (2,2,2,2,1), is refuted by the partition check
+    rng = np.random.default_rng(seed)
+    r = int(rng.integers(0, 6))
+    return cipher.random_spec(3, 2, r, rng)
+
+
+def test_scan_blocks_refuted_candidate_is_primitive(tmp_path, capsys):
+    path = tmp_path / "drift.json"
+    cipher.save_spec(drift_spec(89), path)
+    rc, out, _ = run(["scan-blocks", "--spec", str(path)], capsys)
+    assert rc == 0
+    assert "sha256=9ec740c9" in out
+    assert "refuted-by-partition-check" in out
+    assert "result: 0 certified of 1 candidates" in out
+    assert "primitive: yes" in out
+    rc, out, _ = run(["scan-blocks", "--spec", str(path), "--format",
+                      "json"], capsys)
+    assert rc == 0
+    assert json.loads(out)["scan"]["primitive"] is True
+
+
+@pytest.mark.parametrize("seed", [80, 81, 89, 91, 93])
+def test_scan_blocks_primitive_text_matches_json(seed, tmp_path, capsys):
+    # empty scan, certified plus refuted, refuted only, certified only
+    path = tmp_path / "spec.json"
+    cipher.save_spec(drift_spec(seed), path)
+    argv = ["scan-blocks", "--spec", str(path)]
+    _, text, _ = run(argv, capsys)
+    _, record, _ = run(argv + ["--format", "json"], capsys)
+    assert ("primitive: yes" in text) == json.loads(record)["scan"][
+        "primitive"]
 
 
 def test_types_report(capsys):
@@ -132,9 +172,10 @@ def test_goursat_list_json(capsys):
 
 
 def test_goursat_needs_width(capsys):
-    rc, _, err = run(["goursat"], capsys)
-    assert rc == 1
-    assert "--n or --spec" in err
+    rc, out, err = run(["goursat"], capsys)
+    assert one_line_error(rc, err), err
+    assert "required: --n" in err
+    assert out == ""
 
 
 def test_order_small_degree(capsys):
@@ -403,7 +444,8 @@ def test_negative_seed_rejected(command, capsys):
 def test_removed_flags_are_usage_errors(capsys):
     for argv in (["verdict", "--spec", CONFORMING_N4, "--max-degree", "16"],
                  ["encrypt", "--spec", CONFORMING_N4, "--seed", "1"],
-                 ["goursat", "--n", "2", "--check"]):
+                 ["goursat", "--n", "2", "--check"],
+                 ["goursat", "--n", "2", "--spec", CONFORMING_N4]):
         rc, _, err = run(argv, capsys)
         assert one_line_error(rc, err), err
         assert "unrecognized arguments" in err

@@ -225,6 +225,29 @@ def test_giant_witness_found_and_verified():
     assert set(witness.word_hex) <= set("0123456789abcdef")
 
 
+@pytest.mark.parametrize("n,m", [(4, 2), (6, 2), (6, 3), (8, 2), (8, 4)])
+def test_giant_witness_matches_recheck_oracle(n, m):
+    # eight seeded searches per frame; rotations at n < 8 include
+    # non-conforming ones, so some searches exhaust the budget
+    delta = n // m
+    for seed in range(8):
+        rng = np.random.default_rng([n, m, seed])
+        r = (int(rng.integers(m, (delta - 1) * m + 1)) if n == 8
+             else int(rng.integers(1, n)))
+        gens = perms.standard_generators(cipher.random_spec(m, delta, r, rng))
+        fast = groups.giant_witness(gens, np.random.default_rng(seed),
+                                    budget=100)
+        ref = oracles.giant_witness_reference(
+            gens, np.random.default_rng(seed), budget=100)
+        assert fast == ref, (n, m, seed)
+        if fast is None:
+            continue
+        element = groups.evaluate_witness_word(gens, fast.word)
+        lengths = perms.cycle_lengths_walk(
+            perms.power(element, fast.other_lcm))
+        assert lengths == [1] * (len(element) - fast.prime) + [fast.prime]
+
+
 def test_giant_witness_deterministic_under_seed():
     spec = seeded_spec(4, 2, 2, seed=5)
     gens = perms.standard_generators(spec)

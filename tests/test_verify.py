@@ -274,6 +274,22 @@ def test_full_verdict_theorem_applies_on_budget_zero():
     assert v.exit_code == 0
 
 
+def test_refuted_candidate_does_not_gate_the_witness():
+    # n=6, r=5, bijective: the scan's one candidate, (2,2,2,2,1), is
+    # refuted by the partition check, so the group is primitive
+    rng = np.random.default_rng(89)
+    r = int(rng.integers(0, 6))
+    spec = cipher.random_spec(3, 2, r, rng)
+    assert spec.digest().startswith("9ec740c9")
+    v = verify.full_verdict(spec, seed=1)
+    assert [(c.triple.to_tuple(), c.certified)
+            for c in v.scan.candidates] == [((2, 2, 2, 2, 1), False)]
+    assert v.primitive == verify.is_primitive(v.transitivity, v.scan)
+    assert v.primitive and v.witness_searched
+    assert v.conclusion == verify.ALT_CERTIFIED
+    assert (v.witness.prime, v.witness.trials_used) == (2531, 8)
+
+
 def test_full_verdict_deterministic():
     spec = cipher.load_spec("specs/conforming_n4.json")
     v1 = verify.full_verdict(spec, seed=9)
