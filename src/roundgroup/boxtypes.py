@@ -95,18 +95,21 @@ def subgroup_members_array(q: int, n: int) -> np.ndarray:
     return np.arange(1 << (n - q), dtype=np.int64) << q
 
 
-def s_image(spec: CipherSpec, q: int) -> np.ndarray:
-    """The image of <2**q> under the full mixing map, as a sorted set."""
-    return np.unique(s_table(spec)[subgroup_members_array(q, spec.n)])
+def s_image(table: np.ndarray, q: int) -> np.ndarray:
+    """The image of <2**q> under the mixing map with this s_table (of
+    2**n entries), as a sorted set."""
+    n = len(table).bit_length() - 1
+    return np.unique(table[subgroup_members_array(q, n)])
 
 
 def s_image_type_violations(spec: CipherSpec) -> list[int]:
     """q in (0, n) where the mixing map FAILED to change the type of
     <2**q>: image typed and of the same type.  Expected empty on
     conforming bijective specs; the r=0 controls populate it."""
+    table = s_table(spec)
     out = []
     for q in range(1, spec.n):
-        image_type = type_of(s_image(spec, q), spec.m, spec.delta)
+        image_type = type_of(s_image(table, q), spec.m, spec.delta)
         if image_type is not None and \
                 image_type == subgroup_type(q, spec.m, spec.delta):
             out.append(q)

@@ -282,9 +282,10 @@ def scan_blocks_report(args, spec: CipherSpec) -> Report:
 def types_report(args, spec: CipherSpec) -> Report:
     n, m, delta = spec.n, spec.m, spec.delta
     lines, rows = ["-- box types --"], []
+    table = cipher.s_table(spec)
     for q in range(1, n):
         dtype = boxtypes.subgroup_type(q, m, delta)
-        image_type = boxtypes.type_of(boxtypes.s_image(spec, q), m, delta)
+        image_type = boxtypes.type_of(boxtypes.s_image(table, q), m, delta)
         image = str(image_type) if image_type is not None else "none"
         verdict = "same" if image_type == dtype else "changed"
         rows.append({"q": q, "subgroup": str(dtype), "image": image,

@@ -7,10 +7,17 @@ states.  The pipeline certifies the individual facts on the concrete
 parameter set at hand:
 
 * parity: all three standard generators are even permutations, so the
-  generated group sits inside the alternating group;
-* transitivity: the translation generators alone already act
-  transitively; computed anyway, as the orbit of state 0 read off the
-  least-reachable-point labels of perms.components;
+  generated group sits inside the alternating group.  Each sign comes
+  from perms.form_sign: a unit translation is 2**n cycles of length
+  2**n, and sigma = swap o phi_S has the sign
+  (-1)**(2**(n-1) * (2**n - 1 + z)), z the fibres where S != 0; both
+  forms are checked on the arrays first, and a generator of neither
+  form gets the dense sign;
+* transitivity: when gens[0] and gens[1] check out as the unit
+  translations rho(1,0) and rho(0,1), they generate the regular group
+  Z/2**n x Z/2**n, so the orbit of state 0 is every state.  Otherwise
+  the orbit is read off the least-reachable-point labels of
+  perms.components (groups.orbit_mask);
 * primitivity: any invariant partition would have to consist of the
   modular cosets of a subgroup of the state group, so scanning every
   Goursat subgroup settles it.  Candidates that pass the necessary
@@ -62,7 +69,7 @@ class ParityCheck:
 
 
 def parity_check(gens: list[np.ndarray]) -> ParityCheck:
-    return ParityCheck(tuple(perms.sign(g) for g in gens))
+    return ParityCheck(tuple(perms.form_sign(g) for g in gens))
 
 
 @dataclass(frozen=True)
@@ -77,6 +84,9 @@ class TransitivityCheck:
 
 def transitivity_check(gens: list[np.ndarray]) -> TransitivityCheck:
     from .groups import orbit_mask
+    degree = len(gens[0])
+    if [perms.unit_translation(g) for g in gens[:2]] == [(1, 0), (0, 1)]:
+        return TransitivityCheck(degree, degree)  # the regular group
     mask = orbit_mask(gens, 0)
     return TransitivityCheck(int(mask.sum()), len(mask))
 

@@ -1,12 +1,16 @@
 """Verifier pipeline: scan soundness, case eliminations, verdicts."""
 
+from pathlib import Path
+
 import numpy as np
 import pytest
 
-from roundgroup import cipher, goursat, perms, verify
+from roundgroup import cipher, goursat, groups, perms, verify
 from roundgroup.cipher import CipherSpec
 
 import oracles
+
+SPECS = Path(__file__).resolve().parent.parent / "specs"
 
 
 def seeded_spec(n, m, r, seed, bijective=True):
@@ -30,6 +34,101 @@ def test_transitivity_check():
     assert chk.passed and chk.orbit_size == 256
     fixer = np.arange(16, dtype=np.int64)
     assert not verify.transitivity_check([fixer]).passed
+
+
+def grid_specs():
+    """n = 2..8, every m dividing n, every r, with bijective, identity,
+    lossy and all-zero boxes; then the shipped specs with n <= 8."""
+    rng = np.random.default_rng(408)
+    for n in range(2, 9):
+        for m in [d for d in range(1, n + 1) if n % d == 0]:
+            delta = n // m
+            for r in range(n):
+                yield cipher.random_spec(m, delta, r, rng)
+                yield identity_spec(n, m, r)
+                yield cipher.random_spec(m, delta, r, rng, bijective=False)
+                yield CipherSpec(n, m, delta, r, ((0,) * (1 << m),) * delta)
+    for path in sorted(SPECS.glob("*.json")):
+        spec = cipher.load_spec(path)
+        if spec.n <= 8:
+            yield spec
+
+
+def sigma_mutants(spec):
+    """Maps next to sigma that fail its form: sigma after one
+    transposition, sigma with the fibre x2 = 3 sent by x1 -> x1 + 1,
+    whose XOR with x1 is not constant, and sigma then rho(1,0), whose
+    low half is x2 + 1."""
+    n, sigma = spec.n, perms.sigma_perm(spec)
+    swapped = sigma.copy()
+    swapped[[1, 2]] = swapped[[2, 1]]
+    added = sigma.copy()
+    x1 = np.arange(1 << n, dtype=np.int64)
+    added[x1 | (3 << n)] = 3 | (((x1 + 1) & ((1 << n) - 1)) << n)
+    return [swapped, added,
+            perms.compose_all([sigma, perms.rho_perm((1, 0), n)])]
+
+
+def test_form_sign_and_translation_orbit_match_dense():
+    dense = {}  # generator bytes -> dense sign; shared maps repeat
+
+    def dense_sign(p):
+        key = p.tobytes()
+        if key not in dense:
+            dense[key] = perms.sign(p)
+        return dense[key]
+
+    orbits = {}
+    specs = list(grid_specs())
+    assert len(specs) == 408 + 4
+    for spec in specs:
+        gens = perms.standard_generators(spec)
+        assert perms.unit_translation(gens[0]) == (1, 0)
+        assert perms.unit_translation(gens[1]) == (0, 1)
+        assert np.array_equal(perms.swap_xor_shifts(gens[2]),
+                              cipher.s_table(spec))
+        signs = verify.parity_check(gens).signs
+        assert signs == (1, 1, 1)
+        assert signs == tuple(dense_sign(g) for g in gens)
+        key = gens[2].tobytes()
+        if key not in orbits:
+            orbits[key] = int(groups.orbit_mask(gens, 0).sum())
+        assert verify.transitivity_check(gens).orbit_size == orbits[key]
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 6])
+def test_mutants_fall_back_and_agree_with_dense(n):
+    rng = np.random.default_rng(n)
+    spec = cipher.random_spec(1, n, 1, rng)
+    rho10, rho01, sigma = perms.standard_generators(spec)
+    rho20 = perms.rho_perm((2, 0), n)
+    mutants = sigma_mutants(spec) + [rho20]
+    for p in mutants:
+        assert perms.unit_translation(p) is None
+        assert perms.swap_xor_shifts(p) is None
+        assert perms.form_sign(p) == perms.sign(p)
+    assert perms.sign(mutants[0]) == -1
+    fixer = np.arange(1 << (2 * n), dtype=np.int64)
+    for gens in ([rho10, rho20, sigma], [rho01, rho10, sigma],
+                 [rho10, rho20], [rho10, mutants[0]], [rho20], [fixer],
+                 mutants):
+        assert verify.parity_check(gens).signs == tuple(
+            perms.sign(g) for g in gens)
+        assert verify.transitivity_check(gens).orbit_size == int(
+            groups.orbit_mask(gens, 0).sum())
+
+
+def test_verdict_takes_the_form_route(monkeypatch):
+    spec = seeded_spec(6, 2, 3, seed=5)
+    expected = verify.full_verdict(spec, seed=11)
+    assert expected.parity.passed and expected.transitivity.passed
+
+    def dense(*args):
+        raise AssertionError("dense route taken")
+
+    monkeypatch.setattr(perms, "sign", dense)
+    monkeypatch.setattr(groups, "orbit_mask", dense)
+    assert verify.full_verdict(spec, seed=11) == expected
 
 
 def test_scan_empty_on_conforming():
