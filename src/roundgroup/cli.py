@@ -249,6 +249,13 @@ def scan_report(scan: verify.BlockScanResult, n: int,
                    "candidates": candidates}
 
 
+def scan_counters(scan: verify.BlockScanResult) -> str:
+    """The scan's deterministic counters, for the stderr timing line."""
+    return (f"tested={scan.subgroups_tested} probe_refuted="
+            f"{scan.probe_refuted} candidates={len(scan.candidates)} "
+            f"certified={len(scan.certified)}")
+
+
 def scan_blocks_report(args, spec: CipherSpec) -> Report:
     gens = perms.standard_generators(spec)
     t0 = time.monotonic()
@@ -272,7 +279,8 @@ def scan_blocks_report(args, spec: CipherSpec) -> Report:
         lines.append("primitive: yes")
     return (lines, {"scan": dict(record, transitive=trans.passed,
                                  primitive=primitive)},
-            2 if scan.certified else 0, f"scan {elapsed:.2f}s")
+            2 if scan.certified else 0,
+            f"scan {elapsed:.2f}s {scan_counters(scan)}")
 
 
 # ---------------------------------------------------------------------------
@@ -443,7 +451,8 @@ def verdict_report(args, spec: CipherSpec) -> Report:
         check("witness", "giant-witness: SKIPPED (gated by earlier checks)",
               None)
     check("conclusion", f"conclusion: {v.conclusion}", v.conclusion)
-    return lines, {"verdict": record}, v.exit_code, f"verdict {elapsed:.2f}s"
+    return lines, {"verdict": record}, v.exit_code, (
+        f"verdict {elapsed:.2f}s {scan_counters(scan)}")
 
 
 # ---------------------------------------------------------------------------

@@ -74,19 +74,22 @@ class GoursatTriple:
                 f"tD={self.td}, z={self.z})")
 
 
+def subgroup_table(n: int) -> np.ndarray:
+    """Every subgroup exactly once as an int64 row (s, sB, t, tD, z), in
+    sorted triple order: s, then k = sB - s, then t, then odd z < 2**k
+    (z = 1 when k = 0)."""
+    skt = np.indices((n + 1,) * 3, dtype=np.int64).reshape(3, -1)
+    s, k, t = skt[:, (skt[0] + skt[1] <= n) & (skt[2] + skt[1] <= n)]
+    count = np.maximum(1, (1 << k) >> 1)
+    rows = np.repeat(np.stack([s, s + k, t, t + k], axis=1), count, axis=0)
+    first = np.repeat(np.cumsum(count) - count, count)
+    z = 2 * (np.arange(len(rows)) - first) + 1
+    return np.column_stack([rows, z])
+
+
 def enumerate_subgroups(n: int) -> list[GoursatTriple]:
     """Every subgroup exactly once, in sorted triple order."""
-    out = []
-    for s in range(n + 1):
-        for t in range(n + 1):
-            for k in range(min(n - s, n - t) + 1):
-                if k == 0:
-                    out.append(GoursatTriple(n, s, s, t, t, 1))
-                else:
-                    for z in range(1, 1 << k, 2):
-                        out.append(GoursatTriple(n, s, s + k, t, t + k, z))
-    out.sort()
-    return out
+    return [GoursatTriple(n, *row) for row in subgroup_table(n).tolist()]
 
 
 def member_pairs(triple: GoursatTriple) -> tuple[np.ndarray, np.ndarray]:
@@ -119,20 +122,6 @@ def generators(triple: GoursatTriple) -> tuple[tuple[int, int], ...]:
     return ((z << s) & mask, (1 << t) & mask), ((1 << sb) & mask, 0)
 
 
-def contains(triple: GoursatTriple, a: int, c: int) -> bool:
-    """Membership without materializing."""
-    n = triple.n
-    mask = (1 << n) - 1
-    s, sb, t, td, z = triple.to_tuple()
-    if s <= t:
-        if a & ((1 << s) - 1):
-            return False
-        return ((c - ((a * (z << (t - s))) & mask)) & ((1 << td) - 1)) == 0
-    if c & ((1 << t) - 1):
-        return False
-    return ((a - ((c * (z << (s - t))) & mask)) & ((1 << sb) - 1)) == 0
-
-
 def coset_labels(triple: GoursatTriple) -> np.ndarray:
     """A label per state, constant exactly on the cosets of the subgroup.
 
@@ -143,15 +132,13 @@ def coset_labels(triple: GoursatTriple) -> np.ndarray:
     is the O(degree) quotient map that block certification rides on.
     """
     n = triple.n
-    mask = (1 << n) - 1
     s, sb, t, td, z = triple.to_tuple()
-    idx = np.arange(1 << (2 * n), dtype=np.int64)
-    x1 = idx & mask
-    x2 = idx >> n
+    x1 = np.arange(1 << n, dtype=np.int64)  # columns of the fibre grid
+    x2 = x1[:, None]  # rows
     if s <= t:
         lab1 = x1 & ((1 << s) - 1)
-        lab2 = (x2 - (x1 * (z << (t - s)))) & ((1 << td) - 1)
+        lab2 = (x2 - x1 * (z << (t - s))) & ((1 << td) - 1)
     else:
         lab1 = x2 & ((1 << t) - 1)
-        lab2 = (x1 - (x2 * (z << (s - t)))) & ((1 << sb) - 1)
-    return lab1 | (lab2 << n)
+        lab2 = (x1 - x2 * (z << (s - t))) & ((1 << sb) - 1)
+    return (lab1 | (lab2 << n)).ravel()

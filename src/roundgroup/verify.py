@@ -21,8 +21,9 @@ parameter set at hand:
 * primitivity: any invariant partition would have to consist of the
   modular cosets of a subgroup of the state group, so scanning every
   Goursat subgroup settles it.  Candidates that pass the necessary
-  image-coset equation (tried on a few probe members first) are then
-  certified (or refuted) by an explicit partition-invariance computation.
+  image-coset equation (tried on probe members of all subgroups in one
+  pass first) are certified (or refuted) by a partition check of each
+  generator that is not a checked unit translation.
   Primitive means transitive with no certified candidate (`is_primitive`);
   a refuted candidate does not hold back the witness search;
 * case eliminations: with primitivity in hand, the remaining
@@ -105,6 +106,7 @@ class BlockCandidate:
 class BlockScanResult:
     degree: int
     subgroups_tested: int
+    probe_refuted: int  # refuted by probe members before materializing
     shift: int  # the image of the zero state's right half
     candidates: tuple[BlockCandidate, ...]
 
@@ -124,14 +126,16 @@ def is_primitive(transitivity: TransitivityCheck,
     return transitivity.passed and not scan.certified
 
 
-def partition_invariant(labels: np.ndarray, perm: np.ndarray) -> bool:
-    """Does the permutation map label-classes onto label-classes?
-    Each state's image must share the label of the image of one fixed
-    member of its class (labels are non-negative); O(degree), no sort."""
-    rep = np.empty(int(labels.max()) + 1, dtype=np.int64)
-    rep[labels] = np.arange(len(labels))
-    image = labels[perm]
-    return bool(np.array_equal(image, image[rep[labels]]))
+def partition_invariant(labels: np.ndarray, perm: np.ndarray,
+                        triple: GoursatTriple) -> bool:
+    """Does perm map the cosets of H = triple onto cosets, given labels =
+    goursat.coset_labels(triple)?  Iff L = labels[perm] has L(x + h) ==
+    L(x) for all x and h in H, i.e. (as goursat.generators(triple)
+    generate H) iff L on the fibre grid is unchanged when rolled by each."""
+    n = triple.n
+    image = labels[perm].reshape(1 << n, 1 << n)  # row x2, column x1
+    return all(np.array_equal(np.roll(image, (-c, -a), axis=(0, 1)), image)
+               for a, c in goursat.generators(triple))
 
 
 # (i, j) coefficients of the probe members i*g1 + j*g2 of a subgroup
@@ -139,21 +143,27 @@ def partition_invariant(labels: np.ndarray, perm: np.ndarray) -> bool:
 PROBES = ((1, 0), (0, 1), (1, 1), (3, 5), (5, 3), (7, 11), (11, 7), (13, 1))
 
 
-def probe_refutes(triple: GoursatTriple, sigma: np.ndarray,
-                  shift: int) -> bool:
-    """Is some probe member h of the subgroup H sent by the swap map
-    outside H + (0, shift)?  Then sigma(H) != H + (0, shift): the
-    subgroup fails the set equation and cannot give blocks."""
-    n = triple.n
+def probe_refuted(table: np.ndarray, sigma: np.ndarray,
+                  shift: int) -> np.ndarray:
+    """Per row H of a goursat.subgroup_table: does the swap map send a
+    probe member of H outside H + (0, shift)?  With (u, v) = (left,
+    right) and (e, f, g) = (s, t, tD) if s <= t, else (right, left) and
+    (t, s, sB), H is generated by (2**e, z * 2**f) and (0, 2**g), and
+    (u, v) is in H iff 2**e | u and v = z * 2**(f - e) * u mod 2**g."""
+    n = (len(sigma).bit_length() - 1) // 2
     mask = (1 << n) - 1
-    (a1, c1), (a2, c2) = goursat.generators(triple)
-    for i, j in PROBES:
-        h = ((i * a1 + j * a2) & mask) | (((i * c1 + j * c2) & mask) << n)
-        image = int(sigma[h])
-        if not goursat.contains(triple, image & mask,
-                                ((image >> n) - shift) & mask):
-            return True
-    return False
+    s, sb, t, td, z = (col[:, None] for col in table.T)
+    lo = s <= t
+    e, f, g = np.where(lo, s, t), np.where(lo, t, s), np.where(lo, td, sb)
+    i, j = np.array(PROBES).T
+    u = (i << e) & mask
+    v = (i * (z << f) + (j << g)) & mask
+    image = sigma[np.where(lo, u | (v << n), v | (u << n))]
+    left, right = image & mask, ((image >> n) - shift) & mask
+    u, v = np.where(lo, left, right), np.where(lo, right, left)
+    member = (((u & ((1 << e) - 1)) == 0)
+              & (((v - u * (z << (f - e))) & ((1 << g) - 1)) == 0))
+    return ~member.all(axis=1)
 
 
 def block_scan(spec: CipherSpec,
@@ -164,11 +174,13 @@ def block_scan(spec: CipherSpec,
     if the swap map sends the subgroup itself to its coset through the
     image of zero (the translations already force coset-to-coset
     behaviour).  That set equation is the scan filter.  It is tried
-    first on a few members (`probe_refutes`), which refutes most
-    subgroups without materializing them; survivors are compared as
-    whole sets and, if they pass, get the full partition-invariance
-    certification against all three generators.  No certified
-    candidate plus transitivity therefore proves primitivity.
+    first on a few members of every subgroup in one pass
+    (`probe_refuted`), which refutes most subgroups without
+    materializing them; survivors are compared as whole sets and, if
+    they pass, get the partition-invariance certification against each
+    generator but the checked unit translations, which send x + H to
+    x + k + H.  No certified candidate plus transitivity therefore
+    proves primitivity.
     """
     n = spec.n
     degree = perms.check_degree(n)
@@ -177,14 +189,14 @@ def block_scan(spec: CipherSpec,
     sigma = gens[2]
     mask = (1 << n) - 1
     shift = apply_s(spec, 0)
-    tested = 0
+    table = goursat.subgroup_table(n)
+    index_log2 = table[:, 0] + table[:, 3]  # |H| = 2**(2n - s - tD)
+    table = table[(index_log2 > 0) & (index_log2 < 2 * n)]
+    refuted = probe_refuted(table, sigma, shift)
+    dense = [g for g in gens if perms.unit_translation(g) is None]
     candidates = []
-    for triple in goursat.enumerate_subgroups(n):
-        if not triple.is_proper_nontrivial:
-            continue
-        tested += 1
-        if probe_refutes(triple, sigma, shift):
-            continue
+    for row in table[~refuted].tolist():
+        triple = GoursatTriple(n, *row)
         left, right = goursat.member_pairs(triple)
         idx = left | (right << n)
         image = np.sort(sigma[idx])
@@ -192,9 +204,10 @@ def block_scan(spec: CipherSpec,
         if not np.array_equal(image, shifted):
             continue
         labels = goursat.coset_labels(triple)
-        certified = all(partition_invariant(labels, g) for g in gens)
+        certified = all(partition_invariant(labels, g, triple) for g in dense)
         candidates.append(BlockCandidate(triple, certified))
-    return BlockScanResult(degree, tested, shift, tuple(candidates))
+    return BlockScanResult(degree, len(table), int(refuted.sum()), shift,
+                           tuple(candidates))
 
 
 @dataclass(frozen=True)

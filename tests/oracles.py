@@ -13,7 +13,13 @@ way:
 * a brute-force closure walk over the subgroup lattice of
   Z/2**n x Z/2**n for n <= 3, against the Goursat enumeration;
 * the giant-witness search that scans every cycle length and rechecks
-  the power on a hit, against the search decided by the longest cycle.
+  the power on a hit, against the search decided by the longest cycle;
+* the block scan one subgroup at a time: scalar subgroup membership
+  and the scalar probe test built on it, the coset labels from an
+  arange over every state, and the generic partition check by class
+  representatives on every generator, against the vectorized probe
+  pass, the fibre-grid labels and the roll check that skips checked
+  translations.
 """
 
 from __future__ import annotations
@@ -23,15 +29,16 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from roundgroup import perms, words
+from roundgroup import goursat, perms, words
 from roundgroup.boxtypes import (subgroup_members_array, subgroup_type,
                                  type_of)
-from roundgroup.cipher import CipherSpec, gamma_table
+from roundgroup.cipher import CipherSpec, apply_s, gamma_table
 from roundgroup.goursat import GoursatTriple, enumerate_subgroups, member_pairs
 from roundgroup.groups import (BSGS_DEGREE_CAP, MIX_LENGTH, GiantWitness,
                                StabilizerChain, _is_prime, random_products,
                                schreier_sims)
-from roundgroup.verify import block_scan
+from roundgroup.verify import (PROBES, BlockCandidate, BlockScanResult,
+                               block_scan)
 
 
 # ---------------------------------------------------------------------------
@@ -321,3 +328,101 @@ def giant_witness_reference(gens: list[np.ndarray], rng: np.random.Generator,
             continue  # never happens; belt over braces
         return GiantWitness(word, hit, trial, other)
     return None
+
+
+# ---------------------------------------------------------------------------
+# the block scan, one subgroup at a time
+
+
+def contains(triple: GoursatTriple, a: int, c: int) -> bool:
+    """Membership without materializing."""
+    n = triple.n
+    mask = (1 << n) - 1
+    s, sb, t, td, z = triple.to_tuple()
+    if s <= t:
+        if a & ((1 << s) - 1):
+            return False
+        return ((c - ((a * (z << (t - s))) & mask)) & ((1 << td) - 1)) == 0
+    if c & ((1 << t) - 1):
+        return False
+    return ((a - ((c * (z << (s - t))) & mask)) & ((1 << sb) - 1)) == 0
+
+
+def probe_refutes(triple: GoursatTriple, sigma: np.ndarray,
+                  shift: int) -> bool:
+    """Is some probe member h of the subgroup H sent by the swap map
+    outside H + (0, shift)?  Then sigma(H) != H + (0, shift): the
+    subgroup fails the set equation and cannot give blocks."""
+    n = triple.n
+    mask = (1 << n) - 1
+    (a1, c1), (a2, c2) = goursat.generators(triple)
+    for i, j in PROBES:
+        h = ((i * a1 + j * a2) & mask) | (((i * c1 + j * c2) & mask) << n)
+        image = int(sigma[h])
+        if not contains(triple, image & mask,
+                        ((image >> n) - shift) & mask):
+            return True
+    return False
+
+
+def coset_labels(triple: GoursatTriple) -> np.ndarray:
+    """A label per state, constant exactly on the cosets of the subgroup.
+
+    Two states differ by a member iff their left parts agree modulo
+    2**s and, after subtracting phi of the left part, their right
+    parts agree modulo 2**tD (phi is additive, so the correction
+    cancels in differences).  Mirror-image formula when t < s.  This
+    is the O(degree) quotient map that block certification rides on.
+    """
+    n = triple.n
+    mask = (1 << n) - 1
+    s, sb, t, td, z = triple.to_tuple()
+    idx = np.arange(1 << (2 * n), dtype=np.int64)
+    x1 = idx & mask
+    x2 = idx >> n
+    if s <= t:
+        lab1 = x1 & ((1 << s) - 1)
+        lab2 = (x2 - (x1 * (z << (t - s)))) & ((1 << td) - 1)
+    else:
+        lab1 = x2 & ((1 << t) - 1)
+        lab2 = (x1 - (x2 * (z << (s - t)))) & ((1 << sb) - 1)
+    return lab1 | (lab2 << n)
+
+
+def partition_invariant(labels: np.ndarray, perm: np.ndarray) -> bool:
+    """Does the permutation map label-classes onto label-classes?
+    Each state's image must share the label of the image of one fixed
+    member of its class (labels are non-negative); O(degree), no sort."""
+    rep = np.empty(int(labels.max()) + 1, dtype=np.int64)
+    rep[labels] = np.arange(len(labels))
+    image = labels[perm]
+    return bool(np.array_equal(image, image[rep[labels]]))
+
+
+def block_scan_reference(spec: CipherSpec,
+                         gens: list[np.ndarray]) -> BlockScanResult:
+    """The block scan with the routines above: subgroups one at a time,
+    every generator checked densely."""
+    n = spec.n
+    sigma = gens[2]
+    mask = (1 << n) - 1
+    shift = apply_s(spec, 0)
+    tested = refuted = 0
+    candidates = []
+    for triple in enumerate_subgroups(n):
+        if not triple.is_proper_nontrivial:
+            continue
+        tested += 1
+        if probe_refutes(triple, sigma, shift):
+            refuted += 1
+            continue
+        left, right = member_pairs(triple)
+        image = np.sort(sigma[left | (right << n)])
+        shifted = np.sort(left | (((right + shift) & mask) << n))
+        if not np.array_equal(image, shifted):
+            continue
+        labels = coset_labels(triple)
+        certified = all(partition_invariant(labels, g) for g in gens)
+        candidates.append(BlockCandidate(triple, certified))
+    return BlockScanResult(len(sigma), tested, refuted, shift,
+                           tuple(candidates))

@@ -1,7 +1,9 @@
 """Smoke test of the benchmark harness: both verdict workloads at toy
 size, traced.  Fails if a report misses its gate, if a traced function
-was renamed under the harness, or if the block scan stops rejecting
-subgroups before materializing them."""
+was renamed under the harness, if the block scan stops rejecting
+subgroups before materializing them, or if it checks a checked unit
+translation densely (one dense partition check per candidate, for
+sigma)."""
 
 import json
 import subprocess
@@ -30,3 +32,5 @@ def test_traced_quick_run(workload):
     tested = metric["verify.block_scan.subgroups_tested"]
     assert tested > 0
     assert metric["goursat.member_pairs.calls"] < tested / 10
+    assert metric["verify.partition_invariant.calls"] == \
+        metric["verify.block_scan.candidates"]

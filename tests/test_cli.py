@@ -8,7 +8,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from roundgroup import cipher, cli
+from roundgroup import cipher, cli, goursat, perms
+
+import oracles
 
 SPECS = Path(__file__).resolve().parent.parent / "specs"
 CONFORMING_N8 = str(SPECS / "conforming_n8.json")
@@ -91,6 +93,44 @@ def test_timing_goes_to_stderr_only(capsys):
             assert "timing" not in out, (command, fmt)
             assert [l.split()[0] for l in err.splitlines()] == \
                 ["timing:"] * timed, (command, fmt)
+
+
+SCAN_COUNTERS = ["tested", "probe_refuted", "candidates", "certified"]
+
+
+@pytest.mark.parametrize("command,key", [("verdict", "verdict"),
+                                         ("scan-blocks", "scan")])
+def test_scan_counters_on_stderr_add_up(command, key, capsys):
+    for path in (CONFORMING_N4, CONFORMING_N8, IDENTITY_N4, IDENTITY_N8):
+        argv = [command, "--spec", path, "--format", "json"]
+        _, out, err = run(argv, capsys)
+        line, = err.splitlines()
+        counters = {k: int(v) for k, v in
+                    (f.split("=") for f in line.split()[3:])}
+        assert list(counters) == SCAN_COUNTERS
+        record = json.loads(out)[key]
+        scan = record["block_scan"] if command == "verdict" else record
+        assert counters["tested"] == scan["subgroups_tested"]
+        assert counters["candidates"] == len(scan["candidates"])
+        assert counters["certified"] == sum(c["certified"]
+                                            for c in scan["candidates"])
+        # the probe survivors that are not candidates fail the set
+        # equation over the whole subgroup
+        spec = cipher.load_spec(path)
+        sigma = perms.sigma_perm(spec)
+        shift = cipher.apply_s(spec, 0)
+        whole_set = sum(
+            1 for t in goursat.enumerate_subgroups(spec.n)
+            if t.is_proper_nontrivial
+            and not oracles.probe_refutes(t, sigma, shift)
+            and list(t.to_tuple()) not in [c["triple"]
+                                           for c in scan["candidates"]])
+        assert counters["probe_refuted"] + whole_set \
+            + counters["candidates"] == counters["tested"]
+        text = run(argv[:-2], capsys)[1]
+        for field in line.split()[3:]:
+            assert field not in out and field not in text
+        assert "probe_refuted" not in out + text
 
 
 def test_scan_blocks_identity_exit_2(capsys):

