@@ -120,15 +120,21 @@ def s_image_coset_violations(spec: CipherSpec) -> list[int]:
     """q in (0, n) where the image of <2**q> under the mixing map is
     exactly the modular coset (image of 0) + <2**q>.  Empty on
     conforming bijective specs; this set equality is precisely what
-    would hand the scan an invariant partition."""
+    would hand the scan an invariant partition.
+
+    The coset is the set of the 2**(n-q) words congruent to S(0) mod
+    2**q, so the image equals it when it has that many words, all of
+    them congruent to S(0): no coset to build or sort.  The count is
+    needed: an all-zero box maps <2**q> to {S(0)}, congruent but short.
+    """
     n = spec.n
-    mask = (1 << n) - 1
     table = s_table(spec)
+    zero_image = int(table[0])
     out = []
     for q in range(1, n):
-        members = subgroup_members_array(q, n)
-        image = np.unique(table[members])
-        shifted = np.sort((members + int(table[0])) & mask)
-        if image.size == shifted.size and np.array_equal(image, shifted):
+        image = s_image(table, q)
+        low = (1 << q) - 1
+        if image.size == 1 << (n - q) and \
+                (((image ^ zero_image) & low) == 0).all():
             out.append(q)
     return out

@@ -104,29 +104,31 @@ class CipherSpec:
 
 
 def _parse_entry(v) -> int:
-    # tables may mix decimal ints and hex strings like "0x1f"
+    # tables may mix decimal ints and hex strings like "0x1f"; a JSON
+    # boolean is not a number here, though Python counts it as an int
     if isinstance(v, str):
         return int(v, 0)
-    if isinstance(v, int):
+    if type(v) is int:
         return v
     raise ValueError(f"S-box entry {v!r} is neither int nor numeric string")
 
 
 def spec_from_dict(data: dict) -> CipherSpec:
+    """The four fields must be JSON integers: a float, string or boolean
+    would otherwise load as some other spec under the same digest."""
     try:
-        n = int(data["n"])
-        m = int(data["m"])
-        delta = int(data["delta"])
-        r = int(data["r"])
+        fields = [data[key] for key in ("n", "m", "delta", "r")]
+        if any(type(v) is not int for v in fields):
+            raise TypeError
         tables = tuple(
             tuple(_parse_entry(v) for v in table) for table in data["sboxes"]
         )
     except KeyError as e:
         raise ValueError(f"spec file missing field {e.args[0]!r}") from None
-    except (TypeError, OverflowError):
+    except TypeError:
         raise ValueError("spec fields n, m, delta and r must be integers "
                          "and sboxes a list of tables") from None
-    return CipherSpec(n, m, delta, r, tables)
+    return CipherSpec(*fields, tables)
 
 
 def load_spec(path) -> CipherSpec:

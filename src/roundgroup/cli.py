@@ -104,8 +104,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = add("verdict", "run the full verification pipeline")
     p.add_argument("--budget", type=_int_from(0), default=10_000,
                    help="giant-witness trial budget (default 10000)")
-    p.add_argument("--word-len", type=_int_from(1), default=32,
-                   help="witness word length (default 32)")
     return parser
 
 
@@ -299,7 +297,7 @@ def types_report(args, spec: CipherSpec) -> Report:
         rows.append({"q": q, "subgroup": str(dtype), "image": image,
                      "verdict": verdict})
         lines.append(f"q={q}: D={dtype} DS={image} [{verdict}]")
-    tv = boxtypes.s_image_type_violations(spec)
+    tv = [row["q"] for row in rows if row["verdict"] == "same"]
     cv = boxtypes.s_image_coset_violations(spec)
     lines.append(f"type violations: {tv or 'none'}")
     lines.append(f"coset violations: {cv or 'none'}")
@@ -376,8 +374,7 @@ def verdict_report(args, spec: CipherSpec) -> Report:
     """The verdict's text lines and JSON record, each check's line and
     record made together."""
     t0 = time.monotonic()
-    v = verify.full_verdict(spec, seed=args.seed, budget=args.budget,
-                            word_len=args.word_len)
+    v = verify.full_verdict(spec, seed=args.seed, budget=args.budget)
     elapsed = time.monotonic() - t0
     n, val = spec.n, v.validation
     lines = [f"budget: {v.budget}  word-len: {v.word_len}", "-- checks --"]

@@ -54,18 +54,6 @@ class GoursatTriple:
     def size(self) -> int:
         return 1 << (2 * self.n - self.s - self.td)
 
-    @property
-    def is_trivial(self) -> bool:
-        return self.size == 1
-
-    @property
-    def is_full(self) -> bool:
-        return self.size == 1 << (2 * self.n)
-
-    @property
-    def is_proper_nontrivial(self) -> bool:
-        return not (self.is_trivial or self.is_full)
-
     def to_tuple(self) -> tuple[int, int, int, int, int]:
         return (self.s, self.sb, self.t, self.td, self.z)
 

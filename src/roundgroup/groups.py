@@ -52,6 +52,9 @@ TRANSVERSAL_ENTRY_CAP = 1 << 26
 CLEAN_STREAK = 32
 MIX_LENGTH = 16
 
+# letters in each random word of the giant-witness search
+WITNESS_WORD_LEN = 32
+
 
 # ---------------------------------------------------------------------------
 # orbits
@@ -425,7 +428,7 @@ def evaluate_witness_word(gens: list[np.ndarray],
 
 
 def giant_witness(gens: list[np.ndarray], rng: np.random.Generator,
-                  word_len: int = 32,
+                  word_len: int = WITNESS_WORD_LEN,
                   budget: int = 10_000) -> GiantWitness | None:
     """Search random generator words for a large-prime-cycle element.
 

@@ -50,7 +50,7 @@ import numpy as np
 from . import goursat, perms, words
 from .cipher import CipherSpec, SpecValidation, apply_s, validate_spec
 from .goursat import GoursatTriple
-from .groups import GiantWitness, giant_witness
+from .groups import WITNESS_WORD_LEN, GiantWitness, giant_witness
 
 
 # ---------------------------------------------------------------------------
@@ -360,8 +360,8 @@ class Verdict:
         return EXIT_CODES[self.conclusion]
 
 
-def full_verdict(spec: CipherSpec, seed: int, budget: int = 10_000,
-                 word_len: int = 32) -> Verdict:
+def full_verdict(spec: CipherSpec, seed: int,
+                 budget: int = 10_000) -> Verdict:
     """Run the whole pipeline on one spec with one RNG seed."""
     validation = validate_spec(spec)
     gens = perms.standard_generators(spec)
@@ -378,7 +378,7 @@ def full_verdict(spec: CipherSpec, seed: int, budget: int = 10_000,
     searched = validation.bijective and parity.passed and primitive
     if searched:
         rng = np.random.default_rng(seed)
-        witness = giant_witness(gens, rng, word_len=word_len, budget=budget)
+        witness = giant_witness(gens, rng, budget=budget)
 
     if scan.certified:
         conclusion = IMPRIMITIVE
@@ -393,6 +393,6 @@ def full_verdict(spec: CipherSpec, seed: int, budget: int = 10_000,
     else:
         conclusion = INCONCLUSIVE
 
-    return Verdict(seed, budget, word_len, validation, parity, transitivity,
-                   scan, diag, affine, wreath, psl, witness, searched,
-                   conclusion)
+    return Verdict(seed, budget, WITNESS_WORD_LEN, validation, parity,
+                   transitivity, scan, diag, affine, wreath, psl, witness,
+                   searched, conclusion)

@@ -9,7 +9,9 @@ way:
 * membership in a verified stabilizer chain and a conjugation sampler,
   for sampled evidence of normal subgroups;
 * the box-type translation lemmas and the bricklayer check, the steps
-  of the type calculus before the mixing map;
+  of the type calculus before the mixing map, and the mixing map's
+  coset equality by sorting the shifted coset, against the
+  count-and-congruence rule;
 * a brute-force closure walk over the subgroup lattice of
   Z/2**n x Z/2**n for n <= 3, against the Goursat enumeration;
 * the giant-witness search that scans every cycle length and rechecks
@@ -32,7 +34,7 @@ import numpy as np
 from roundgroup import goursat, perms, words
 from roundgroup.boxtypes import (subgroup_members_array, subgroup_type,
                                  type_of)
-from roundgroup.cipher import CipherSpec, apply_s, gamma_table
+from roundgroup.cipher import CipherSpec, apply_s, gamma_table, s_table
 from roundgroup.goursat import GoursatTriple, enumerate_subgroups, member_pairs
 from roundgroup.groups import (BSGS_DEGREE_CAP, MIX_LENGTH, GiantWitness,
                                StabilizerChain, _is_prime, random_products,
@@ -244,6 +246,22 @@ def bricklayer_check(spec: CipherSpec, q: int) -> BricklayerCheck:
     return BricklayerCheck(q, is_whole(q, m), type_ok, coset)
 
 
+def s_image_coset_violations_reference(spec: CipherSpec) -> list[int]:
+    """q in (0, n) where the image of <2**q> under the mixing map equals
+    the coset S(0) + <2**q>, both sides materialized and sorted."""
+    n = spec.n
+    mask = (1 << n) - 1
+    table = s_table(spec)
+    out = []
+    for q in range(1, n):
+        members = subgroup_members_array(q, n)
+        image = np.unique(table[members])
+        shifted = np.sort((members + int(table[0])) & mask)
+        if image.size == shifted.size and np.array_equal(image, shifted):
+            out.append(q)
+    return out
+
+
 # ---------------------------------------------------------------------------
 # independent brute-force route (the enumeration oracle for tiny n)
 
@@ -410,7 +428,7 @@ def block_scan_reference(spec: CipherSpec,
     tested = refuted = 0
     candidates = []
     for triple in enumerate_subgroups(n):
-        if not triple.is_proper_nontrivial:
+        if not 1 < triple.size < 4 ** triple.n:
             continue
         tested += 1
         if probe_refutes(triple, sigma, shift):

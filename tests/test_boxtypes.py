@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from roundgroup import boxtypes, cipher
+from roundgroup import boxtypes, cipher, cli
 from roundgroup.boxtypes import TypeVector
 
 import oracles
@@ -192,3 +192,36 @@ def test_coset_violation_implies_type_violation():
         tv = set(boxtypes.s_image_type_violations(spec))
         cv = set(boxtypes.s_image_coset_violations(spec))
         assert cv <= tv
+
+
+def types_grid():
+    """n = 2..12, every m dividing n, r in {0, m, n-1}, with bijective,
+    identity, lossy and all-zero boxes."""
+    rng = np.random.default_rng(1507)
+    for n in range(2, 13):
+        for m in [d for d in range(1, n + 1) if n % d == 0]:
+            delta = n // m
+            for r in sorted({0, m, n - 1} & set(range(n))):
+                yield cipher.random_spec(m, delta, r, rng)
+                yield cipher.CipherSpec(n, m, delta, r,
+                                        cipher.identity_sboxes(delta, m))
+                yield cipher.random_spec(m, delta, r, rng, bijective=False)
+                yield cipher.CipherSpec(n, m, delta, r,
+                                        ((0,) * (1 << m),) * delta)
+
+
+def test_types_report_violations_match_library_and_oracle():
+    # the report reads its type violations off its rows and its coset
+    # violations from the count-and-congruence rule
+    specs = list(types_grid())
+    assert len(specs) >= 300
+    seen_type = seen_coset = 0
+    for spec in specs:
+        record = cli.types_report(None, spec)[1]["types"]
+        tv = boxtypes.s_image_type_violations(spec)
+        cv = oracles.s_image_coset_violations_reference(spec)
+        assert record["type_violations"] == tv
+        assert record["coset_violations"] == cv
+        seen_type += bool(tv)
+        seen_coset += bool(cv)
+    assert seen_type and seen_coset

@@ -3,12 +3,13 @@
 import json
 import subprocess
 import sys
+from collections import Counter
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from roundgroup import cipher, cli, goursat, perms
+from roundgroup import boxtypes, cipher, cli, goursat, perms
 
 import oracles
 
@@ -121,7 +122,7 @@ def test_scan_counters_on_stderr_add_up(command, key, capsys):
         shift = cipher.apply_s(spec, 0)
         whole_set = sum(
             1 for t in goursat.enumerate_subgroups(spec.n)
-            if t.is_proper_nontrivial
+            if 1 < t.size < 4 ** t.n
             and not oracles.probe_refutes(t, sigma, shift)
             and list(t.to_tuple()) not in [c["triple"]
                                            for c in scan["candidates"]])
@@ -193,6 +194,29 @@ def test_types_identity_reports_violations(capsys):
     rc, out, _ = run(["types", "--spec", IDENTITY_N4], capsys)
     assert rc == 0
     assert "type violations: [1, 2, 3]" in out
+
+
+def test_types_maps_each_image_once_per_check(monkeypatch, capsys):
+    # the rows type each image once and the violations are read off
+    # them; the coset check maps each image again and builds its own
+    # table: n - 1 types, 2 (n - 1) images and 2 tables at n = 8
+    calls = Counter()
+
+    def count(owner, attr, name):
+        original = getattr(owner, attr)
+
+        def counted(*args, **kwargs):
+            calls[name] += 1
+            return original(*args, **kwargs)
+        monkeypatch.setattr(owner, attr, counted)
+
+    count(boxtypes, "type_of", "type_of")
+    count(boxtypes, "s_image", "s_image")
+    count(cipher, "s_table", "s_table")
+    count(boxtypes, "s_table", "s_table")
+    rc, _, _ = run(["types", "--spec", CONFORMING_N8], capsys)
+    assert rc == 0
+    assert calls == {"type_of": 7, "s_image": 14, "s_table": 2}
 
 
 def test_goursat_count_and_check(capsys):
@@ -392,7 +416,8 @@ def test_usage_errors_exit_1(argv, named, capsys):
     assert out == ""
 
 
-@pytest.mark.parametrize("sboxes", ["5", "null", "[5, 6]"])
+@pytest.mark.parametrize("sboxes", ["5", "null", "[5, 6]",
+                                    "[[0, true, 2, 3], [0, 1, 2, 3]]"])
 def test_malformed_sboxes_exit_1(sboxes, tmp_path, capsys):
     bad = tmp_path / "bad.json"
     bad.write_text('{"n": 4, "m": 2, "delta": 2, "r": 2, "sboxes": %s}'
@@ -402,9 +427,13 @@ def test_malformed_sboxes_exit_1(sboxes, tmp_path, capsys):
 
 
 @pytest.mark.parametrize("field", ['"n": null', '"r": [1]', '"m": {}',
-                                   '"delta": Infinity'])
+                                   '"delta": Infinity', '"n": 4.9',
+                                   '"n": 4.0', '"delta": "2"', '"m": true',
+                                   '"r": false'])
 def test_malformed_integer_fields_exit_1(field, tmp_path, capsys):
-    data = {"n": "4", "m": "2", "delta": "2", "r": "2"}
+    # each case spoils one field of a well-formed spec; a float, string
+    # or boolean would otherwise load as a nearby spec
+    data = {"n": 4, "m": 2, "delta": 2, "r": 2}
     key, value = field.split(": ")
     data[key.strip('"')] = value
     body = ", ".join(f'"{k}": {v}' for k, v in data.items())
@@ -442,9 +471,7 @@ def test_bad_state_and_key_lines_named(states, keys, where, tmp_path,
     assert out == ""
 
 
-@pytest.mark.parametrize("flag,value", [("--budget", "-5"),
-                                        ("--word-len", "0"),
-                                        ("--word-len", "-3")])
+@pytest.mark.parametrize("flag,value", [("--budget", "-5")])
 def test_negative_budget_and_empty_words_rejected(flag, value, capsys):
     rc, out, err = run(["verdict", "--spec", CONFORMING_N4, flag, value],
                        capsys)
@@ -483,6 +510,8 @@ def test_negative_seed_rejected(command, capsys):
 
 def test_removed_flags_are_usage_errors(capsys):
     for argv in (["verdict", "--spec", CONFORMING_N4, "--max-degree", "16"],
+                 ["verdict", "--spec", CONFORMING_N4, "--word-len", "0"],
+                 ["verdict", "--spec", CONFORMING_N4, "--word-len", "-3"],
                  ["encrypt", "--spec", CONFORMING_N4, "--seed", "1"],
                  ["goursat", "--n", "2", "--check"],
                  ["goursat", "--n", "2", "--spec", CONFORMING_N4]):

@@ -45,9 +45,6 @@ def test_sizes_and_flags():
     for tri in goursat.enumerate_subgroups(3):
         left, right = goursat.member_pairs(tri)
         assert len(left) == tri.size
-        assert tri.is_trivial == (tri.size == 1)
-        assert tri.is_full == (tri.size == 64)
-        assert tri.is_proper_nontrivial == (1 < tri.size < 64)
 
 
 def test_members_form_a_subgroup():
