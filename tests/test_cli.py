@@ -471,7 +471,9 @@ def test_bad_state_and_key_lines_named(states, keys, where, tmp_path,
     assert out == ""
 
 
-@pytest.mark.parametrize("flag,value", [("--budget", "-5")])
+@pytest.mark.parametrize("flag,value", [("--budget", "-5"),
+                                        ("--word-len", "-3"),
+                                        ("--word-len", "0")])
 def test_negative_budget_and_empty_words_rejected(flag, value, capsys):
     rc, out, err = run(["verdict", "--spec", CONFORMING_N4, flag, value],
                        capsys)
