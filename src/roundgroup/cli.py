@@ -255,10 +255,10 @@ def scan_counters(scan: verify.BlockScanResult) -> str:
 
 
 def scan_blocks_report(args, spec: CipherSpec) -> Report:
-    gens = perms.standard_generators(spec)
+    sigma = perms.sigma_perm(spec)
     t0 = time.monotonic()
-    trans = verify.transitivity_check(gens)
-    scan = verify.block_scan(spec, gens)
+    trans = verify.transitivity_check(spec)
+    scan = verify.block_scan(spec, sigma)
     elapsed = time.monotonic() - t0
     primitive = verify.is_primitive(trans, scan)
     candidate_lines, record = scan_report(scan, spec.n)

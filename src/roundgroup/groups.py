@@ -361,7 +361,7 @@ def schreier_sims(gens: list[np.ndarray],
             clean = 0
         else:
             clean += 1
-    all_even = all(perms.form_sign(g) == 1 for g in gens)
+    all_even = all(perms.sign(g) == 1 for g in gens)
     half = math.factorial(degree) // 2
     if chain.order == 2 * half:
         chain.certificate = "symmetric-order-match"

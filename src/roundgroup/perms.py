@@ -13,21 +13,6 @@ Cycles and orbits are one computation: components(maps) labels each
 point with the least point reachable from it, and sign, cycle_reps,
 cycle_lengths and groups.orbit_mask read those labels.
 
-The round maps also have closed-form signs, used once their form is
-checked on the array itself in one vectorized pass (form_sign):
-
-* a unit translation rho(1,0) or rho(0,1) (unit_translation: p(0) names
-  the key, then p must equal that rho_perm) is 2**n cycles of length
-  2**n, so it is even;
-* a map p(x1, x2) = (x2, x1 ^ t[x2]) (swap_xor_shifts: p ^ (x1 << n)
-  constant on every x2-fibre, with low half x2) is swap o phi_t; swap
-  fixes the 2**n states with x1 == x2 and pairs the rest, so it is
-  2**(n-1) * (2**n - 1) transpositions, and phi_t is 2**(n-1)
-  transpositions on each fibre where t != 0.  sigma has this form with
-  t = S for any table, so it is even for n >= 2.
-
-A map of neither form gets the dense sign.
-
 DEGREE_CAP (2**24 states) bounds dense materialization;
 callers wanting larger parameter sets must stay with the wordwise maps
 in cipher, which are also the scalar oracle these arrays are tested
@@ -170,39 +155,27 @@ def sign(p: np.ndarray) -> int:
 
 
 # ---------------------------------------------------------------------------
-# materializing the cipher maps, and recognizing their forms
+# materializing the cipher maps
 #
 # A dense map of degree 4**n reshapes to (2**n, 2**n) fibres: row x2,
 # column x1, since x = x1 + 2**n * x2.
 
 
-def _half_width(degree: int) -> int | None:
-    """n with degree == 4**n and n >= 1, else None."""
-    n = (degree.bit_length() - 1) // 2
-    return n if n >= 1 and degree == 1 << (2 * n) else None
-
-
-def _swap_rows(heads: np.ndarray, n: int) -> np.ndarray:
-    """Fibre rows of (x1, x2) -> (x2, x1 ^ t[x2]), given the fibre
-    heads x2 | t[x2] << n (the images of x1 = 0)."""
-    return heads[:, None] ^ (np.arange(1 << n, dtype=np.int64) << n)
-
-
-def _translation_rows(k: tuple[int, int], n: int) -> np.ndarray:
-    steps = np.arange(1 << n, dtype=np.int64)
-    mask = (1 << n) - 1
-    return (((steps + k[1]) & mask) << n)[:, None] | ((steps + k[0]) & mask)
-
-
 def sigma_perm(spec: CipherSpec) -> np.ndarray:
+    """(x1, x2) -> (x2, x1 ^ S(x2)): row x2 is x2 | S(x2) << n, the
+    image of x1 = 0, XOR x1 << n."""
     check_degree(spec.n)
-    x2 = np.arange(1 << spec.n, dtype=np.int64)
-    return _swap_rows(x2 | (s_table(spec) << spec.n), spec.n).ravel()
+    x = np.arange(1 << spec.n, dtype=np.int64)
+    heads = x | (s_table(spec) << spec.n)
+    return (heads[:, None] ^ (x << spec.n)).ravel()
 
 
 def rho_perm(k: tuple[int, int], n: int) -> np.ndarray:
     check_degree(n)
-    return _translation_rows(k, n).ravel()
+    steps = np.arange(1 << n, dtype=np.int64)
+    mask = (1 << n) - 1
+    return ((((steps + k[1]) & mask) << n)[:, None]
+            | ((steps + k[0]) & mask)).ravel()
 
 
 def standard_generators(spec: CipherSpec) -> list[np.ndarray]:
@@ -213,45 +186,3 @@ def standard_generators(spec: CipherSpec) -> list[np.ndarray]:
     """
     return [rho_perm((1, 0), spec.n), rho_perm((0, 1), spec.n),
             sigma_perm(spec)]
-
-
-def unit_translation(p: np.ndarray) -> tuple[int, int] | None:
-    """(1, 0) or (0, 1) when p is that rho_perm, else None.  Decided by
-    p(0) and one comparison against the form."""
-    n = _half_width(len(p))
-    if n is None:
-        return None
-    k = {1: (1, 0), 1 << n: (0, 1)}.get(int(p[0]))
-    if k is None or not (p.reshape(1 << n, 1 << n)
-                         == _translation_rows(k, n)).all():
-        return None
-    return k
-
-
-def swap_xor_shifts(p: np.ndarray) -> np.ndarray | None:
-    """t with p = swap o phi_t, i.e. p(x1, x2) = (x2, x1 ^ t[x2]) as
-    sigma_perm builds it, else None.  p ^ (x1 << n) must be constant on
-    every fibre, with low half x2."""
-    n = _half_width(len(p))
-    if n is None:
-        return None
-    rows = p.reshape(1 << n, 1 << n)
-    heads = rows[:, 0]
-    if not (heads & ((1 << n) - 1) == np.arange(1 << n)).all() or \
-            not (rows == _swap_rows(heads, n)).all():
-        return None
-    return heads >> n
-
-
-def form_sign(p: np.ndarray) -> int:
-    """sign(p), in closed form when p passes one of the form checks
-    (module docstring), else the dense sign.  For swap o phi_t the
-    sign is (-1)**(2**(n-1) * (2**n - 1 + z)), z = #{x2 : t[x2] != 0}."""
-    if unit_translation(p) is not None:
-        return 1
-    t = swap_xor_shifts(p)
-    if t is None:
-        return sign(p)
-    n = _half_width(len(p))
-    z = int(np.count_nonzero(t))
-    return -1 if ((1 << (n - 1)) * ((1 << n) - 1 + z)) % 2 else 1

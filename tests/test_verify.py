@@ -6,7 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from roundgroup import cipher, goursat, groups, perms, verify
+from roundgroup import cipher, cli, goursat, groups, perms, verify
 from roundgroup.cipher import CipherSpec
 from roundgroup.goursat import GoursatTriple
 
@@ -26,16 +26,14 @@ def identity_spec(n, m, r=0):
 
 def test_parity_check():
     spec = seeded_spec(4, 2, 2, seed=0)
-    chk = verify.parity_check(perms.standard_generators(spec))
+    chk = verify.parity_check(spec)
     assert chk.signs == (1, 1, 1) and chk.passed
 
 
 def test_transitivity_check():
     spec = seeded_spec(4, 2, 2, seed=0)
-    chk = verify.transitivity_check(perms.standard_generators(spec))
+    chk = verify.transitivity_check(spec)
     assert chk.passed and chk.orbit_size == 256
-    fixer = np.arange(16, dtype=np.int64)
-    assert not verify.transitivity_check([fixer]).passed
 
 
 def grid_specs():
@@ -56,22 +54,9 @@ def grid_specs():
             yield spec
 
 
-def sigma_mutants(spec):
-    """Maps next to sigma that fail its form: sigma after one
-    transposition, sigma with the fibre x2 = 3 sent by x1 -> x1 + 1,
-    whose XOR with x1 is not constant, and sigma then rho(1,0), whose
-    low half is x2 + 1."""
-    n, sigma = spec.n, perms.sigma_perm(spec)
-    swapped = sigma.copy()
-    swapped[[1, 2]] = swapped[[2, 1]]
-    added = sigma.copy()
-    x1 = np.arange(1 << n, dtype=np.int64)
-    added[x1 | (3 << n)] = 3 | (((x1 + 1) & ((1 << n) - 1)) << n)
-    return [swapped, added,
-            perms.compose_all([sigma, perms.rho_perm((1, 0), n)])]
-
-
 def test_form_sign_and_translation_orbit_match_dense():
+    """The lemmas parity_check and transitivity_check state, against
+    the dense cycle count and orbit of the built generators."""
     dense = {}  # generator bytes -> dense sign; shared maps repeat
 
     def dense_sign(p):
@@ -85,45 +70,27 @@ def test_form_sign_and_translation_orbit_match_dense():
     assert len(specs) == 408 + 4
     for spec in specs:
         gens = perms.standard_generators(spec)
-        assert perms.unit_translation(gens[0]) == (1, 0)
-        assert perms.unit_translation(gens[1]) == (0, 1)
-        assert np.array_equal(perms.swap_xor_shifts(gens[2]),
-                              cipher.s_table(spec))
-        signs = verify.parity_check(gens).signs
+        signs = verify.parity_check(spec).signs
         assert signs == (1, 1, 1)
         assert signs == tuple(dense_sign(g) for g in gens)
         key = gens[2].tobytes()
         if key not in orbits:
             orbits[key] = int(groups.orbit_mask(gens, 0).sum())
-        assert verify.transitivity_check(gens).orbit_size == orbits[key]
+        assert verify.transitivity_check(spec).orbit_size == orbits[key]
 
 
-@pytest.mark.parametrize("n", [2, 3, 4, 6])
-def test_mutants_fall_back_and_agree_with_dense(n):
-    rng = np.random.default_rng(n)
-    spec = cipher.random_spec(1, n, 1, rng)
-    rho10, rho01, sigma = perms.standard_generators(spec)
-    rho20 = perms.rho_perm((2, 0), n)
-    mutants = sigma_mutants(spec) + [rho20]
-    for p in mutants:
-        assert perms.unit_translation(p) is None
-        assert perms.swap_xor_shifts(p) is None
-        assert perms.form_sign(p) == perms.sign(p)
-    assert perms.sign(mutants[0]) == -1
-    fixer = np.arange(1 << (2 * n), dtype=np.int64)
-    for gens in ([rho10, rho20, sigma], [rho01, rho10, sigma],
-                 [rho10, rho20], [rho10, mutants[0]], [rho20], [fixer],
-                 mutants):
-        assert verify.parity_check(gens).signs == tuple(
-            perms.sign(g) for g in gens)
-        assert verify.transitivity_check(gens).orbit_size == int(
-            groups.orbit_mask(gens, 0).sum())
-
-
-def test_verdict_takes_the_form_route(monkeypatch):
+def test_verdict_takes_the_form_route(monkeypatch, tmp_path, capsys):
     spec = seeded_spec(6, 2, 3, seed=5)
     expected = verify.full_verdict(spec, seed=11)
     assert expected.parity.passed and expected.transitivity.passed
+    path = tmp_path / "spec.json"
+    cipher.save_spec(spec, path)
+    commands = [[cmd, "--spec", str(path)] for cmd in ("verdict",
+                                                        "scan-blocks")]
+    reports = [(cli.main(argv), capsys.readouterr().out)
+               for argv in commands]
+    assert [rc for rc, _ in reports] == [0, 0]
+    real_sign = perms.sign
 
     def dense(*args):
         raise AssertionError("dense route taken")
@@ -131,6 +98,18 @@ def test_verdict_takes_the_form_route(monkeypatch):
     monkeypatch.setattr(perms, "sign", dense)
     monkeypatch.setattr(groups, "orbit_mask", dense)
     assert verify.full_verdict(spec, seed=11) == expected
+    assert [(cli.main(argv), capsys.readouterr().out)
+            for argv in commands] == reports
+    signs = []
+
+    def counted(p):
+        signs.append(p)
+        return real_sign(p)
+
+    monkeypatch.setattr(perms, "sign", counted)
+    assert cli.main(["order", "--spec", str(SPECS / "conforming_n4.json")]) \
+        == 0
+    assert len(signs) == 3
 
 
 def test_scan_empty_on_conforming():
@@ -164,7 +143,7 @@ def proper_triples(n):
 def test_certified_candidates_are_real_partitions():
     spec = identity_spec(4, 2)
     gens = perms.standard_generators(spec)
-    scan = verify.block_scan(spec, gens)
+    scan = verify.block_scan(spec, gens[2])
     certified = {cand.triple for cand in scan.certified}
     assert certified
     for triple in proper_triples(spec.n):
@@ -244,7 +223,7 @@ def test_probe_reject_against_full_set_equation(spec):
             expected.append((triple, all(
                 partition_invariant_oracle(labels, g) for g in gens)))
     assert refuted > 0
-    scan = verify.block_scan(spec, gens)
+    scan = verify.block_scan(spec, gens[2])
     assert [(c.triple, c.certified) for c in scan.candidates] == expected
     assert scan.probe_refuted == refuted
 
@@ -293,7 +272,7 @@ def test_scan_matches_oracle_scan_on_the_grid():
     reference = {}  # sigma bytes -> oracle scan; shared maps repeat
     for spec in specs:
         gens = perms.standard_generators(spec)
-        scan = verify.block_scan(spec, gens)
+        scan = verify.block_scan(spec, gens[2])
         key = gens[2].tobytes()
         if key not in reference:
             reference[key] = oracles.block_scan_reference(spec, gens)
@@ -308,10 +287,10 @@ def test_scan_matches_oracle_scan_on_the_grid():
 
 @pytest.mark.parametrize("n", [4, 6])
 def test_scan_checks_unrecognised_generators_densely(n, monkeypatch):
+    """Certification checks sigma alone, once per candidate; the
+    translations keep every coset partition."""
     spec = identity_spec(n, 2)  # r = 0: certified diagonal candidates
-    rho10, rho01, sigma = perms.standard_generators(spec)
-    bent = rho01.copy()  # rho(0,1) after one transposition
-    bent[[0, 1]] = bent[[1, 0]]
+    sigma = perms.sigma_perm(spec)
     checked = []
 
     def spy(labels, perm, triple, real=verify.partition_invariant):
@@ -319,28 +298,9 @@ def test_scan_checks_unrecognised_generators_densely(n, monkeypatch):
         return real(labels, perm, triple)
 
     monkeypatch.setattr(verify, "partition_invariant", spy)
-    standard = verify.block_scan(spec, [rho10, rho01, sigma])
+    scan = verify.block_scan(spec, sigma)
     assert set(checked) == {id(sigma)}
-    assert len(checked) == len(standard.candidates) > 0
-    first = standard.candidates[0].triple
-    split = swap_cyclic_coset(first, goursat.coset_labels(first))
-    rho20 = perms.rho_perm((2, 0), n)
-    # a translation keeps every coset partition; the bent map breaks
-    # all of these, the split map the first at least
-    for gens, unrecognised, kept in (
-            ([rho20, rho01, sigma], rho20, True),
-            ([rho10, bent, sigma], bent, False),
-            ([rho10, rho01, sigma, split], split, None)):
-        checked.clear()
-        scan = verify.block_scan(spec, gens)
-        assert scan == oracles.block_scan_reference(spec, gens)
-        assert id(unrecognised) in checked
-        assert id(rho10) not in checked and id(rho01) not in checked
-        assert [c.triple for c in scan.candidates] == \
-            [c.triple for c in standard.candidates]
-        if kept is not None:
-            assert all(c.certified == kept for c in scan.candidates)
-    assert not scan.candidates[0].certified
+    assert len(checked) == len(scan.candidates) > 0
 
 
 def test_scan_agrees_with_generic_blocks_at_degree_256():
