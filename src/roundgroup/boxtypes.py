@@ -32,6 +32,7 @@ the engine behind the imprimitivity scan coming up empty.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -54,21 +55,25 @@ class TypeVector:
 
 
 def type_of(values, m: int, delta: int) -> TypeVector | None:
-    """TypeVector of the set, or None when it has no type."""
-    arr = np.unique(np.asarray(list(values) if not isinstance(
-        values, np.ndarray) else values, dtype=np.int64))
+    """TypeVector of the set, or None when it has no type.
+
+    values: any iterable of non-negative words, in any order, with
+    duplicates allowed; the empty set raises.  A strictly increasing
+    array (as `s_image` returns) skips np.unique after one O(k)
+    compare; each brick's projection is counted by a 2**m-entry
+    bincount, so k words cost O(delta * (k + 2**m)) and no sort."""
+    arr = np.asarray(list(values) if not isinstance(
+        values, np.ndarray) else values, dtype=np.int64).ravel()
     if arr.size == 0:
         raise ValueError("type of the empty set is undefined")
-    brick = (1 << m) - 1
-    sizes = []
-    for j in range(delta):
-        sizes.append(len(np.unique((arr >> (j * m)) & brick)))
-    prod = 1
-    for size in sizes:
-        prod *= size
-    if prod != arr.size:
-        return None
+    if not (arr[1:] > arr[:-1]).all():
+        arr = np.unique(arr)
     full = 1 << m
+    sizes = [np.count_nonzero(np.bincount((arr >> (j * m)) & (full - 1),
+                                          minlength=full))
+             for j in range(delta)]
+    if math.prod(sizes) != arr.size:
+        return None
     codes = tuple(WHITE if s == 1 else BLACK if s == full else RULED
                   for s in sizes)
     return TypeVector(codes)
@@ -79,16 +84,9 @@ def subgroup_type(q: int, m: int, delta: int) -> TypeVector:
     above, one ruled brick when q cuts a brick."""
     if not 0 <= q <= delta * m:
         raise ValueError(f"q = {q} out of range")
-    codes = []
-    for j in range(delta):
-        lo, hi = j * m, (j + 1) * m
-        if hi <= q:
-            codes.append(WHITE)
-        elif lo >= q:
-            codes.append(BLACK)
-        else:
-            codes.append(RULED)
-    return TypeVector(tuple(codes))
+    return TypeVector(tuple(WHITE if (j + 1) * m <= q else
+                            BLACK if j * m >= q else RULED
+                            for j in range(delta)))
 
 
 def subgroup_members_array(q: int, n: int) -> np.ndarray:
@@ -96,24 +94,23 @@ def subgroup_members_array(q: int, n: int) -> np.ndarray:
 
 
 def s_image(table: np.ndarray, q: int) -> np.ndarray:
-    """The image of <2**q> under the mixing map with this s_table (of
-    2**n entries), as a sorted set."""
-    n = len(table).bit_length() - 1
-    return np.unique(table[subgroup_members_array(q, n)])
+    """The image of <2**q> under the mixing map with this s_table (2**n
+    words in [0, 2**n)) as a sorted int64 array of distinct words:
+    every 2**q-th entry is marked in a 2**n-entry presence mask and read
+    back in order, O(2**n) per q and no sort."""
+    present = np.zeros(len(table), dtype=bool)
+    present[table[::1 << q]] = True
+    return np.flatnonzero(present)
 
 
 def s_image_type_violations(spec: CipherSpec) -> list[int]:
     """q in (0, n) where the mixing map FAILED to change the type of
     <2**q>: image typed and of the same type.  Expected empty on
     conforming bijective specs; the r=0 controls populate it."""
-    table = s_table(spec)
-    out = []
-    for q in range(1, spec.n):
-        image_type = type_of(s_image(table, q), spec.m, spec.delta)
-        if image_type is not None and \
-                image_type == subgroup_type(q, spec.m, spec.delta):
-            out.append(q)
-    return out
+    table, m, delta = s_table(spec), spec.m, spec.delta
+    return [q for q in range(1, spec.n)
+            if subgroup_type(q, m, delta)
+            == type_of(s_image(table, q), m, delta)]
 
 
 def s_image_coset_violations(spec: CipherSpec) -> list[int]:
@@ -127,14 +124,7 @@ def s_image_coset_violations(spec: CipherSpec) -> list[int]:
     them congruent to S(0): no coset to build or sort.  The count is
     needed: an all-zero box maps <2**q> to {S(0)}, congruent but short.
     """
-    n = spec.n
-    table = s_table(spec)
-    zero_image = int(table[0])
-    out = []
-    for q in range(1, n):
-        image = s_image(table, q)
-        low = (1 << q) - 1
-        if image.size == 1 << (n - q) and \
-                (((image ^ zero_image) & low) == 0).all():
-            out.append(q)
-    return out
+    n, table = spec.n, s_table(spec)
+    images = ((q, s_image(table, q)) for q in range(1, n))
+    return [q for q, image in images if image.size == 1 << (n - q)
+            and not ((image ^ table[0]) & ((1 << q) - 1)).any()]

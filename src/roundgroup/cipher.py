@@ -222,17 +222,15 @@ def generalized_round(spec: CipherSpec, k: State, h: State, st: State) -> State:
 
 
 def gamma_table(spec: CipherSpec) -> np.ndarray:
-    """x -> gamma(x) as an int64 array over all 2**n words."""
+    """x -> gamma(x) as an int64 array over all 2**n words: the outer
+    OR of the shifted S-box tables, highest brick first (brick 1 last)."""
     if (1 << spec.n) > TABLE_CAP:
         raise ValueError(f"gamma table for n={spec.n} exceeds cap "
                          f"2**{TABLE_CAP.bit_length() - 1}")
-    x = np.arange(1 << spec.n, dtype=np.int64)
-    out = np.zeros_like(x)
-    brick = (1 << spec.m) - 1
-    for j in range(spec.delta):
-        shift = j * spec.m
+    out = np.zeros(1, dtype=np.int64)
+    for j in reversed(range(spec.delta)):
         table = np.asarray(spec.sboxes[j], dtype=np.int64)
-        out |= table[(x >> shift) & brick] << shift
+        out = (out[:, None] | table << (j * spec.m)).ravel()
     return out
 
 

@@ -136,29 +136,40 @@ def partition_invariant(labels: np.ndarray, perm: np.ndarray,
 # (i, j) coefficients of the probe members i*g1 + j*g2 of a subgroup
 # generated by g1, g2; fixed, so no RNG stream is touched
 PROBES = ((1, 0), (0, 1), (1, 1), (3, 5), (5, 3), (7, 11), (11, 7), (13, 1))
+SURVIVOR_CHUNK = 1 << 16
+
+
+def in_coset(table: np.ndarray, states: np.ndarray, n: int,
+             shift: int) -> np.ndarray:
+    """Per row H of a goursat.subgroup_table, against states broadcast
+    to (rows, k): is the state x1 | x2 << n in H + (0, shift)?  With
+    (u, v) = (x1, x2 - shift) and (e, f, g) = (s, t, tD) if s <= t,
+    else (x2 - shift, x1) and (t, s, sB), (u, v) is in H iff 2**e | u
+    and v = z * 2**(f - e) * u mod 2**g."""
+    mask = (1 << n) - 1
+    s, sb, t, td, z = (col[:, None] for col in table.T)
+    lo = s <= t
+    e, f, g = np.where(lo, s, t), np.where(lo, t, s), np.where(lo, td, sb)
+    left, right = states & mask, ((states >> n) - shift) & mask
+    u, v = np.where(lo, left, right), np.where(lo, right, left)
+    return (((u & ((1 << e) - 1)) == 0)
+            & (((v - u * (z << (f - e))) & ((1 << g) - 1)) == 0))
 
 
 def probe_refuted(table: np.ndarray, sigma: np.ndarray,
                   shift: int) -> np.ndarray:
     """Per row H of a goursat.subgroup_table: does the swap map send a
-    probe member of H outside H + (0, shift)?  With (u, v) = (left,
-    right) and (e, f, g) = (s, t, tD) if s <= t, else (right, left) and
-    (t, s, sB), H is generated by (2**e, z * 2**f) and (0, 2**g), and
-    (u, v) is in H iff 2**e | u and v = z * 2**(f - e) * u mod 2**g."""
+    probe member i*g1 + j*g2 of H (g1, g2 as in goursat.generators)
+    outside H + (0, shift)?"""
     n = (len(sigma).bit_length() - 1) // 2
     mask = (1 << n) - 1
     s, sb, t, td, z = (col[:, None] for col in table.T)
     lo = s <= t
-    e, f, g = np.where(lo, s, t), np.where(lo, t, s), np.where(lo, td, sb)
     i, j = np.array(PROBES).T
-    u = (i << e) & mask
-    v = (i * (z << f) + (j << g)) & mask
-    image = sigma[np.where(lo, u | (v << n), v | (u << n))]
-    left, right = image & mask, ((image >> n) - shift) & mask
-    u, v = np.where(lo, left, right), np.where(lo, right, left)
-    member = (((u & ((1 << e) - 1)) == 0)
-              & (((v - u * (z << (f - e))) & ((1 << g) - 1)) == 0))
-    return ~member.all(axis=1)
+    left = i * (np.where(lo, 1, z) << s) + j * np.where(lo, 0, 1 << sb)
+    right = i * (np.where(lo, z, 1) << t) + j * np.where(lo, 1 << td, 0)
+    image = sigma[(left & mask) | ((right & mask) << n)]
+    return ~in_coset(table, image, n, shift).all(axis=1)
 
 
 def block_scan(spec: CipherSpec,
@@ -171,9 +182,11 @@ def block_scan(spec: CipherSpec,
     behaviour).  That set equation is the scan filter.  It is tried
     first on a few members of every subgroup in one pass
     (`probe_refuted`), which refutes most subgroups without
-    materializing them; survivors are compared as whole sets and, if
-    they pass, get the partition-invariance certification against
-    sigma (built here unless given); the translations send x + H to
+    materializing them.  A survivor's members are mapped SURVIVOR_CHUNK
+    at a time until one image leaves the coset (sigma is a bijection,
+    so sigma(H) inside H + (0, S(0)) is the set equation); those that
+    pass get the partition-invariance certification against sigma
+    (built here unless given); the translations send x + H to
     x + k + H.  No certified candidate plus transitivity therefore
     proves primitivity.
     """
@@ -181,20 +194,19 @@ def block_scan(spec: CipherSpec,
     degree = perms.check_degree(n)
     if sigma is None:
         sigma = perms.sigma_perm(spec)
-    mask = (1 << n) - 1
     shift = apply_s(spec, 0)
     table = goursat.subgroup_table(n)
     index_log2 = table[:, 0] + table[:, 3]  # |H| = 2**(2n - s - tD)
     table = table[(index_log2 > 0) & (index_log2 < 2 * n)]
     refuted = probe_refuted(table, sigma, shift)
     candidates = []
-    for row in table[~refuted].tolist():
-        triple = GoursatTriple(n, *row)
+    for row in table[~refuted]:
+        triple = GoursatTriple(n, *row.tolist())
         left, right = goursat.member_pairs(triple)
-        idx = left | (right << n)
-        image = np.sort(sigma[idx])
-        shifted = np.sort(left | (((right + shift) & mask) << n))
-        if not np.array_equal(image, shifted):
+        parts = (slice(k, k + SURVIVOR_CHUNK)
+                 for k in range(0, left.size, SURVIVOR_CHUNK))
+        if not all(in_coset(row[None], sigma[left[p] | (right[p] << n)],
+                            n, shift).all() for p in parts):
             continue
         labels = goursat.coset_labels(triple)
         certified = partition_invariant(labels, sigma, triple)

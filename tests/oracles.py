@@ -8,6 +8,10 @@ way:
   Goursat block scan;
 * membership in a verified stabilizer chain and a conjugation sampler,
   for sampled evidence of normal subgroups;
+* the dense kernels behind `types` by sorting: the mixing-map image
+  of <2**q> by np.unique, the type by one np.unique per brick, and the
+  gamma table by a gather per brick over every word, against the
+  presence mask, the bincount and the outer OR;
 * the box-type translation lemmas and the bricklayer check, the steps
   of the type calculus before the mixing map, and the mixing map's
   coset equality by sorting the shifted coset, against the
@@ -32,7 +36,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from roundgroup import goursat, perms, words
-from roundgroup.boxtypes import (subgroup_members_array, subgroup_type,
+from roundgroup.boxtypes import (BLACK, RULED, WHITE, TypeVector,
+                                 subgroup_members_array, subgroup_type,
                                  type_of)
 from roundgroup.cipher import CipherSpec, apply_s, gamma_table, s_table
 from roundgroup.goursat import GoursatTriple, enumerate_subgroups, member_pairs
@@ -188,6 +193,45 @@ def words_of_length(gens: list[np.ndarray], length: int) -> list[np.ndarray]:
     for _ in range(length):
         out = [g[w] for w in out for g in gens]
     return out
+
+
+# ---------------------------------------------------------------------------
+# the dense kernels behind `types`, by sorting
+
+
+def gamma_table_reference(spec: CipherSpec) -> np.ndarray:
+    """x -> gamma(x) over all 2**n words, one gather per brick."""
+    x = np.arange(1 << spec.n, dtype=np.int64)
+    out = np.zeros_like(x)
+    brick = (1 << spec.m) - 1
+    for j in range(spec.delta):
+        shift = j * spec.m
+        table = np.asarray(spec.sboxes[j], dtype=np.int64)
+        out |= table[(x >> shift) & brick] << shift
+    return out
+
+
+def s_image_reference(table: np.ndarray, q: int) -> np.ndarray:
+    """The image of <2**q> under the mixing-map table, sorted by
+    np.unique."""
+    n = len(table).bit_length() - 1
+    return np.unique(table[subgroup_members_array(q, n)])
+
+
+def type_of_reference(values, m: int, delta: int) -> TypeVector | None:
+    """The type of a set from np.unique of the set and of each brick's
+    projection."""
+    arr = np.unique(np.asarray(list(values) if not isinstance(
+        values, np.ndarray) else values, dtype=np.int64))
+    if arr.size == 0:
+        raise ValueError("type of the empty set is undefined")
+    brick = (1 << m) - 1
+    sizes = [len(np.unique((arr >> (j * m)) & brick)) for j in range(delta)]
+    if math.prod(sizes) != arr.size:
+        return None
+    full = 1 << m
+    return TypeVector(tuple(WHITE if s == 1 else BLACK if s == full
+                            else RULED for s in sizes))
 
 
 # ---------------------------------------------------------------------------

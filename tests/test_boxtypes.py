@@ -225,3 +225,53 @@ def test_types_report_violations_match_library_and_oracle():
         seen_type += bool(tv)
         seen_coset += bool(cv)
     assert seen_type and seen_coset
+
+
+def kernel_grid():
+    """n = 2..16, every m dividing n with delta >= 2, r in {0, m, n-1,
+    3n/4}, with bijective, identity, lossy and all-zero boxes."""
+    rng = np.random.default_rng(1507)
+    for n in range(2, 17):
+        for m in [d for d in range(1, n) if n % d == 0]:
+            delta = n // m
+            for r in sorted({0, m, n - 1, 3 * n // 4}):
+                yield cipher.random_spec(m, delta, r, rng)
+                yield cipher.CipherSpec(n, m, delta, r,
+                                        cipher.identity_sboxes(delta, m))
+                yield cipher.random_spec(m, delta, r, rng, bijective=False)
+                yield cipher.CipherSpec(n, m, delta, r,
+                                        ((0,) * (1 << m),) * delta)
+
+
+def test_types_kernels_match_sorting_oracles_on_the_grid():
+    # the presence-mask image, the bincount type and the outer-OR gamma
+    # table against np.unique and the per-brick gather, for every q
+    specs = list(kernel_grid())
+    assert len(specs) >= 500
+    for spec in specs:
+        gamma = cipher.gamma_table(spec)
+        expected = oracles.gamma_table_reference(spec)
+        assert gamma.dtype == expected.dtype == np.int64
+        assert np.array_equal(gamma, expected)
+        table = cipher.s_table(spec)
+        for q in range(spec.n + 1):
+            image = boxtypes.s_image(table, q)
+            reference = oracles.s_image_reference(table, q)
+            assert image.dtype == np.int64
+            assert np.array_equal(image, reference)
+            assert boxtypes.type_of(image, spec.m, spec.delta) == \
+                oracles.type_of_reference(reference, spec.m, spec.delta)
+
+
+def test_type_of_accepts_any_order_and_duplicates():
+    members = boxtypes.subgroup_members_array(3, 8)  # WRBB at m=2
+    shuffled = np.random.default_rng(3).permutation(members)
+    for values in (members.tolist(), members[::-1], shuffled,
+                   np.repeat(members, 2), set(members.tolist())):
+        assert str(boxtypes.type_of(values, 2, 4)) == "WRBB"
+    # duplicates count once: {0, 3} at m=1 stays untyped however often
+    # its words repeat, and a single word is all white
+    assert boxtypes.type_of([3, 0, 3, 0], 1, 2) is None
+    assert str(boxtypes.type_of(np.array([5, 5]), 2, 2)) == "WW"
+    assert str(boxtypes.type_of([9], 2, 4)) == "WWWW"
+    assert str(boxtypes.type_of(np.array([9]), 2, 4)) == "WWWW"
