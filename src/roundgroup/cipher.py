@@ -221,21 +221,20 @@ def generalized_round(spec: CipherSpec, k: State, h: State, st: State) -> State:
 # vectorized table forms, for the dense-permutation machinery
 
 
-def gamma_table(spec: CipherSpec) -> np.ndarray:
-    """x -> gamma(x) as an int64 array over all 2**n words: the outer
-    OR of the shifted S-box tables, highest brick first (brick 1 last)."""
+def s_table(spec: CipherSpec) -> np.ndarray:
+    """x -> S(x) as an int64 array over all 2**n words.  Rotation is a
+    bit permutation, so it distributes over the OR of the shifted
+    S-box tables: S is their outer OR after rotating each 2**m-entry
+    table, highest brick first (brick 1 last)."""
     if (1 << spec.n) > TABLE_CAP:
-        raise ValueError(f"gamma table for n={spec.n} exceeds cap "
+        raise ValueError(f"S table for n={spec.n} exceeds cap "
                          f"2**{TABLE_CAP.bit_length() - 1}")
     out = np.zeros(1, dtype=np.int64)
     for j in reversed(range(spec.delta)):
-        table = np.asarray(spec.sboxes[j], dtype=np.int64)
-        out = (out[:, None] | table << (j * spec.m)).ravel()
+        table = np.asarray(spec.sboxes[j], dtype=np.int64) << (j * spec.m)
+        out = (out[:, None]
+               | words.rotate_left(table, spec.r, spec.n)).ravel()
     return out
-
-
-def s_table(spec: CipherSpec) -> np.ndarray:
-    return words.rotate_left(gamma_table(spec), spec.r, spec.n)
 
 
 # ---------------------------------------------------------------------------

@@ -361,6 +361,7 @@ def order_report(args, spec: CipherSpec) -> Report:
     strong = len({id(g) for lvl in chain.levels for g in lvl.gens})
     return lines, {"order": record}, 0, (
         f"chain {elapsed:.2f}s levels={len(chain.levels)} "
+        f"rows={sum(len(lvl.uinv) for lvl in chain.levels)} "
         f"strong_generators={strong} "
         f"schreier_sifted={chain.schreier_sifted} "
         f"absorbed={chain.absorbed}")

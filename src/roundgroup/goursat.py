@@ -80,24 +80,26 @@ def enumerate_subgroups(n: int) -> list[GoursatTriple]:
     return [GoursatTriple(n, *row) for row in subgroup_table(n).tolist()]
 
 
-def member_pairs(triple: GoursatTriple) -> tuple[np.ndarray, np.ndarray]:
-    """(left, right) component arrays of all members, as int64."""
+def member_pairs(triple: GoursatTriple, start: int = 0,
+                 stop: int | None = None) -> tuple[np.ndarray, np.ndarray]:
+    """(left, right) component arrays of members start..stop-1 (all by
+    default), as int64.  Member k is (a, phi(a) + d) for the
+    (k // |D|)-th a in A and the (k % |D|)-th d in D when s <= t, and
+    the mirror image with C and B when t < s."""
     n = triple.n
     mask = (1 << n) - 1
     s, sb, t, td, z = triple.to_tuple()
+    stop = triple.size if stop is None else min(stop, triple.size)
+    k = np.arange(start, stop, dtype=np.int64)
     if s <= t:
-        a = np.arange(1 << (n - s), dtype=np.int64) << s
-        d = np.arange(1 << (n - td), dtype=np.int64) << td
-        phi = (a * (z << (t - s))) & mask
-        left = np.repeat(a, len(d))
-        right = (np.repeat(phi, len(d)) + np.tile(d, len(a))) & mask
-    else:
-        c = np.arange(1 << (n - t), dtype=np.int64) << t
-        b = np.arange(1 << (n - sb), dtype=np.int64) << sb
-        phi = (c * (z << (s - t))) & mask
-        right = np.repeat(c, len(b))
-        left = (np.repeat(phi, len(b)) + np.tile(b, len(c))) & mask
-    return left, right
+        inner = n - td  # |D| = 2**inner
+        a = (k >> inner) << s
+        d = (k & ((1 << inner) - 1)) << td
+        return a, (a * (z << (t - s)) + d) & mask
+    inner = n - sb  # |B| = 2**inner
+    c = (k >> inner) << t
+    b = (k & ((1 << inner) - 1)) << sb
+    return (c * (z << (s - t)) + b) & mask, c
 
 
 def generators(triple: GoursatTriple) -> tuple[tuple[int, int], ...]:

@@ -31,6 +31,13 @@ correctness story is spelled out:
   Route (1) is what makes degree-65536-sized alternating targets
   tractable; route (2) covers the degenerate groups where no parity
   certificate exists.
+* Storage.  A level keeps one inverse transversal row per orbit point,
+  the only rows sifting reads: a point b = gen(a) joins with
+  uinv_b = uinv_a after gen^-1, one gather against the generator's
+  inverse, which is computed once and shared by every level the
+  generator joined.  Forward rows are derived from the inverse rows
+  only when the deterministic completion asks for them
+  (`_Level.ustack`), so a chain certified by route (1) holds none.
 """
 
 from __future__ import annotations
@@ -43,7 +50,8 @@ import numpy as np
 from . import perms
 
 BSGS_DEGREE_CAP = 1 << 12
-# total transversal entries (sum of orbit lengths times degree)
+# total entries of the inverse transversal rows (sum of orbit lengths
+# times degree), 512 MB of int64
 TRANSVERSAL_ENTRY_CAP = 1 << 26
 
 # random phase of the chain: stop after this many consecutive sifts
@@ -86,6 +94,8 @@ class _Level:
         self.posidx = np.full(degree, -1, dtype=np.int64)
         self.posidx[point] = 0
         ident = np.arange(degree, dtype=np.int64)
+        # uinv holds one inverse transversal row per orbit point; u
+        # holds only the forward rows ustack() has derived so far
         self.u: list[np.ndarray] = [ident]
         self.uinv: list[np.ndarray] = [ident]
         self._ustack: np.ndarray | None = None
@@ -94,6 +104,13 @@ class _Level:
     # transversal rows as one 2-D array; rebuilt lazily since existing
     # rows never change, only new ones are appended
     def ustack(self) -> np.ndarray:
+        """The forward rows, derived from the inverse rows added since
+        the last call with one 2-D scatter: u[uinv[x]] = x."""
+        if len(self.u) < len(self.uinv):
+            inv = self.uinvstack()[len(self.u):]
+            fwd = np.empty_like(inv)
+            np.put_along_axis(fwd, inv, self.u[0], axis=1)
+            self.u.extend(fwd)
         if self._ustack is None or len(self._ustack) != len(self.u):
             self._ustack = np.stack(self.u)
         return self._ustack
@@ -120,6 +137,9 @@ class StabilizerChain:
         # member[i] = level i's orbit as a boolean row, kept in step
         # with posidx so a new generator tests every level at once
         self._member = np.zeros((0, degree), dtype=bool)
+        # inverse of each strong generator by id: a residue is one array
+        # shared by every level it joined, and so is its inverse
+        self._inverses: dict[int, np.ndarray] = {}
         # completion counters: Schreier generators sifted, residues
         # absorbed from them
         self.schreier_sifted = 0
@@ -156,6 +176,13 @@ class StabilizerChain:
 
     # -- growth
 
+    def _inverse(self, gen: np.ndarray) -> np.ndarray:
+        inv = self._inverses.get(id(gen))
+        if inv is None:
+            inv = self._inverses[id(gen)] = np.empty_like(gen)
+            inv[gen] = self._identity
+        return inv
+
     def _extend_level(self, i: int, new_gen: np.ndarray) -> None:
         """Close level i's orbit after new_gen joined its generator list.
 
@@ -170,17 +197,15 @@ class StabilizerChain:
             src = lvl.posidx[batch_points]
             images = gen[batch_points]
             fresh = lvl.posidx[images] < 0
+            ginv = self._inverse(gen)
             for j, b in zip(src[fresh].tolist(), images[fresh].tolist()):
                 if lvl.posidx[b] >= 0:
                     continue
-                ub = gen[lvl.u[j]]
                 lvl.posidx[b] = len(lvl.orbit)
                 self._member[i, b] = True
                 lvl.orbit.append(b)
-                lvl.u.append(ub)
-                inv = np.empty_like(ub)
-                inv[ub] = self._identity
-                lvl.uinv.append(inv)
+                # u_b = u_a then gen, so u_b^-1 = gen^-1 then u_a^-1
+                lvl.uinv.append(lvl.uinv[j][ginv])
 
         old_len = len(lvl.orbit)
         absorb(np.fromiter(lvl.orbit, dtype=np.int64, count=old_len), new_gen)

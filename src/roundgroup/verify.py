@@ -182,13 +182,13 @@ def block_scan(spec: CipherSpec,
     behaviour).  That set equation is the scan filter.  It is tried
     first on a few members of every subgroup in one pass
     (`probe_refuted`), which refutes most subgroups without
-    materializing them.  A survivor's members are mapped SURVIVOR_CHUNK
-    at a time until one image leaves the coset (sigma is a bijection,
-    so sigma(H) inside H + (0, S(0)) is the set equation); those that
-    pass get the partition-invariance certification against sigma
-    (built here unless given); the translations send x + H to
-    x + k + H.  No certified candidate plus transitivity therefore
-    proves primitivity.
+    materializing them.  A survivor's members are listed and mapped
+    SURVIVOR_CHUNK at a time until one image leaves the coset (sigma
+    is a bijection, so sigma(H) inside H + (0, S(0)) is the set
+    equation); those that pass get the partition-invariance
+    certification against sigma (built here unless given); the
+    translations send x + H to x + k + H.  No certified candidate plus
+    transitivity therefore proves primitivity.
     """
     n = spec.n
     degree = perms.check_degree(n)
@@ -202,11 +202,10 @@ def block_scan(spec: CipherSpec,
     candidates = []
     for row in table[~refuted]:
         triple = GoursatTriple(n, *row.tolist())
-        left, right = goursat.member_pairs(triple)
-        parts = (slice(k, k + SURVIVOR_CHUNK)
-                 for k in range(0, left.size, SURVIVOR_CHUNK))
-        if not all(in_coset(row[None], sigma[left[p] | (right[p] << n)],
-                            n, shift).all() for p in parts):
+        chunks = (goursat.member_pairs(triple, k, k + SURVIVOR_CHUNK)
+                  for k in range(0, triple.size, SURVIVOR_CHUNK))
+        if not all(in_coset(row[None], sigma[left | (right << n)],
+                            n, shift).all() for left, right in chunks):
             continue
         labels = goursat.coset_labels(triple)
         certified = partition_invariant(labels, sigma, triple)
@@ -369,10 +368,10 @@ def full_verdict(spec: CipherSpec, seed: int,
                  budget: int = 10_000) -> Verdict:
     """Run the whole pipeline on one spec with one RNG seed."""
     validation = validate_spec(spec)
-    gens = perms.standard_generators(spec)
+    sigma = perms.sigma_perm(spec)
     parity = parity_check(spec)
     transitivity = transitivity_check(spec)
-    scan = block_scan(spec, gens[2])
+    scan = block_scan(spec, sigma)
     diag = diagonal_check(spec)
     affine = affine_check(spec.n)
     wreath = wreath_check(spec)
@@ -382,6 +381,9 @@ def full_verdict(spec: CipherSpec, seed: int,
     witness = None
     searched = validation.bijective and parity.passed and primitive
     if searched:
+        # the translations are built only for the search; the scan
+        # reads sigma alone
+        gens = perms.standard_generators(spec, sigma)
         rng = np.random.default_rng(seed)
         witness = giant_witness(gens, rng, budget=budget)
 

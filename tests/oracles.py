@@ -10,8 +10,9 @@ way:
   for sampled evidence of normal subgroups;
 * the dense kernels behind `types` by sorting: the mixing-map image
   of <2**q> by np.unique, the type by one np.unique per brick, and the
-  gamma table by a gather per brick over every word, against the
-  presence mask, the bincount and the outer OR;
+  S table by a gather per brick over every word and a full-width
+  rotation, against the presence mask, the bincount and the outer OR
+  of the rotated brick tables;
 * the box-type translation lemmas and the bricklayer check, the steps
   of the type calculus before the mixing map, and the mixing map's
   coset equality by sorting the shifted coset, against the
@@ -39,7 +40,7 @@ from roundgroup import goursat, perms, words
 from roundgroup.boxtypes import (BLACK, RULED, WHITE, TypeVector,
                                  subgroup_members_array, subgroup_type,
                                  type_of)
-from roundgroup.cipher import CipherSpec, apply_s, gamma_table, s_table
+from roundgroup.cipher import CipherSpec, apply_s, s_table
 from roundgroup.goursat import GoursatTriple, enumerate_subgroups, member_pairs
 from roundgroup.groups import (BSGS_DEGREE_CAP, MIX_LENGTH, GiantWitness,
                                StabilizerChain, _is_prime, random_products,
@@ -279,7 +280,7 @@ def bricklayer_check(spec: CipherSpec, q: int) -> BricklayerCheck:
     gamma(D) = gamma(0) + D (modular coset of the image of zero)."""
     n, m, delta = spec.n, spec.m, spec.delta
     mask = (1 << n) - 1
-    table = gamma_table(spec)
+    table = gamma_table_reference(spec)
     members = subgroup_members_array(q, n)
     image = np.unique(table[members])
     type_ok = type_of(image, m, delta) == subgroup_type(q, m, delta)

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from roundgroup import boxtypes, cipher, cli
+from roundgroup import boxtypes, cipher, cli, words
 from roundgroup.boxtypes import TypeVector
 
 import oracles
@@ -244,16 +244,17 @@ def kernel_grid():
 
 
 def test_types_kernels_match_sorting_oracles_on_the_grid():
-    # the presence-mask image, the bincount type and the outer-OR gamma
-    # table against np.unique and the per-brick gather, for every q
+    # the S table as an outer OR of rotated bricks against the
+    # per-brick gather rotated at full width, then the presence-mask
+    # image and the bincount type against np.unique, for every q
     specs = list(kernel_grid())
     assert len(specs) >= 500
     for spec in specs:
-        gamma = cipher.gamma_table(spec)
-        expected = oracles.gamma_table_reference(spec)
-        assert gamma.dtype == expected.dtype == np.int64
-        assert np.array_equal(gamma, expected)
         table = cipher.s_table(spec)
+        expected = words.rotate_left(oracles.gamma_table_reference(spec),
+                                     spec.r, spec.n)
+        assert table.dtype == expected.dtype == np.int64
+        assert np.array_equal(table, expected)
         for q in range(spec.n + 1):
             image = boxtypes.s_image(table, q)
             reference = oracles.s_image_reference(table, q)

@@ -250,7 +250,7 @@ def test_order_small_degree(capsys):
     assert "certificate: alternating-order-match" in out
 
 
-CHAIN_COUNTERS = ["levels", "strong_generators", "schreier_sifted",
+CHAIN_COUNTERS = ["levels", "rows", "strong_generators", "schreier_sifted",
                   "absorbed"]
 
 
@@ -273,6 +273,8 @@ def test_order_chain_counters_on_stderr_only(fmt, capsys):
     base_length = (json.loads(out)["order"]["base_length"] if fmt == "json"
                    else int(out.split("base length: ")[1].split()[0]))
     assert int(counters["levels"]) == base_length
+    # one inverse row per orbit point of each level, at least two each
+    assert int(counters["rows"]) >= 2 * base_length
     # the deterministic route sifts Schreier generators and absorbs some
     assert int(counters["schreier_sifted"]) > int(counters["absorbed"]) > 0
 

@@ -45,6 +45,11 @@ def test_sizes_and_flags():
     for tri in goursat.enumerate_subgroups(3):
         left, right = goursat.member_pairs(tri)
         assert len(left) == tri.size
+        # a range at a time lists the same members in the same order
+        parts = [goursat.member_pairs(tri, k, k + 3)
+                 for k in range(0, tri.size, 3)]
+        assert np.array_equal(np.concatenate([p[0] for p in parts]), left)
+        assert np.array_equal(np.concatenate([p[1] for p in parts]), right)
 
 
 def test_members_form_a_subgroup():

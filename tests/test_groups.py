@@ -3,6 +3,7 @@ independent oracles (closure enumeration, cycle arithmetic, sympy)."""
 
 import json
 import math
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -379,9 +380,14 @@ def check_chain_invariants(chain):
         for g in lvl.gens:
             assert inside[g[orbit]].all(), (k, "orbit not closed")
             assert (g[chain.base[:k]] == chain.base[:k]).all(), k
-        assert len(lvl.u) == len(lvl.uinv) == len(orbit)
-        for point, u, uinv in zip(lvl.orbit, lvl.u, lvl.uinv):
-            assert u[lvl.point] == point
+        # one inverse row per orbit point, each a permutation sending
+        # its point to the base point; forward rows only where derived
+        assert len(lvl.uinv) == len(orbit)
+        assert 1 <= len(lvl.u) <= len(orbit)
+        for point, uinv in zip(lvl.orbit, lvl.uinv):
+            assert np.array_equal(np.sort(uinv), ident)
+            assert uinv[point] == lvl.point
+        for u, uinv in zip(lvl.u, lvl.uinv):
             assert np.array_equal(uinv[u], ident)
         expected = np.full(degree, -1, dtype=np.int64)
         expected[orbit] = np.arange(len(orbit))
@@ -449,6 +455,69 @@ def test_sift_kernels_match_plain_kernels(case, monkeypatch,
     assert isinstance(plain, PlainKernels)
     check_chain_invariants(plain)
     assert chain_snapshot(chain) == chain_snapshot(plain)
+
+
+class ForwardRows(groups.StabilizerChain):
+    """The chain with a forward row stored for every orbit point, kept
+    as an oracle: a point b = gen(a) joins one point at a time with
+    u_b = gen[u_a], and u_b^-1 comes from scattering the identity."""
+
+    def _extend_level(self, i, new_gen):
+        lvl = self.levels[i]
+
+        def absorb(batch, gen):
+            for a in batch:
+                b = int(gen[a])
+                if lvl.posidx[b] >= 0:
+                    continue
+                ub = gen[lvl.u[lvl.posidx[a]]]
+                lvl.posidx[b] = len(lvl.orbit)
+                self._member[i, b] = True
+                lvl.orbit.append(b)
+                lvl.u.append(ub)
+                inv = np.empty_like(ub)
+                inv[ub] = self._identity
+                lvl.uinv.append(inv)
+
+        head = len(lvl.orbit)
+        absorb(lvl.orbit[:head], new_gen)
+        while head < len(lvl.orbit):
+            batch = lvl.orbit[head:]
+            head = len(lvl.orbit)
+            for g in lvl.gens:
+                absorb(batch, g)
+
+
+def test_derived_forward_rows_match_stored_products(monkeypatch):
+    # the deterministic route derives every level's forward rows from
+    # its inverse rows; they must be the products the old chain stored
+    gens = spec_generators("identity_r0_n4")
+    chain = groups.schreier_sims(gens, np.random.default_rng(0))
+    assert chain.certificate == "schreier-verified"
+    monkeypatch.setattr(groups, "StabilizerChain", ForwardRows)
+    stored = groups.schreier_sims(gens, np.random.default_rng(0))
+    assert isinstance(stored, ForwardRows)
+    check_chain_invariants(stored)
+    assert chain_snapshot(chain) == chain_snapshot(stored)
+    for lvl, ref in zip(chain.levels, stored.levels):
+        assert np.array_equal(lvl.uinvstack(), np.stack(ref.uinv))
+        assert np.array_equal(lvl.ustack(), np.stack(ref.u))
+
+
+def test_order_match_chain_holds_inverse_rows_only():
+    # sifting reads only inverse rows, so a chain certified by its order
+    # derives no forward row; its build peaks at 74.5 MB under
+    # tracemalloc, and at 144.4 MB with a forward row per orbit point
+    gens = spec_generators("conforming_n4")
+    tracemalloc.start()
+    try:
+        chain = groups.schreier_sims(gens, np.random.default_rng(7))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert chain.certificate == "alternating-order-match"
+    assert [len(lvl.u) for lvl in chain.levels] == [1] * len(chain.levels)
+    assert peak < 110e6
 
 
 def test_deterministic_route_vs_sympy_at_degree_64():
