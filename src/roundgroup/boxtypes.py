@@ -33,7 +33,6 @@ the engine behind the imprimitivity scan coming up empty.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -44,18 +43,9 @@ RULED = "R"
 BLACK = "B"
 
 
-@dataclass(frozen=True)
-class TypeVector:
-    """Per-brick classes of a typed set, brick 1 (low bits) first."""
-
-    boxes: tuple[str, ...]
-
-    def __str__(self) -> str:
-        return "".join(self.boxes)
-
-
-def type_of(values, m: int, delta: int) -> TypeVector | None:
-    """TypeVector of the set, or None when it has no type.
+def type_of(values, m: int, delta: int) -> str | None:
+    """Type of the set, one class letter per brick, brick 1 (low bits)
+    first; None when it has no type.
 
     values: any iterable of non-negative words, in any order, with
     duplicates allowed; the empty set raises.  A strictly increasing
@@ -74,19 +64,17 @@ def type_of(values, m: int, delta: int) -> TypeVector | None:
              for j in range(delta)]
     if math.prod(sizes) != arr.size:
         return None
-    codes = tuple(WHITE if s == 1 else BLACK if s == full else RULED
-                  for s in sizes)
-    return TypeVector(codes)
+    return "".join(WHITE if s == 1 else BLACK if s == full else RULED
+                   for s in sizes)
 
 
-def subgroup_type(q: int, m: int, delta: int) -> TypeVector:
+def subgroup_type(q: int, m: int, delta: int) -> str:
     """Type of <2**q> from the structure alone: whites below, blacks
     above, one ruled brick when q cuts a brick."""
     if not 0 <= q <= delta * m:
         raise ValueError(f"q = {q} out of range")
-    return TypeVector(tuple(WHITE if (j + 1) * m <= q else
-                            BLACK if j * m >= q else RULED
-                            for j in range(delta)))
+    return "".join(WHITE if (j + 1) * m <= q else
+                   BLACK if j * m >= q else RULED for j in range(delta))
 
 
 def subgroup_members_array(q: int, n: int) -> np.ndarray:

@@ -292,9 +292,9 @@ def types_report(args, spec: CipherSpec) -> Report:
     for q in range(1, n):
         dtype = boxtypes.subgroup_type(q, m, delta)
         image_type = boxtypes.type_of(boxtypes.s_image(table, q), m, delta)
-        image = str(image_type) if image_type is not None else "none"
+        image = image_type if image_type is not None else "none"
         verdict = "same" if image_type == dtype else "changed"
-        rows.append({"q": q, "subgroup": str(dtype), "image": image,
+        rows.append({"q": q, "subgroup": dtype, "image": image,
                      "verdict": verdict})
         lines.append(f"q={q}: D={dtype} DS={image} [{verdict}]")
     tv = [row["q"] for row in rows if row["verdict"] == "same"]
@@ -361,7 +361,7 @@ def order_report(args, spec: CipherSpec) -> Report:
     strong = len({id(g) for lvl in chain.levels for g in lvl.gens})
     return lines, {"order": record}, 0, (
         f"chain {elapsed:.2f}s levels={len(chain.levels)} "
-        f"rows={sum(len(lvl.uinv) for lvl in chain.levels)} "
+        f"rows={chain.rows} "
         f"strong_generators={strong} "
         f"schreier_sifted={chain.schreier_sifted} "
         f"absorbed={chain.absorbed}")

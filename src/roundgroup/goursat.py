@@ -9,11 +9,16 @@ by an odd constant z, distinct exactly for z in 1, 3, ..., 2**k - 1.
 A triple is recorded as (s, sB, t, tD, z): A = <2**s>, B = <2**sB>,
 C = <2**t>, D = <2**tD>, with sB - s = tD - t = k.
 
-The materialized subgroup is
-    { (a, phi(a) + d mod 2**n) : a in A, d in D }   when s <= t,
-with phi(x) = z * 2**(t-s) * x mod 2**n, and the mirror-image formula
-with the roles of the factors swapped when t < s.  Its size is
-|A| * |D| either way.
+Every formula below is written once, in oriented coordinates: (u, v)
+= (x1, x2) for a state x1 | x2 << n, swapped to (x2, x1) when t < s.
+There the subgroup is
+
+    { (i * 2**e, i * z * 2**f + j * 2**g mod 2**n) }
+
+with (e, f, g) = (s, t, tD), or (t, s, sB) when swapped: the graph of
+u -> z * 2**(f-e) * u over <2**e>, plus the slice <2**g> in the other
+factor.  Its size is 2**(n-e) * 2**(n-g) = 2**(2n - s - tD) either
+way.  `_oriented` is the one place that makes this choice.
 
 The enumeration is cross-checked in the tests against a brute-force
 closure walk over the whole lattice for n <= 3 (counts 5, 15, 37).
@@ -80,55 +85,88 @@ def enumerate_subgroups(n: int) -> list[GoursatTriple]:
     return [GoursatTriple(n, *row) for row in subgroup_table(n).tolist()]
 
 
+def proper_subgroup_table(n: int) -> np.ndarray:
+    """The subgroup_table(n) rows other than the trivial subgroup and
+    the whole group: 0 < s + tD < 2n, as |H| = 2**(2n - s - tD)."""
+    table = subgroup_table(n)
+    index_log2 = table[:, 0] + table[:, 3]
+    return table[(index_log2 > 0) & (index_log2 < 2 * n)]
+
+
+def _oriented(table: np.ndarray):
+    """(swap, e, f, g, z) for a subgroup_table row (as scalars) or a
+    table (as columns of shape (rows, 1)): swap says t < s, and (e, f,
+    g) = (s, t, tD), or (t, s, sB) when swapped; sB - s = tD - t makes
+    that (min(s, t), max(s, t), max(sB, tD))."""
+    s, sb, t, td, z = table.T[..., None] if table.ndim == 2 else table
+    return t < s, np.minimum(s, t), np.maximum(s, t), np.maximum(sb, td), z
+
+
+def _swapped(swap, x, y):
+    """(x, y), exchanged where swap: state halves to oriented
+    coordinates and back."""
+    return np.where(swap, y, x), np.where(swap, x, y)
+
+
+def _label(u, v, e, f, g, z, n):
+    """The coset label of oriented (u, v): u mod 2**e, and v less
+    z * 2**(f - e) * u mod 2**g; zero exactly on the subgroup."""
+    return (u & ((1 << e) - 1)) | (((v - u * (z << (f - e)))
+                                    & ((1 << g) - 1)) << n)
+
+
+def members(table: np.ndarray, i, j, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """(left, right) halves of the members i*g1 + j*g2, g1 and g2 as in
+    generators(), per row of a table (shape (rows, len(i))) or of one
+    row (shape of i)."""
+    swap, e, f, g, z = _oriented(table)
+    mask = (1 << n) - 1
+    return _swapped(swap, (i << e) & mask, ((i * z << f) + (j << g)) & mask)
+
+
+def contains(table: np.ndarray, states: np.ndarray, n: int,
+             shift: int) -> np.ndarray:
+    """Per row H of a table (states broadcast to (rows, k)), or for one
+    row: is the state x1 | x2 << n in H + (0, shift)?"""
+    mask = (1 << n) - 1
+    swap, e, f, g, z = _oriented(table)
+    u, v = _swapped(swap, states & mask, ((states >> n) - shift) & mask)
+    return _label(u, v, e, f, g, z, n) == 0
+
+
 def member_pairs(triple: GoursatTriple, start: int = 0,
                  stop: int | None = None) -> tuple[np.ndarray, np.ndarray]:
     """(left, right) component arrays of members start..stop-1 (all by
-    default), as int64.  Member k is (a, phi(a) + d) for the
-    (k // |D|)-th a in A and the (k % |D|)-th d in D when s <= t, and
-    the mirror image with C and B when t < s."""
-    n = triple.n
-    mask = (1 << n) - 1
-    s, sb, t, td, z = triple.to_tuple()
+    default), as int64.  Member k is i*g1 + j*g2 for i = k // 2**(n-g)
+    and j = k % 2**(n-g), g as in the module docstring."""
+    row = np.array(triple.to_tuple())
+    _, _, _, g, _ = _oriented(row)
+    inner = triple.n - g
     stop = triple.size if stop is None else min(stop, triple.size)
     k = np.arange(start, stop, dtype=np.int64)
-    if s <= t:
-        inner = n - td  # |D| = 2**inner
-        a = (k >> inner) << s
-        d = (k & ((1 << inner) - 1)) << td
-        return a, (a * (z << (t - s)) + d) & mask
-    inner = n - sb  # |B| = 2**inner
-    c = (k >> inner) << t
-    b = (k & ((1 << inner) - 1)) << sb
-    return (c * (z << (s - t)) + b) & mask, c
+    return members(row, k >> inner, k & ((1 << inner) - 1), triple.n)
 
 
 def generators(triple: GoursatTriple) -> tuple[tuple[int, int], ...]:
-    """Two members that generate the subgroup: (2**s, phi(2**s)) and
-    (0, 2**tD) when s <= t, the mirror-image pair when t < s."""
-    mask = (1 << triple.n) - 1
-    s, sb, t, td, z = triple.to_tuple()
-    if s <= t:
-        return ((1 << s) & mask, (z << t) & mask), (0, (1 << td) & mask)
-    return ((z << s) & mask, (1 << t) & mask), ((1 << sb) & mask, 0)
+    """Two members that generate the subgroup, as (left, right) pairs:
+    g1 = (2**e, z * 2**f) and g2 = (0, 2**g) in oriented coordinates."""
+    left, right = members(np.array(triple.to_tuple()), np.array([1, 0]),
+                          np.array([0, 1]), triple.n)
+    return tuple(zip(left.tolist(), right.tolist()))
 
 
 def coset_labels(triple: GoursatTriple) -> np.ndarray:
     """A label per state, constant exactly on the cosets of the subgroup.
 
-    Two states differ by a member iff their left parts agree modulo
-    2**s and, after subtracting phi of the left part, their right
-    parts agree modulo 2**tD (phi is additive, so the correction
-    cancels in differences).  Mirror-image formula when t < s.  This
-    is the O(degree) quotient map that block certification rides on.
+    Two states differ by a member iff their oriented u parts agree
+    modulo 2**e and, after subtracting z * 2**(f - e) * u, their v
+    parts agree modulo 2**g (the correction is additive, so it cancels
+    in differences).  Computed on the oriented grid, transposed when
+    swapped.  This is the O(degree) quotient map that block
+    certification rides on.
     """
     n = triple.n
-    s, sb, t, td, z = triple.to_tuple()
-    x1 = np.arange(1 << n, dtype=np.int64)  # columns of the fibre grid
-    x2 = x1[:, None]  # rows
-    if s <= t:
-        lab1 = x1 & ((1 << s) - 1)
-        lab2 = (x2 - x1 * (z << (t - s))) & ((1 << td) - 1)
-    else:
-        lab1 = x2 & ((1 << t) - 1)
-        lab2 = (x1 - x2 * (z << (s - t))) & ((1 << sb) - 1)
-    return (lab1 | (lab2 << n)).ravel()
+    swap, e, f, g, z = _oriented(np.array(triple.to_tuple()))
+    u = np.arange(1 << n, dtype=np.int64)  # columns of the oriented grid
+    grid = _label(u, u[:, None], e, f, g, z, n)  # rows v
+    return (grid.T if swap else grid).ravel()

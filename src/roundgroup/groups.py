@@ -140,6 +140,8 @@ class StabilizerChain:
         # inverse of each strong generator by id: a residue is one array
         # shared by every level it joined, and so is its inverse
         self._inverses: dict[int, np.ndarray] = {}
+        # inverse transversal rows held, summed over the levels
+        self.rows = 0
         # completion counters: Schreier generators sifted, residues
         # absorbed from them
         self.schreier_sifted = 0
@@ -154,8 +156,11 @@ class StabilizerChain:
             out *= len(lvl.orbit)
         return out
 
-    def _transversal_entries(self) -> int:
-        return sum(len(lvl.orbit) for lvl in self.levels) * self.degree
+    def _add_rows(self, count: int) -> None:
+        self.rows += count
+        if self.rows * self.degree > TRANSVERSAL_ENTRY_CAP:
+            raise ValueError("transversal storage cap exceeded; the group "
+                             "is too large for an exact chain at this degree")
 
     # -- sifting
 
@@ -198,6 +203,7 @@ class StabilizerChain:
             images = gen[batch_points]
             fresh = lvl.posidx[images] < 0
             ginv = self._inverse(gen)
+            before = len(lvl.orbit)
             for j, b in zip(src[fresh].tolist(), images[fresh].tolist()):
                 if lvl.posidx[b] >= 0:
                     continue
@@ -206,6 +212,7 @@ class StabilizerChain:
                 lvl.orbit.append(b)
                 # u_b = u_a then gen, so u_b^-1 = gen^-1 then u_a^-1
                 lvl.uinv.append(lvl.uinv[j][ginv])
+            self._add_rows(len(lvl.orbit) - before)
 
         old_len = len(lvl.orbit)
         absorb(np.fromiter(lvl.orbit, dtype=np.int64, count=old_len), new_gen)
@@ -224,9 +231,7 @@ class StabilizerChain:
             self.base.append(moved)
             self.levels.append(_Level(moved, self.degree))
             self._member = np.vstack([self._member, self._identity == moved])
-        if self._transversal_entries() > TRANSVERSAL_ENTRY_CAP:
-            raise ValueError("transversal storage cap exceeded; the group "
-                             "is too large for an exact chain at this degree")
+            self._add_rows(1)
         # the residue fixes base[0..stall-1], so it may join any level's
         # generating set up to and including the stall level.  Fed
         # elements use floor 0; residues discovered while verifying
@@ -352,15 +357,6 @@ class StabilizerChain:
         self.certificate = "schreier-verified"
 
 
-def random_products(pool: list[np.ndarray], rng: np.random.Generator,
-                    length: int) -> np.ndarray:
-    idx = rng.integers(0, len(pool), length)
-    out = pool[idx[0]]
-    for i in idx[1:]:
-        out = pool[i][out]
-    return out
-
-
 def schreier_sims(gens: list[np.ndarray],
                   rng: np.random.Generator | None = None) -> StabilizerChain:
     """Exact-order stabilizer chain for <gens>; see module docstring.
@@ -382,7 +378,8 @@ def schreier_sims(gens: list[np.ndarray],
     pool += [perms.inverse(g) for g in pool]
     clean = 0
     while clean < CLEAN_STREAK:
-        if chain.feed(random_products(pool, rng, MIX_LENGTH)):
+        mix = rng.integers(0, len(pool), MIX_LENGTH)
+        if chain.feed(perms.compose_all([pool[i] for i in mix])):
             clean = 0
         else:
             clean += 1
@@ -452,9 +449,8 @@ def evaluate_witness_word(gens: list[np.ndarray],
     return perms.compose_all([pool[i] for i in word])
 
 
-def giant_witness(gens: list[np.ndarray], rng: np.random.Generator,
-                  word_len: int = WITNESS_WORD_LEN,
-                  budget: int = 10_000) -> GiantWitness | None:
+def giant_witness(gens: list[np.ndarray], rng: np.random.Generator, *,
+                  budget: int) -> GiantWitness | None:
     """Search random generator words for a large-prime-cycle element.
 
     A hit is an element whose longest cycle has prime length p,
@@ -467,7 +463,8 @@ def giant_witness(gens: list[np.ndarray], rng: np.random.Generator,
     degree = len(gens[0])
     pool = list(gens) + [perms.inverse(g) for g in gens]
     for trial in range(1, budget + 1):
-        word = tuple(int(i) for i in rng.integers(0, len(pool), word_len))
+        word = tuple(int(i) for i in
+                     rng.integers(0, len(pool), WITNESS_WORD_LEN))
         w = perms.compose_all([pool[i] for i in word])
         lengths = perms.cycle_lengths(w)
         p = int(lengths[-1])

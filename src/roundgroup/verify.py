@@ -139,37 +139,15 @@ PROBES = ((1, 0), (0, 1), (1, 1), (3, 5), (5, 3), (7, 11), (11, 7), (13, 1))
 SURVIVOR_CHUNK = 1 << 16
 
 
-def in_coset(table: np.ndarray, states: np.ndarray, n: int,
-             shift: int) -> np.ndarray:
-    """Per row H of a goursat.subgroup_table, against states broadcast
-    to (rows, k): is the state x1 | x2 << n in H + (0, shift)?  With
-    (u, v) = (x1, x2 - shift) and (e, f, g) = (s, t, tD) if s <= t,
-    else (x2 - shift, x1) and (t, s, sB), (u, v) is in H iff 2**e | u
-    and v = z * 2**(f - e) * u mod 2**g."""
-    mask = (1 << n) - 1
-    s, sb, t, td, z = (col[:, None] for col in table.T)
-    lo = s <= t
-    e, f, g = np.where(lo, s, t), np.where(lo, t, s), np.where(lo, td, sb)
-    left, right = states & mask, ((states >> n) - shift) & mask
-    u, v = np.where(lo, left, right), np.where(lo, right, left)
-    return (((u & ((1 << e) - 1)) == 0)
-            & (((v - u * (z << (f - e))) & ((1 << g) - 1)) == 0))
-
-
 def probe_refuted(table: np.ndarray, sigma: np.ndarray,
                   shift: int) -> np.ndarray:
     """Per row H of a goursat.subgroup_table: does the swap map send a
     probe member i*g1 + j*g2 of H (g1, g2 as in goursat.generators)
     outside H + (0, shift)?"""
     n = (len(sigma).bit_length() - 1) // 2
-    mask = (1 << n) - 1
-    s, sb, t, td, z = (col[:, None] for col in table.T)
-    lo = s <= t
-    i, j = np.array(PROBES).T
-    left = i * (np.where(lo, 1, z) << s) + j * np.where(lo, 0, 1 << sb)
-    right = i * (np.where(lo, z, 1) << t) + j * np.where(lo, 1 << td, 0)
-    image = sigma[(left & mask) | ((right & mask) << n)]
-    return ~in_coset(table, image, n, shift).all(axis=1)
+    left, right = goursat.members(table, *np.array(PROBES).T, n)
+    image = sigma[left | (right << n)]
+    return ~goursat.contains(table, image, n, shift).all(axis=1)
 
 
 def block_scan(spec: CipherSpec,
@@ -195,17 +173,15 @@ def block_scan(spec: CipherSpec,
     if sigma is None:
         sigma = perms.sigma_perm(spec)
     shift = apply_s(spec, 0)
-    table = goursat.subgroup_table(n)
-    index_log2 = table[:, 0] + table[:, 3]  # |H| = 2**(2n - s - tD)
-    table = table[(index_log2 > 0) & (index_log2 < 2 * n)]
+    table = goursat.proper_subgroup_table(n)
     refuted = probe_refuted(table, sigma, shift)
     candidates = []
     for row in table[~refuted]:
         triple = GoursatTriple(n, *row.tolist())
         chunks = (goursat.member_pairs(triple, k, k + SURVIVOR_CHUNK)
                   for k in range(0, triple.size, SURVIVOR_CHUNK))
-        if not all(in_coset(row[None], sigma[left | (right << n)],
-                            n, shift).all() for left, right in chunks):
+        if not all(goursat.contains(row, sigma[left | (right << n)],
+                                    n, shift).all() for left, right in chunks):
             continue
         labels = goursat.coset_labels(triple)
         certified = partition_invariant(labels, sigma, triple)

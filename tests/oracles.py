@@ -37,14 +37,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from roundgroup import goursat, perms, words
-from roundgroup.boxtypes import (BLACK, RULED, WHITE, TypeVector,
-                                 subgroup_members_array, subgroup_type,
-                                 type_of)
+from roundgroup.boxtypes import (BLACK, RULED, WHITE, subgroup_members_array,
+                                 subgroup_type, type_of)
 from roundgroup.cipher import CipherSpec, apply_s, s_table
 from roundgroup.goursat import GoursatTriple, enumerate_subgroups, member_pairs
 from roundgroup.groups import (BSGS_DEGREE_CAP, MIX_LENGTH, GiantWitness,
-                               StabilizerChain, _is_prime, random_products,
-                               schreier_sims)
+                               StabilizerChain, _is_prime, schreier_sims)
 from roundgroup.verify import (PROBES, BlockCandidate, BlockScanResult,
                                block_scan)
 
@@ -179,8 +177,10 @@ def conjugates_contained(subgroup_gens: list[np.ndarray],
                                      for g in ambient_gens]
     failures = 0
     for _ in range(samples):
-        w = random_products(sub_pool, rng, MIX_LENGTH)
-        g = random_products(amb_pool, rng, MIX_LENGTH)
+        w = perms.compose_all([sub_pool[i] for i in
+                               rng.integers(0, len(sub_pool), MIX_LENGTH)])
+        g = perms.compose_all([amb_pool[i] for i in
+                               rng.integers(0, len(amb_pool), MIX_LENGTH)])
         conj = perms.compose_all([perms.inverse(g), w, g])
         if not chain_contains(chain, conj):
             failures += 1
@@ -219,7 +219,7 @@ def s_image_reference(table: np.ndarray, q: int) -> np.ndarray:
     return np.unique(table[subgroup_members_array(q, n)])
 
 
-def type_of_reference(values, m: int, delta: int) -> TypeVector | None:
+def type_of_reference(values, m: int, delta: int) -> str | None:
     """The type of a set from np.unique of the set and of each brick's
     projection."""
     arr = np.unique(np.asarray(list(values) if not isinstance(
@@ -231,8 +231,8 @@ def type_of_reference(values, m: int, delta: int) -> TypeVector | None:
     if math.prod(sizes) != arr.size:
         return None
     full = 1 << m
-    return TypeVector(tuple(WHITE if s == 1 else BLACK if s == full
-                            else RULED for s in sizes))
+    return "".join(WHITE if s == 1 else BLACK if s == full else RULED
+                   for s in sizes)
 
 
 # ---------------------------------------------------------------------------

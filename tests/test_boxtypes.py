@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from roundgroup import boxtypes, cipher, cli, words
-from roundgroup.boxtypes import TypeVector
 
 import oracles
 
@@ -63,7 +62,7 @@ def test_subgroup_type_matches_materialized_exhaustive():
                 boxtypes.subgroup_members_array(q, n), m, delta)
             assert materialized == boxtypes.subgroup_type(q, m, delta)
             assert oracles.is_whole(q, m) == \
-                (boxtypes.subgroup_type(q, m, delta).boxes.count("R") == 0)
+                (boxtypes.subgroup_type(q, m, delta).count("R") == 0)
 
 
 def test_box_counting_sanity():

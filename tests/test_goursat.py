@@ -72,6 +72,36 @@ def test_contains_matches_materialized():
                 assert oracles.contains(tri, a, c) == ((a, c) in members)
 
 
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_vectorized_membership_matches_oracles_on_the_grid(n):
+    # every triple, swapped (t < s) ones included, every state, and
+    # shifts 0, 1 and 2**n - 1; a table and its single rows agree
+    mask = (1 << n) - 1
+    triples = goursat.enumerate_subgroups(n)
+    assert any(tri.t < tri.s for tri in triples)
+    table = goursat.subgroup_table(n)
+    states = np.arange(1 << (2 * n), dtype=np.int64)
+    for shift in sorted({0, 1, mask}):
+        inside = goursat.contains(table, states[None, :], n, shift)
+        for tri, row, got in zip(triples, table, inside):
+            want = [oracles.contains(tri, x & mask, ((x >> n) - shift) & mask)
+                    for x in states.tolist()]
+            assert got.tolist() == want, (tri, shift)
+            assert np.array_equal(goursat.contains(row, states, n, shift),
+                                  got)
+    # i * g1 + j * g2 over every i, j < 2**n is the whole subgroup:
+    # |H| distinct pairs, each in H by the scalar membership oracle
+    i, j = (c.ravel() for c in np.indices((1 << n, 1 << n)))
+    left, right = goursat.members(table, i, j, n)
+    for tri, row, lrow, rrow in zip(triples, table, left, right):
+        pairs = set(zip(lrow.tolist(), rrow.tolist()))
+        assert len(pairs) == tri.size, tri
+        assert all(oracles.contains(tri, a, c) for a, c in pairs), tri
+        assert pairs == oracles.member_set(tri), tri
+        one = goursat.members(row, i, j, n)
+        assert np.array_equal(one[0], lrow) and np.array_equal(one[1], rrow)
+
+
 def test_projections_and_slices():
     # left projection <2**s>, right projection <2**t>,
     # left slice through zero <2**sB>, right slice <2**tD>
