@@ -36,4 +36,4 @@ v = verify.full_verdict(healthy, seed=20260823)
 print(f"verdict: {v.conclusion}")
 if v.witness is not None:
     print(f"witness: trial {v.witness.trials_used} powered down to a "
-          f"bare {v.witness.prime}-cycle on {v.scan.degree} points")
+          f"bare {v.witness.prime}-cycle on {healthy.degree} points")

@@ -357,12 +357,10 @@ def order_report(args, spec: CipherSpec) -> Report:
               "base_length": len(chain.base),
               "is_alternating": order == half,
               "is_symmetric": order == 2 * half}
-    # each residue is one array shared by every level it joined
-    strong = len({id(g) for lvl in chain.levels for g in lvl.gens})
     return lines, {"order": record}, 0, (
         f"chain {elapsed:.2f}s levels={len(chain.levels)} "
         f"rows={chain.rows} "
-        f"strong_generators={strong} "
+        f"strong_generators={chain.strong_generators} "
         f"schreier_sifted={chain.schreier_sifted} "
         f"absorbed={chain.absorbed}")
 

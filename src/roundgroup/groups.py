@@ -35,8 +35,9 @@ correctness story is spelled out:
   the only rows sifting reads: a point b = gen(a) joins with
   uinv_b = uinv_a after gen^-1, one gather against the generator's
   inverse, which is computed once and shared by every level the
-  generator joined.  Forward rows are derived from the inverse rows
-  only when the deterministic completion asks for them
+  generator joined.  Each row is held once, as a view of the level's
+  stack after `_Level.uinvstack`.  Forward rows are derived from the
+  inverse rows only when the deterministic completion asks for them
   (`_Level.ustack`), so a chain certified by route (1) holds none.
 """
 
@@ -85,7 +86,7 @@ def orbit_mask(gens: list[np.ndarray], start: int) -> np.ndarray:
 
 class _Level:
     __slots__ = ("point", "gens", "orbit", "posidx", "u", "uinv",
-                 "_ustack", "_uinvstack")
+                 "_uinvstack")
 
     def __init__(self, point: int, degree: int):
         self.point = point
@@ -95,29 +96,25 @@ class _Level:
         self.posidx[point] = 0
         ident = np.arange(degree, dtype=np.int64)
         # uinv holds one inverse transversal row per orbit point; u
-        # holds only the forward rows ustack() has derived so far
-        self.u: list[np.ndarray] = [ident]
+        # stacks only the forward rows ustack() has derived so far
+        self.u = ident[None]
         self.uinv: list[np.ndarray] = [ident]
-        self._ustack: np.ndarray | None = None
         self._uinvstack: np.ndarray | None = None
 
-    # transversal rows as one 2-D array; rebuilt lazily since existing
-    # rows never change, only new ones are appended
     def ustack(self) -> np.ndarray:
-        """The forward rows, derived from the inverse rows added since
-        the last call with one 2-D scatter: u[uinv[x]] = x."""
+        """The forward rows, grown by inverting the inverse rows added
+        since the last call."""
         if len(self.u) < len(self.uinv):
-            inv = self.uinvstack()[len(self.u):]
-            fwd = np.empty_like(inv)
-            np.put_along_axis(fwd, inv, self.u[0], axis=1)
-            self.u.extend(fwd)
-        if self._ustack is None or len(self._ustack) != len(self.u):
-            self._ustack = np.stack(self.u)
-        return self._ustack
+            fresh = perms.inverse(self.uinvstack()[len(self.u):])
+            self.u = np.concatenate([self.u, fresh])
+        return self.u
 
     def uinvstack(self) -> np.ndarray:
+        """The inverse rows as one 2-D array, of which uinv then lists
+        views."""
         if self._uinvstack is None or len(self._uinvstack) != len(self.uinv):
             self._uinvstack = np.stack(self.uinv)
+            self.uinv = list(self._uinvstack)
         return self._uinvstack
 
 
@@ -140,8 +137,10 @@ class StabilizerChain:
         # inverse of each strong generator by id: a residue is one array
         # shared by every level it joined, and so is its inverse
         self._inverses: dict[int, np.ndarray] = {}
-        # inverse transversal rows held, summed over the levels
+        # inverse transversal rows held, summed over the levels, and
+        # residues joined as strong generators
         self.rows = 0
+        self.strong_generators = 0
         # completion counters: Schreier generators sifted, residues
         # absorbed from them
         self.schreier_sifted = 0
@@ -184,8 +183,7 @@ class StabilizerChain:
     def _inverse(self, gen: np.ndarray) -> np.ndarray:
         inv = self._inverses.get(id(gen))
         if inv is None:
-            inv = self._inverses[id(gen)] = np.empty_like(gen)
-            inv[gen] = self._identity
+            inv = self._inverses[id(gen)] = perms.inverse(gen)
         return inv
 
     def _extend_level(self, i: int, new_gen: np.ndarray) -> None:
@@ -232,6 +230,7 @@ class StabilizerChain:
             self.levels.append(_Level(moved, self.degree))
             self._member = np.vstack([self._member, self._identity == moved])
             self._add_rows(1)
+        self.strong_generators += 1
         # the residue fixes base[0..stall-1], so it may join any level's
         # generating set up to and including the stall level.  Fed
         # elements use floor 0; residues discovered while verifying

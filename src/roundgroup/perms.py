@@ -3,7 +3,8 @@
 A permutation of degree N is an int64 array `p` of length N holding a
 rearrangement of 0..N-1; p[x] is the image of x.  Composition is in
 application order: compose_all([p, q]) applies p first, matching the
-postfix convention of the cipher maps.
+postfix convention of the cipher maps.  inverse(p) also takes a 2-D
+stack of permutations and inverts every row in one scatter.
 
 States (x1, x2) are flattened to indices x1 + 2**n * x2, so the left
 word occupies the low bits.  All round maps materialize through the
@@ -51,7 +52,7 @@ def compose_all(ps) -> np.ndarray:
 
 def inverse(p: np.ndarray) -> np.ndarray:
     out = np.empty_like(p)
-    out[p] = np.arange(len(p), dtype=p.dtype)
+    np.put_along_axis(out, p, np.arange(p.shape[-1], dtype=p.dtype), axis=-1)
     return out
 
 

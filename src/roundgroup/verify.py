@@ -99,7 +99,6 @@ class BlockCandidate:
 
 @dataclass(frozen=True)
 class BlockScanResult:
-    degree: int
     subgroups_tested: int
     probe_refuted: int  # refuted by probe members before materializing
     shift: int  # the image of the zero state's right half
@@ -169,7 +168,7 @@ def block_scan(spec: CipherSpec,
     transitivity therefore proves primitivity.
     """
     n = spec.n
-    degree = perms.check_degree(n)
+    perms.check_degree(n)
     if sigma is None:
         sigma = perms.sigma_perm(spec)
     shift = apply_s(spec, 0)
@@ -186,7 +185,7 @@ def block_scan(spec: CipherSpec,
         labels = goursat.coset_labels(triple)
         certified = partition_invariant(labels, sigma, triple)
         candidates.append(BlockCandidate(triple, certified))
-    return BlockScanResult(degree, len(table), int(refuted.sum()), shift,
+    return BlockScanResult(len(table), int(refuted.sum()), shift,
                            tuple(candidates))
 
 
@@ -316,7 +315,6 @@ EXIT_CODES = {ALT_CERTIFIED: 0, THEOREM_APPLIES: 0,
 
 @dataclass(frozen=True)
 class Verdict:
-    seed: int
     budget: int
     word_len: int
     validation: SpecValidation
@@ -376,6 +374,6 @@ def full_verdict(spec: CipherSpec, seed: int,
     else:
         conclusion = INCONCLUSIVE
 
-    return Verdict(seed, budget, WITNESS_WORD_LEN, validation, parity,
+    return Verdict(budget, WITNESS_WORD_LEN, validation, parity,
                    transitivity, scan, diag, affine, wreath, psl, witness,
                    searched, conclusion)

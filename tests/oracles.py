@@ -353,8 +353,11 @@ def brute_force_subgroups(n: int) -> set[frozenset[tuple[int, int]]]:
 
 
 def member_set(triple: GoursatTriple) -> frozenset[tuple[int, int]]:
-    left, right = member_pairs(triple)
-    return frozenset(zip(left.tolist(), right.tolist()))
+    """The members (a, c), found by asking the scalar `contains` about
+    every pair, so no member listing of goursat is read."""
+    size = 1 << triple.n
+    return frozenset((a, c) for a in range(size) for c in range(size)
+                     if contains(triple, a, c))
 
 
 # ---------------------------------------------------------------------------
@@ -487,5 +490,4 @@ def block_scan_reference(spec: CipherSpec,
         labels = coset_labels(triple)
         certified = all(partition_invariant(labels, g) for g in gens)
         candidates.append(BlockCandidate(triple, certified))
-    return BlockScanResult(len(sigma), tested, refuted, shift,
-                           tuple(candidates))
+    return BlockScanResult(tested, refuted, shift, tuple(candidates))

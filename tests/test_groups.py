@@ -315,6 +315,7 @@ class PlainKernels(groups.StabilizerChain):
             # the shared _extend_level records orbit growth in this row
             self._member = np.vstack([self._member, self._identity == moved])
             self._add_rows(1)
+        self.strong_generators += 1
         for i in range(floor, stall + 1):
             self.levels[i].gens.append(residue)
             self._extend_level(i, residue)
@@ -374,6 +375,9 @@ def check_chain_invariants(chain):
     assert chain.base == [lvl.point for lvl in chain.levels]
     assert chain._member.shape == (len(chain.levels), degree)
     assert chain.rows == sum(len(lvl.orbit) for lvl in chain.levels)
+    # each residue is one array shared by every level it joined
+    assert chain.strong_generators == len(
+        {id(g) for lvl in chain.levels for g in lvl.gens})
     for k, lvl in enumerate(chain.levels):
         orbit = np.array(lvl.orbit, dtype=np.int64)
         assert len(set(lvl.orbit)) == len(orbit)
@@ -462,21 +466,29 @@ def test_sift_kernels_match_plain_kernels(case, monkeypatch,
 class ForwardRows(groups.StabilizerChain):
     """The chain with a forward row stored for every orbit point, kept
     as an oracle: a point b = gen(a) joins one point at a time with
-    u_b = gen[u_a], and u_b^-1 comes from scattering the identity."""
+    u_b = gen[u_a], and u_b^-1 comes from scattering the identity.
+    The stored forward rows are its own, one list per level."""
+
+    def __init__(self, degree):
+        super().__init__(degree)
+        self.forward = []
 
     def _extend_level(self, i, new_gen):
         lvl = self.levels[i]
+        if i == len(self.forward):
+            self.forward.append([self._identity])
+        forward = self.forward[i]
 
         def absorb(batch, gen):
             for a in batch:
                 b = int(gen[a])
                 if lvl.posidx[b] >= 0:
                     continue
-                ub = gen[lvl.u[lvl.posidx[a]]]
+                ub = gen[forward[lvl.posidx[a]]]
                 lvl.posidx[b] = len(lvl.orbit)
                 self._member[i, b] = True
                 lvl.orbit.append(b)
-                lvl.u.append(ub)
+                forward.append(ub)
                 inv = np.empty_like(ub)
                 inv[ub] = self._identity
                 lvl.uinv.append(inv)
@@ -502,9 +514,29 @@ def test_derived_forward_rows_match_stored_products(monkeypatch):
     assert isinstance(stored, ForwardRows)
     check_chain_invariants(stored)
     assert chain_snapshot(chain) == chain_snapshot(stored)
-    for lvl, ref in zip(chain.levels, stored.levels):
+    assert len(stored.forward) == len(chain.levels)
+    for lvl, ref, forward in zip(chain.levels, stored.levels,
+                                 stored.forward):
         assert np.array_equal(lvl.uinvstack(), np.stack(ref.uinv))
-        assert np.array_equal(lvl.ustack(), np.stack(ref.u))
+        assert np.array_equal(lvl.ustack(), np.stack(forward))
+
+
+def test_verified_chain_holds_each_row_once():
+    # after the completion, every inverse row is a view of the level's
+    # stacked rows and the forward rows are one 2-D array
+    gens = spec_generators("identity_r0_n4")
+    chain = groups.schreier_sims(gens, np.random.default_rng(0))
+    assert chain.certificate == "schreier-verified"
+    for lvl in chain.levels:
+        stack = lvl.uinvstack()
+        assert all(np.shares_memory(row, stack) for row in lvl.uinv)
+        assert isinstance(lvl.u, np.ndarray) and lvl.u.ndim == 2
+        assert lvl.ustack() is lvl.u
+        assert len(lvl.u) == len(lvl.uinv)
+    # one inverse call on a stack inverts each of its rows
+    rows = chain.levels[0].uinvstack()
+    assert np.array_equal(perms.inverse(rows),
+                          np.stack([perms.inverse(r) for r in rows]))
 
 
 def test_order_match_chain_holds_inverse_rows_only():

@@ -1,12 +1,17 @@
-"""No test-only API in src: every public module-level function, class
-and constant of src/roundgroup is referenced from outside tests/.
+"""No test-only API in src, and no helper left behind: every
+module-level function, class and constant of src/roundgroup, private
+ones included, and every method of its classes is referenced from
+outside tests/.
 
 References count from src (anywhere but the name's own definition),
 from demos/ and from perfbench/, where string constants count too
-because the tracer names the functions it wraps by string.  Names are
-matched without their module, so the check is one-sided: it can miss
-a test-only name that shares its name with a used one, never flag a
-used name.
+because the tracer names the functions it wraps by string.  A
+module-level name's own definition is its whole statement; a method's
+is the method alone, so a method that only a sibling calls counts as
+used.  Dunder names (`__init__`, `__version__`) are called or read by
+Python itself and are not checked.  Names are matched without their
+module or class, so the check is one-sided: it can miss an unused name
+that shares its name with a used one, never flag a used name.
 """
 
 import ast
@@ -16,22 +21,43 @@ ROOT = Path(__file__).resolve().parent.parent
 SRC = ROOT / "src" / "roundgroup"
 
 
-def public_definitions(tree):
-    """(name, statement) for each public name bound at module level by
-    a def, a class or an assignment."""
+def bound_names(stmt):
+    """Names a statement binds: a def, a class or an assignment."""
+    if isinstance(stmt, (ast.FunctionDef, ast.ClassDef)):
+        return [stmt.name]
+    if isinstance(stmt, ast.Assign):
+        return [t.id for t in stmt.targets if isinstance(t, ast.Name)]
+    if isinstance(stmt, ast.AnnAssign) and isinstance(stmt.target, ast.Name):
+        return [stmt.target.id]
+    return []
+
+
+def definitions(tree):
+    """(label, name, statement) for each non-dunder name bound at
+    module level, and for each method of a module-level class, whose
+    statement is its def."""
     for stmt in tree.body:
-        if isinstance(stmt, (ast.FunctionDef, ast.ClassDef)):
-            names = [stmt.name]
-        elif isinstance(stmt, ast.Assign):
-            names = [t.id for t in stmt.targets if isinstance(t, ast.Name)]
-        elif isinstance(stmt, ast.AnnAssign) and \
-                isinstance(stmt.target, ast.Name):
-            names = [stmt.target.id]
+        for name in bound_names(stmt):
+            if not name.startswith("__"):
+                yield name, name, stmt
+        if isinstance(stmt, ast.ClassDef):
+            for sub in stmt.body:
+                if isinstance(sub, ast.FunctionDef) and \
+                        not sub.name.startswith("__"):
+                    yield f"{stmt.name}.{sub.name}", sub.name, sub
+
+
+def parts(tree):
+    """(statement, part) pairs covering the module: each top-level
+    statement is one part, except that a class is split into its
+    methods and its other children."""
+    for stmt in tree.body:
+        if isinstance(stmt, ast.ClassDef):
+            for sub in (stmt.body + stmt.bases + stmt.keywords
+                        + stmt.decorator_list):
+                yield stmt, sub
         else:
-            continue
-        for name in names:
-            if not name.startswith("_"):
-                yield name, stmt
+            yield stmt, stmt
 
 
 def references(node, strings=False):
@@ -55,23 +81,49 @@ def parse(path):
     return ast.parse(path.read_text(), filename=str(path))
 
 
-def test_every_public_src_name_is_used_outside_tests():
+def unused_names():
+    """module.label for each src definition that nothing outside its
+    own definition references."""
     outside = set()
     for path in sorted((ROOT / "demos").glob("*.py")):
         outside |= references(parse(path))
     for path in sorted((ROOT / "perfbench").glob("*.py")):
         outside |= references(parse(path), strings=True)
     modules = {path.stem: parse(path) for path in sorted(SRC.glob("*.py"))}
-    # one reference set per top-level statement of src, so a name's
-    # own definition (recursion included) can be left out
-    statements = [(stmt, references(stmt)) for tree in modules.values()
-                  for stmt in tree.body]
+    # one reference set per part of src, so a name's own definition
+    # (recursion included) can be left out
+    refs_by_part = [(stmt, part, references(part))
+                    for tree in modules.values()
+                    for stmt, part in parts(tree)]
     unused = []
     for module, tree in modules.items():
-        for name, definition in public_definitions(tree):
+        for label, name, definition in definitions(tree):
             if name in outside or any(
-                    name in refs for stmt, refs in statements
-                    if stmt is not definition):
+                    name in refs for stmt, part, refs in refs_by_part
+                    if definition not in (stmt, part)):
                 continue
-            unused.append(f"{module}.{name}")
+            unused.append(f"{module}.{label}")
+    return unused
+
+
+def public(label):
+    """Is label (module.name, or module.Class.method for a method) a
+    public module-level name?"""
+    module, name = label.split(".", 1)
+    return not name.startswith("_") and "." not in name
+
+
+def test_every_public_src_name_is_used_outside_tests():
+    unused = [label for label in unused_names() if public(label)]
+    assert not unused, f"referenced only from tests/: {', '.join(unused)}"
+
+
+def test_every_private_src_name_and_method_is_used_outside_tests():
+    labels = [label for path in sorted(SRC.glob("*.py"))
+              for label, _, _ in definitions(parse(path))]
+    # the walk sees private helpers and methods, and no dunder
+    assert "_is_prime" in labels and "StabilizerChain._inverse" in labels
+    assert "_Level.ustack" in labels and "CipherSpec.digest" in labels
+    assert not any("__" in label for label in labels)
+    unused = [label for label in unused_names() if not public(label)]
     assert not unused, f"referenced only from tests/: {', '.join(unused)}"
