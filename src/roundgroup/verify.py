@@ -6,12 +6,13 @@ generated by all the keyed rounds is the full alternating group on
 states.  The pipeline certifies the individual facts on the concrete
 parameter set at hand:
 
-* parity: all three standard generators are even permutations, so the
-  generated group sits inside the alternating group.  A unit
-  translation is 2**n cycles of length 2**n; sigma = swap o phi_S has
-  the sign (-1)**(2**(n-1) * (2**n - 1 + z)), z the fibres x2 with
-  S(x2) != 0, as swap is 2**(n-1) * (2**n - 1) transpositions and
-  phi_S is 2**(n-1) on each such fibre.  Both are +1 because n >= 2;
+* parity: for every S table, lossy or not, all three standard
+  generators are even permutations, so the generated group sits inside
+  the alternating group.  A unit translation is 2**n cycles of length
+  2**n; sigma = swap o phi_S has the sign
+  (-1)**(2**(n-1) * (2**n - 1 + z)), z the fibres x2 with S(x2) != 0,
+  as swap is 2**(n-1) * (2**n - 1) transpositions and phi_S is
+  2**(n-1) on each such fibre.  Both are +1 because n >= 2;
 * transitivity: rho(1,0) and rho(0,1) generate the regular group
   Z/2**n x Z/2**n, so the state set is one orbit;
 * primitivity: any invariant partition would have to consist of the
@@ -29,11 +30,16 @@ parameter set at hand:
   factorization for the projective-line case;
 * giant certificate: independently of the eliminations, an element
   with a single large prime cycle (found by random word search)
-  combined with primitivity forces the alternating group outright.
+  combined with primitivity forces the alternating group outright
+  (Jordan).
 
-The verdict is deliberately one-sided: absence of a witness or a
-failed precondition downgrades to Inconclusive; only an explicitly
-certified invariant partition yields the Imprimitive verdict.
+The witness search is gated on parity and primitivity alone: sigma is
+a permutation for every S table, so a witness certifies the
+alternating group on lossy boxes too.  Bijectivity, through the
+theorem's scope, gates only TheoremApplies.  The verdict is
+deliberately one-sided: without a witness or the whole elimination
+chain it is Inconclusive; only an explicitly certified invariant
+partition yields Imprimitive.
 """
 
 from __future__ import annotations
@@ -53,37 +59,15 @@ from .groups import WITNESS_WORD_LEN, GiantWitness, giant_witness
 # individual checks
 
 
-@dataclass(frozen=True)
-class ParityCheck:
-    """Signs of rho(1,0), rho(0,1), sigma; +1 each is what the
-    alternating-group containment needs."""
-
-    signs: tuple[int, int, int]
-
-    @property
-    def passed(self) -> bool:
-        return self.signs == (1, 1, 1)
+def parity_check(spec: CipherSpec) -> bool:
+    """The parity lemma (module docstring): the generators are even
+    exactly when its hypothesis n >= 2 holds."""
+    return spec.n >= 2
 
 
-def parity_check(spec: CipherSpec) -> ParityCheck:
-    """The parity lemma (module docstring): every spec's generators are
-    even, since CipherSpec requires n >= 2."""
-    return ParityCheck((1, 1, 1))
-
-
-@dataclass(frozen=True)
-class TransitivityCheck:
-    orbit_size: int
-    degree: int
-
-    @property
-    def passed(self) -> bool:
-        return self.orbit_size == self.degree
-
-
-def transitivity_check(spec: CipherSpec) -> TransitivityCheck:
+def transitivity_check(spec: CipherSpec) -> bool:
     """The translations alone are transitive (module docstring)."""
-    return TransitivityCheck(spec.degree, spec.degree)
+    return True
 
 
 @dataclass(frozen=True)
@@ -113,11 +97,10 @@ class BlockScanResult:
         return not self.candidates
 
 
-def is_primitive(transitivity: TransitivityCheck,
-                 scan: BlockScanResult) -> bool:
+def is_primitive(transitive: bool, scan: BlockScanResult) -> bool:
     """Transitive with no certified block candidate: every invariant
     partition is one of the subgroup-coset partitions the scan tests."""
-    return transitivity.passed and not scan.certified
+    return transitive and not scan.certified
 
 
 def partition_invariant(labels: np.ndarray, perm: np.ndarray,
@@ -318,8 +301,8 @@ class Verdict:
     budget: int
     word_len: int
     validation: SpecValidation
-    parity: ParityCheck
-    transitivity: TransitivityCheck
+    parity: bool
+    transitivity: bool
     scan: BlockScanResult
     diagonal: DiagonalCheck
     affine: AffineCheck
@@ -353,7 +336,7 @@ def full_verdict(spec: CipherSpec, seed: int,
 
     primitive = is_primitive(transitivity, scan)
     witness = None
-    searched = validation.bijective and parity.passed and primitive
+    searched = parity and primitive
     if searched:
         # the translations are built only for the search; the scan
         # reads sigma alone
@@ -363,11 +346,9 @@ def full_verdict(spec: CipherSpec, seed: int,
 
     if scan.certified:
         conclusion = IMPRIMITIVE
-    elif not validation.bijective:
-        conclusion = INCONCLUSIVE
     elif witness is not None:  # found only past the gate above
         conclusion = ALT_CERTIFIED
-    elif (validation.theorem_scope and parity.passed and primitive
+    elif (validation.theorem_scope and parity and primitive
             and diag.passed and affine.excluded
             and wreath.excluded and psl.excluded):
         conclusion = THEOREM_APPLIES

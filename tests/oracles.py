@@ -20,7 +20,8 @@ way:
 * a brute-force closure walk over the subgroup lattice of
   Z/2**n x Z/2**n for n <= 3, against the Goursat enumeration;
 * the giant-witness search that scans every cycle length and rechecks
-  the power on a hit, against the search decided by the longest cycle;
+  the power on a hit, against the search decided by the longest cycle,
+  and the replay of a witness word a report names;
 * the block scan one subgroup at a time: scalar subgroup membership
   and the scalar probe test built on it, the coset labels from an
   arange over every state, and the generic partition check by class
@@ -42,7 +43,8 @@ from roundgroup.boxtypes import (BLACK, RULED, WHITE, subgroup_members_array,
 from roundgroup.cipher import CipherSpec, apply_s, s_table
 from roundgroup.goursat import GoursatTriple, enumerate_subgroups, member_pairs
 from roundgroup.groups import (BSGS_DEGREE_CAP, MIX_LENGTH, GiantWitness,
-                               StabilizerChain, _is_prime, schreier_sims)
+                               StabilizerChain, _is_prime,
+                               evaluate_witness_word, schreier_sims)
 from roundgroup.verify import (PROBES, BlockCandidate, BlockScanResult,
                                block_scan)
 
@@ -394,6 +396,25 @@ def giant_witness_reference(gens: list[np.ndarray], rng: np.random.Generator,
             continue  # never happens; belt over braces
         return GiantWitness(word, hit, trial, other)
     return None
+
+
+def witness_from_record(record: dict) -> GiantWitness:
+    """The witness a `verdict` JSON record names; each pool index of
+    the word is one hex digit."""
+    return GiantWitness(tuple(int(c, 16) for c in record["word_hex"]),
+                        record["prime"], record["trials_used"],
+                        int(record["other_lcm"]))
+
+
+def witness_replays(gens: list[np.ndarray],
+                    witness: GiantWitness) -> bool:
+    """Is the witness word's power by other_lcm a bare cycle of the
+    prime, with the prime in (degree/2, degree - 2)?"""
+    degree = len(gens[0])
+    element = evaluate_witness_word(gens, witness.word)
+    lengths = perms.cycle_lengths(perms.power(element, witness.other_lcm))
+    return bool(lengths[-1] == witness.prime and (lengths[:-1] == 1).all()
+                and degree // 2 < witness.prime < degree - 2)
 
 
 # ---------------------------------------------------------------------------

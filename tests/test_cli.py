@@ -492,14 +492,22 @@ def test_budget_zero_stays_legal(capsys):
     assert "conclusion: Inconclusive" in out
 
 
-def test_witness_skipped_on_lossy_boxes(tmp_path, capsys):
-    # the search-ran label is test_budget_zero_stays_legal
+def test_witness_found_on_lossy_boxes(tmp_path, capsys):
+    # the gate reads parity and primitivity, not bijectivity; the
+    # reported word is replayed on the built generators
+    spec = cipher.random_spec(2, 2, 2, np.random.default_rng(5),
+                              bijective=False)
     lossy = tmp_path / "lossy.json"
-    cipher.save_spec(cipher.random_spec(2, 2, 2, np.random.default_rng(5),
-                                        bijective=False), lossy)
+    cipher.save_spec(spec, lossy)
     rc, out, _ = run(["verdict", "--spec", str(lossy)], capsys)
-    assert rc == 3
-    assert "giant-witness: SKIPPED (gated by earlier checks)" in out
+    assert rc == 0
+    assert "giant-witness: FOUND" in out
+    assert "conclusion: AltCertified" in out
+    rc, out, _ = run(["verdict", "--spec", str(lossy), "--format", "json"],
+                     capsys)
+    witness = oracles.witness_from_record(
+        json.loads(out)["verdict"]["witness"])
+    assert oracles.witness_replays(perms.standard_generators(spec), witness)
 
 
 @pytest.mark.parametrize("command", ["validate", "scan-blocks", "types",

@@ -1,6 +1,9 @@
 """Verifier pipeline: scan soundness, case eliminations, verdicts."""
 
+import collections
 import itertools
+import json
+import math
 from pathlib import Path
 
 import numpy as np
@@ -25,15 +28,16 @@ def identity_spec(n, m, r=0):
 
 
 def test_parity_check():
-    spec = seeded_spec(4, 2, 2, seed=0)
-    chk = verify.parity_check(spec)
-    assert chk.signs == (1, 1, 1) and chk.passed
+    # the lemma's hypothesis n >= 2 holds whatever the boxes
+    for bijective in (True, False):
+        spec = seeded_spec(4, 2, 2, seed=0, bijective=bijective)
+        assert verify.parity_check(spec) is True
 
 
 def test_transitivity_check():
-    spec = seeded_spec(4, 2, 2, seed=0)
-    chk = verify.transitivity_check(spec)
-    assert chk.passed and chk.orbit_size == 256
+    for bijective in (True, False):
+        spec = seeded_spec(4, 2, 2, seed=0, bijective=bijective)
+        assert verify.transitivity_check(spec) is True
 
 
 def grid_specs():
@@ -70,19 +74,19 @@ def test_form_sign_and_translation_orbit_match_dense():
     assert len(specs) == 408 + 4
     for spec in specs:
         gens = perms.standard_generators(spec)
-        signs = verify.parity_check(spec).signs
-        assert signs == (1, 1, 1)
-        assert signs == tuple(dense_sign(g) for g in gens)
+        assert verify.parity_check(spec)
+        assert [dense_sign(g) for g in gens] == [1, 1, 1]
         key = gens[2].tobytes()
         if key not in orbits:
             orbits[key] = int(groups.orbit_mask(gens, 0).sum())
-        assert verify.transitivity_check(spec).orbit_size == orbits[key]
+        assert verify.transitivity_check(spec)
+        assert orbits[key] == spec.degree
 
 
 def test_verdict_takes_the_form_route(monkeypatch, tmp_path, capsys):
     spec = seeded_spec(6, 2, 3, seed=5)
     expected = verify.full_verdict(spec, seed=11)
-    assert expected.parity.passed and expected.transitivity.passed
+    assert expected.parity and expected.transitivity
     path = tmp_path / "spec.json"
     cipher.save_spec(spec, path)
     commands = [[cmd, "--spec", str(path)] for cmd in ("verdict",
@@ -174,12 +178,15 @@ def test_partition_invariant_detects_breakage():
 
 
 def set_equation_holds(triple, sigma, shift):
-    """sigma(H) == H + (0, shift), compared over every member of H."""
+    """sigma(H) == H + (0, shift), compared over every member of H;
+    H is the coset of zero under the oracle's labels, so no member
+    listing of goursat is read."""
     n = triple.n
     mask = (1 << n) - 1
-    left, right = goursat.member_pairs(triple)
-    image = np.sort(sigma[left | (right << n)])
-    shifted = np.sort(left | (((right + shift) & mask) << n))
+    members = np.flatnonzero(oracles.coset_labels(triple) == 0)
+    image = np.sort(sigma[members])
+    shifted = np.sort((members & mask)
+                      | ((((members >> n) + shift) & mask) << n))
     return bool(np.array_equal(image, shifted))
 
 
@@ -395,16 +402,10 @@ def test_full_verdict_alt_certified():
     v = verify.full_verdict(spec, seed=20260823)
     assert v.conclusion == verify.ALT_CERTIFIED
     assert v.exit_code == 0
-    assert v.parity.passed and v.transitivity.passed and v.primitive
+    assert v.parity and v.transitivity and v.primitive
     assert v.witness is not None
     assert 32768 < v.witness.prime < 65534
-    # independent replay of the witness word
-    from roundgroup import groups
-    gens = perms.standard_generators(spec)
-    element = groups.evaluate_witness_word(gens, v.witness.word)
-    powered = perms.power(element, v.witness.other_lcm)
-    lengths = perms.cycle_lengths(powered)
-    assert lengths[-1] == v.witness.prime and (lengths[:-1] == 1).all()
+    assert oracles.witness_replays(perms.standard_generators(spec), v.witness)
 
 
 def test_full_verdict_imprimitive_control():
@@ -415,13 +416,16 @@ def test_full_verdict_imprimitive_control():
     assert v.witness is None and not v.witness_searched
 
 
-def test_full_verdict_nonbijective_gate():
+def test_full_verdict_lossy_boxes_alt_certified():
+    # parity and primitivity gate the witness search; bijectivity does
+    # not, as sigma is a permutation for every S table
     spec = seeded_spec(8, 2, 3, seed=0, bijective=False)
     v = verify.full_verdict(spec, seed=2)
-    assert v.conclusion == verify.INCONCLUSIVE
-    assert v.exit_code == 3
-    assert not v.validation.bijective
-    assert v.witness is None and not v.witness_searched
+    assert not v.validation.bijective and v.primitive
+    assert v.witness_searched
+    assert v.conclusion == verify.ALT_CERTIFIED
+    assert v.exit_code == 0
+    assert oracles.witness_replays(perms.standard_generators(spec), v.witness)
 
 
 def test_full_verdict_theorem_applies_on_budget_zero():
@@ -455,3 +459,66 @@ def test_full_verdict_deterministic():
     v1 = verify.full_verdict(spec, seed=9)
     v2 = verify.full_verdict(spec, seed=9)
     assert v1 == v2
+
+
+def corpus_specs():
+    """Every parameter set with n <= 3: each m dividing n and each r,
+    with two bijective draws, identity boxes and one lossy draw."""
+    for n in (2, 3):
+        for m in [d for d in range(1, n + 1) if n % d == 0]:
+            for r in range(n):
+                rng = np.random.default_rng(1000 * n + 100 * m + 10 * r)
+                yield cipher.random_spec(m, n // m, r, rng)
+                yield cipher.random_spec(m, n // m, r, rng)
+                yield identity_spec(n, m, r)
+                yield cipher.random_spec(m, n // m, r, rng, bijective=False)
+
+
+def test_verdict_never_contradicts_the_exact_order(tmp_path, capsys):
+    """`verdict` against `order` on the corpus.  AltCertified and
+    TheoremApplies mean order N!/2, with the witness replayed;
+    Imprimitive means a smaller order (so order N!/2 is never
+    Imprimitive), each certified partition is a block system by the
+    generic oracle, and the verdict is Imprimitive exactly when the
+    generic block sweep finds one.  Every lossy spec of order N!/2
+    reads AltCertified."""
+    path = tmp_path / "spec.json"
+    seen = collections.Counter()
+    for spec in corpus_specs():
+        cipher.save_spec(spec, path)
+        reports = {}
+        for command, seed in (("verdict", "7"), ("order", "3")):
+            cli.main([command, "--spec", str(path), "--seed", seed,
+                      "--format", "json"])
+            reports[command] = json.loads(capsys.readouterr().out)[command]
+        v, chain = reports["verdict"], reports["order"]
+        conclusion = v["conclusion"]
+        assert chain["certificate"] != "unverified"
+        alt = int(chain["order"]) == math.factorial(spec.degree) // 2
+        where = f"n={spec.n} m={spec.m} r={spec.r} {spec.sboxes}"
+        gens = perms.standard_generators(spec)
+        if conclusion in (verify.ALT_CERTIFIED, verify.THEOREM_APPLIES):
+            assert alt, where
+        if conclusion == verify.ALT_CERTIFIED:
+            witness = oracles.witness_from_record(v["witness"])
+            assert oracles.witness_replays(gens, witness), where
+        if conclusion == verify.IMPRIMITIVE:
+            assert not alt, where
+            for c in v["block_scan"]["candidates"]:
+                if c["certified"]:
+                    labels = oracles.coset_labels(
+                        GoursatTriple(spec.n, *c["triple"]))
+                    assert all(oracles.partition_invariant(labels, g)
+                               for g in gens), where
+        blocks = oracles.primitivity_by_pairs(gens)
+        assert (conclusion == verify.IMPRIMITIVE) == (blocks is not None), \
+            where
+        if alt and not spec.bijective:
+            assert conclusion == verify.ALT_CERTIFIED, where
+        seen[conclusion, alt, spec.bijective] += 1
+    assert sum(seen.values()) == 40
+    # every invariant above had cases to act on
+    assert seen[verify.ALT_CERTIFIED, True, False] > 0
+    assert {(c, alt) for c, alt, _ in seen} == {
+        (verify.ALT_CERTIFIED, True), (verify.IMPRIMITIVE, False),
+        (verify.INCONCLUSIVE, False)}
