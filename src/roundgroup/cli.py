@@ -107,7 +107,8 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-Report = tuple[list[str], dict, int, str | None]  # body, record, exit, timing
+# body, record, exit code, and the timing lines for stderr
+Report = tuple[list[str], dict, int, list[str]]
 
 
 def run_report(report, args) -> int:
@@ -127,8 +128,8 @@ def run_report(report, args) -> int:
     data = {"tool": TOOL, "seed": args.seed, "caps": caps,
             "spec": {"path": args.spec, "sha256": spec.digest(), **params}}
     emit(args, lines + body, {**data, **record})
-    if timing is not None:
-        print(f"timing: {timing}", file=sys.stderr)
+    for line in timing:
+        print(f"timing: {line}", file=sys.stderr)
     return code
 
 
@@ -223,7 +224,7 @@ def validate_report(args, spec: CipherSpec) -> Report:
         record[name.replace("-", "_")] = ok
     lines += [f"note: {note}" for note in val.notes]
     record["notes"] = list(val.notes)
-    return lines, {"validation": record}, 0, None
+    return lines, {"validation": record}, 0, []
 
 
 # ---------------------------------------------------------------------------
@@ -277,7 +278,7 @@ def scan_blocks_report(args, spec: CipherSpec) -> Report:
     return (lines, {"scan": dict(record, transitive=transitive,
                                  primitive=primitive)},
             2 if scan.certified else 0,
-            f"scan {elapsed:.2f}s {scan_counters(scan)}")
+            [f"scan {elapsed:.2f}s {scan_counters(scan)}"])
 
 
 # ---------------------------------------------------------------------------
@@ -301,7 +302,7 @@ def types_report(args, spec: CipherSpec) -> Report:
     lines.append(f"type violations: {tv or 'none'}")
     lines.append(f"coset violations: {cv or 'none'}")
     return lines, {"types": {"rows": rows, "type_violations": tv,
-                             "coset_violations": cv}}, 0, None
+                             "coset_violations": cv}}, 0, []
 
 
 # ---------------------------------------------------------------------------
@@ -335,9 +336,7 @@ def order_report(args, spec: CipherSpec) -> Report:
             f"2^{groups.BSGS_DEGREE_CAP.bit_length() - 1}; "
             f"this spec has degree 2^{2 * spec.n}")
     gens = perms.standard_generators(spec)
-    t0 = time.monotonic()
     chain = groups.schreier_sims(gens, np.random.default_rng(args.seed))
-    elapsed = time.monotonic() - t0
     order = chain.order
     half = math.factorial(degree) // 2
     if order == half:
@@ -356,12 +355,15 @@ def order_report(args, spec: CipherSpec) -> Report:
               "base_length": len(chain.base),
               "is_alternating": order == half,
               "is_symmetric": order == 2 * half}
-    return lines, {"order": record}, 0, (
-        f"chain {elapsed:.2f}s levels={len(chain.levels)} "
+    stages = chain.stage_seconds
+    return lines, {"order": record}, 0, [
+        f"chain {sum(stages.values()):.2f}s levels={len(chain.levels)} "
         f"rows={chain.rows} "
         f"strong_generators={chain.strong_generators} "
         f"schreier_sifted={chain.schreier_sifted} "
-        f"absorbed={chain.absorbed}")
+        f"absorbed={chain.absorbed}",
+        f"chain-stages random={stages['random']:.2f}s "
+        f"complete={stages['complete']:.2f}s"]
 
 
 # ---------------------------------------------------------------------------
@@ -441,8 +443,8 @@ def verdict_report(args, spec: CipherSpec) -> Report:
         check("witness", "giant-witness: SKIPPED (gated by earlier checks)",
               None)
     check("conclusion", f"conclusion: {v.conclusion}", v.conclusion)
-    return lines, {"verdict": record}, v.exit_code, (
-        f"verdict {elapsed:.2f}s {scan_counters(scan)}")
+    return lines, {"verdict": record}, v.exit_code, [
+        f"verdict {elapsed:.2f}s {scan_counters(scan)}"]
 
 
 # ---------------------------------------------------------------------------

@@ -28,9 +28,20 @@ correctness story is spelled out:
       generator) pair, in batches that cost one flat gather per level
       of sift depth.  A generator joining a level sweeps its orbit
       only when it maps an orbit point outside the orbit.
-  Route (1) is what makes degree-65536-sized alternating targets
-  tractable; route (2) covers the degenerate groups where no parity
-  certificate exists.
+  Route (1) is the cheap one: it needs no Schreier generator, so an
+  alternating chain costs only its random phase.  It is still bounded
+  by the degree cap of 4,096 and by transversal storage, which an
+  alternating group already exhausts at degree 1,024.  Route (2)
+  covers the degenerate groups where no parity certificate exists.
+* Two shortcuts leave the chain unchanged (same base, orbits in the
+  same order, same strong generators in the same order).  The random
+  phase stops at the first clean sift once the order is the largest
+  the generators allow (N!/2 with every generator even, else N!),
+  since such a chain can no longer grow.  The completion sifts a
+  level's Schreier generators in read-only batches of consecutive
+  (generator, orbit chunk) segments; the segments before the first
+  failing one would absorb nothing, and the failing one is drained on
+  its own exactly as without batches.
 * Storage.  A level keeps one inverse transversal row per orbit point,
   the only rows sifting reads: a point b = gen(a) joins with
   uinv_b = uinv_a after gen^-1, one gather against the generator's
@@ -44,6 +55,7 @@ correctness story is spelled out:
 from __future__ import annotations
 
 import math
+import time
 from dataclasses import dataclass
 
 import numpy as np
@@ -54,6 +66,10 @@ BSGS_DEGREE_CAP = 1 << 12
 # total entries of the inverse transversal rows (sum of orbit lengths
 # times degree), 512 MB of int64
 TRANSVERSAL_ENTRY_CAP = 1 << 26
+
+# Schreier generators are verified in read-only batches of about this
+# many entries (rows times degree)
+VERIFY_BATCH_ENTRIES = 1 << 16
 
 # random phase of the chain: stop after this many consecutive sifts
 # that add nothing; each sifted element is a product of MIX_LENGTH
@@ -131,9 +147,10 @@ class StabilizerChain:
         self.levels: list[_Level] = []
         self.certificate = "unverified"
         self._identity = np.arange(degree, dtype=np.int64)
-        # member[i] = level i's orbit as a boolean row, kept in step
-        # with posidx so a new generator tests every level at once
-        self._member = np.zeros((0, degree), dtype=bool)
+        # member[:, i] = level i's orbit as a boolean column, kept in
+        # step with posidx so a new generator tests every level at once;
+        # point-major, so the generator's images gather whole rows
+        self._member = np.zeros((degree, 0), dtype=bool)
         # inverse of each strong generator by id: a residue is one array
         # shared by every level it joined, and so is its inverse
         self._inverses: dict[int, np.ndarray] = {}
@@ -145,6 +162,9 @@ class StabilizerChain:
         # absorbed from them
         self.schreier_sifted = 0
         self.absorbed = 0
+        # wall seconds schreier_sims spent in its random phase and in
+        # the deterministic completion, for the caller's timing line
+        self.stage_seconds = {"random": 0.0, "complete": 0.0}
 
     # -- bookkeeping
 
@@ -169,7 +189,7 @@ class StabilizerChain:
         the chain length when the residue fixes the whole base)."""
         r = p
         for i, lvl in enumerate(self.levels):
-            j = int(lvl.posidx[r[lvl.point]])
+            j = lvl.posidx.item(r.item(lvl.point))
             if j < 0:
                 return r, i
             if j:
@@ -191,36 +211,35 @@ class StabilizerChain:
 
         First sweep the whole current orbit with just the new
         generator, then close over the freshly reached points with all
-        generators.  Vectorized sweeps; per-point work only when a
-        point actually enters the orbit.
+        generators, one round per frontier.  The walk is scalar, one
+        `ndarray.item` lookup per image, because a frontier is mostly
+        one to three points; numpy runs only for a new point's inverse
+        row.  Storage is charged once per round.
         """
         lvl = self.levels[i]
-
-        def absorb(batch_points: np.ndarray, gen: np.ndarray) -> None:
-            src = lvl.posidx[batch_points]
-            images = gen[batch_points]
-            fresh = lvl.posidx[images] < 0
-            ginv = self._inverse(gen)
-            before = len(lvl.orbit)
-            for j, b in zip(src[fresh].tolist(), images[fresh].tolist()):
-                if lvl.posidx[b] >= 0:
-                    continue
-                lvl.posidx[b] = len(lvl.orbit)
-                self._member[i, b] = True
-                lvl.orbit.append(b)
-                # u_b = u_a then gen, so u_b^-1 = gen^-1 then u_a^-1
-                lvl.uinv.append(lvl.uinv[j][ginv])
-            self._add_rows(len(lvl.orbit) - before)
-
-        old_len = len(lvl.orbit)
-        absorb(np.fromiter(lvl.orbit, dtype=np.int64, count=old_len), new_gen)
-        head = old_len
-        while head < len(lvl.orbit):
-            batch = np.fromiter(lvl.orbit[head:], dtype=np.int64,
-                                count=len(lvl.orbit) - head)
-            head = len(lvl.orbit)
-            for g in lvl.gens:
-                absorb(batch, g)
+        orbit, uinv, posidx = lvl.orbit, lvl.uinv, lvl.posidx
+        member = self._member[:, i]
+        position = posidx.item
+        head = len(orbit)
+        batch, sweep = orbit[:head], [new_gen]
+        while batch:
+            for gen in sweep:
+                image = gen.item
+                ginv = None
+                for a in batch:
+                    b = image(a)
+                    if position(b) >= 0:
+                        continue
+                    if ginv is None:
+                        ginv = self._inverse(gen)
+                    posidx[b] = len(orbit)
+                    member[b] = True
+                    orbit.append(b)
+                    # u_b = u_a then gen, so u_b^-1 = gen^-1 then u_a^-1
+                    uinv.append(uinv[position(a)][ginv])
+            self._add_rows(len(orbit) - head)
+            batch, sweep = orbit[head:], lvl.gens
+            head = len(orbit)
 
     def _add_generator(self, residue: np.ndarray, stall: int,
                        floor: int = 0) -> None:
@@ -228,7 +247,8 @@ class StabilizerChain:
             moved = int(np.nonzero(residue != self._identity)[0][0])
             self.base.append(moved)
             self.levels.append(_Level(moved, self.degree))
-            self._member = np.vstack([self._member, self._identity == moved])
+            self._member = np.hstack([self._member,
+                                      (self._identity == moved)[:, None]])
             self._add_rows(1)
         self.strong_generators += 1
         # the residue fixes base[0..stall-1], so it may join any level's
@@ -241,8 +261,8 @@ class StabilizerChain:
         # into itself maps it onto itself, so the orbit can grow only
         # where the residue sends one of its points outside it, and
         # elsewhere the sweep would add nothing.
-        member = self._member[floor:stall + 1]
-        grows = (member & ~member[:, residue]).any(axis=1)
+        member = self._member[:, floor:stall + 1]
+        grows = (member & ~member[residue]).any(axis=0)
         for i in range(floor, stall + 1):
             self.levels[i].gens.append(residue)
             if grows[i - floor]:
@@ -301,6 +321,44 @@ class StabilizerChain:
                 pending.append((rows[1:], i))
         return absorbed
 
+    def _first_failure(self, rows: np.ndarray, starts: np.ndarray,
+                       level: int) -> int:
+        """Index of the first segment of `rows` (segment k starts at row
+        starts[k]) holding a row that would not sift to the identity from
+        `level`, or len(starts) when every row does.  Read-only: `rows`
+        is not changed and nothing is absorbed.
+
+        A failure in a row cuts the batch back to the start of its
+        segment, since later rows cannot change which segment fails
+        first.  Identity rows are carried: they meet position 0 at every
+        level and stay the identity.
+        """
+        fail = len(starts)
+        n = len(rows)
+        cur = rows
+        index = np.empty_like(rows)
+        work = np.empty_like(rows)
+        for lvl in self.levels[level:]:
+            pos = lvl.posidx[cur[:, lvl.point]]
+            stalled = np.flatnonzero(pos < 0)
+            if len(stalled):
+                fail = int(np.searchsorted(starts, stalled[0],
+                                           side="right")) - 1
+                n = int(starts[fail])
+                if not n:
+                    return fail
+                cur, pos = cur[:n], pos[:n]
+            np.multiply(pos, self.degree, out=pos)
+            np.add(cur, pos[:, None], out=index[:n])
+            # row r becomes uinv[pos[r]][cur[r]]: one flat gather
+            np.take(lvl.uinvstack().ravel(), index[:n], out=work[:n],
+                    mode="clip")
+            cur = work[:n]
+        moved = np.flatnonzero((cur != self._identity).any(axis=1))
+        if len(moved):
+            fail = int(np.searchsorted(starts, moved[0], side="right")) - 1
+        return fail
+
     def _verify_level(self, i: int, done: tuple[int, int]) -> int:
         """Sift level i's Schreier generators not covered by `done`,
         absorbing failures below level i.  Returns the number absorbed.
@@ -309,23 +367,53 @@ class StabilizerChain:
         of existing orbit points never change, so a pair that sifted to
         the identity once stays reduced and only the new rectangle
         border needs checking.
+
+        The generators come in segments, one per generator and orbit
+        chunk, in a fixed order.  Consecutive segments are stacked into
+        batches of about VERIFY_BATCH_ENTRIES entries and sifted
+        read-only (_first_failure).  The segments before the first
+        failing one absorb nothing, so they are only counted; the
+        failing one goes through _drain on its own, exactly as it would
+        unbatched, and the batch resumes after it against the grown
+        chain.  Level i itself never changes here (residues join at
+        floor i + 1), so its Schreier generators stay valid throughout.
         """
         lvl = self.levels[i]
         done_o, done_g = done
-        n_o, n_g = len(lvl.orbit), len(lvl.gens)
-        absorbed = 0
+        n_o = len(lvl.orbit)
         chunk = max(1, (1 << 22) // self.degree)
-        for gi in range(n_g):
-            g = lvl.gens[gi]
-            o_start = 0 if gi >= done_g else done_o
-            for lo in range(o_start, n_o, chunk):
-                hi = min(lo + chunk, n_o)
-                u_rows = g[lvl.ustack()[lo:hi]]
-                pos = lvl.posidx[u_rows[:, lvl.point]]
-                schreier = lvl.uinvstack().ravel()[
-                    u_rows + (pos * self.degree)[:, None]]
-                self.schreier_sifted += len(schreier)
-                absorbed += self._drain(schreier, i + 1, i + 1)
+        segments = [(g, lo, min(lo + chunk, n_o))
+                    for gi, g in enumerate(lvl.gens)
+                    for lo in range(0 if gi >= done_g else done_o, n_o,
+                                    chunk)]
+        sizes = [hi - lo for _, lo, hi in segments]
+        cap = VERIFY_BATCH_ENTRIES // self.degree
+        ustack = lvl.ustack()
+        uflat = lvl.uinvstack().ravel()
+        absorbed = 0
+        k = 0
+        while k < len(segments):
+            end, total = k + 1, sizes[k]
+            while end < len(segments) and total + sizes[end] <= cap:
+                total += sizes[end]
+                end += 1
+            starts = np.cumsum([0] + sizes[k:end])
+            index = np.empty((total, self.degree), dtype=np.int64)
+            for (g, lo, hi), a, b in zip(segments[k:end], starts, starts[1:]):
+                np.take(g, ustack[lo:hi], out=index[a:b], mode="clip")
+            pos = lvl.posidx[index[:, lvl.point]]
+            np.multiply(pos, self.degree, out=pos)
+            np.add(index, pos[:, None], out=index)
+            schreier = np.take(uflat, index, mode="clip")
+            fail = self._first_failure(schreier, starts[:-1], i + 1)
+            if fail == end - k:
+                self.schreier_sifted += total
+                k = end
+                continue
+            self.schreier_sifted += int(starts[fail + 1])
+            absorbed += self._drain(schreier[starts[fail]:starts[fail + 1]],
+                                    i + 1, i + 1)
+            k += fail + 1
         return absorbed
 
     def complete(self) -> None:
@@ -366,6 +454,7 @@ def schreier_sims(gens: list[np.ndarray],
     """
     if rng is None:
         rng = np.random.default_rng(0)
+    t0 = time.perf_counter()
     degree = len(gens[0])
     chain = StabilizerChain(degree)
     for g in gens:
@@ -375,15 +464,22 @@ def schreier_sims(gens: list[np.ndarray],
         return chain
     pool = [np.asarray(g, dtype=np.int64) for g in gens]
     pool += [perms.inverse(g) for g in pool]
+    all_even = all(perms.sign(g) == 1 for g in gens)
+    half = math.factorial(degree) // 2
+    # the largest order <gens> can have; a chain of that order can no
+    # longer grow, so the first clean sift after reaching it ends the
+    # random phase
+    giant = half if all_even else 2 * half
     clean = 0
     while clean < CLEAN_STREAK:
         mix = rng.integers(0, len(pool), MIX_LENGTH)
         if chain.feed(perms.compose_all([pool[i] for i in mix])):
             clean = 0
+        elif chain.order == giant:
+            break
         else:
             clean += 1
-    all_even = all(perms.sign(g) == 1 for g in gens)
-    half = math.factorial(degree) // 2
+    random_s = time.perf_counter() - t0
     if chain.order == 2 * half:
         chain.certificate = "symmetric-order-match"
     elif all_even and chain.order == half:
@@ -395,6 +491,8 @@ def schreier_sims(gens: list[np.ndarray],
         for g in pool[:len(gens)]:
             chain.feed(g)
         chain.complete()
+    chain.stage_seconds = {"random": random_s,
+                           "complete": time.perf_counter() - t0 - random_s}
     return chain
 
 

@@ -87,7 +87,7 @@ def test_verdict_body_byte_stable(capsys):
 
 def test_timing_goes_to_stderr_only(capsys):
     for command, timed in (("validate", 0), ("scan-blocks", 1),
-                           ("types", 0), ("order", 1), ("verdict", 1)):
+                           ("types", 0), ("order", 2), ("verdict", 1)):
         for fmt in ("text", "json"):
             _, out, err = run([command, "--spec", CONFORMING_N4,
                                "--format", fmt], capsys)
@@ -277,6 +277,25 @@ def test_order_chain_counters_on_stderr_only(fmt, capsys):
     assert int(counters["rows"]) >= 2 * base_length
     # the deterministic route sifts Schreier generators and absorbs some
     assert int(counters["schreier_sifted"]) > int(counters["absorbed"]) > 0
+
+
+@pytest.mark.parametrize("spec,seed", [(CONFORMING_N4, "7"),
+                                       (IDENTITY_N4, "3")])
+def test_order_stage_timing_on_stderr_only(spec, seed, capsys):
+    # the stage seconds go to stderr next to the counters line, so
+    # stdout repeats byte for byte (the golden test pins its bytes);
+    # the identity spec takes the deterministic route, conforming_n4 not
+    argv = ["order", "--spec", spec, "--seed", seed]
+    rc, out, err = run(argv, capsys)
+    assert rc == 0
+    line, = [l for l in err.splitlines()
+             if l.startswith("timing: chain-stages ")]
+    stages = dict(f.split("=") for f in line.split()[2:])
+    assert list(stages) == ["random", "complete"]
+    assert all(float(v.removesuffix("s")) >= 0 for v in stages.values())
+    assert "timing" not in out
+    rc, again, _ = run(argv, capsys)
+    assert again == out
 
 
 def test_order_on_lossy_boxes_is_a_group_order(tmp_path, capsys):

@@ -302,23 +302,52 @@ SPECS = ROOT / "specs"
 
 
 class PlainKernels(groups.StabilizerChain):
-    """The chain with its sift kernels written the straightforward way,
-    kept as an oracle: every level up to the stall is swept when a
-    generator joins it, each level reduces its rows with
-    take_along_axis, and identity rows are dropped after every level."""
+    """The chain with its kernels written the straightforward way, kept
+    as an oracle: every level up to the stall is swept when a generator
+    joins it, an orbit is closed with vectorized sweeps, each level
+    reduces its rows with take_along_axis, identity rows are dropped
+    after every level, and every Schreier generator goes through
+    _drain, one (generator, orbit chunk) segment at a time."""
 
     def _add_generator(self, residue, stall, floor=0):
         if stall == len(self.levels):
             moved = int(np.nonzero(residue != self._identity)[0][0])
             self.base.append(moved)
             self.levels.append(groups._Level(moved, self.degree))
-            # the shared _extend_level records orbit growth in this row
-            self._member = np.vstack([self._member, self._identity == moved])
+            self._member = np.hstack([self._member,
+                                      (self._identity == moved)[:, None]])
             self._add_rows(1)
         self.strong_generators += 1
         for i in range(floor, stall + 1):
             self.levels[i].gens.append(residue)
             self._extend_level(i, residue)
+
+    def _extend_level(self, i, new_gen):
+        lvl = self.levels[i]
+
+        def absorb(batch_points, gen):
+            src = lvl.posidx[batch_points]
+            images = gen[batch_points]
+            fresh = lvl.posidx[images] < 0
+            ginv = self._inverse(gen)
+            before = len(lvl.orbit)
+            for j, b in zip(src[fresh].tolist(), images[fresh].tolist()):
+                if lvl.posidx[b] >= 0:
+                    continue
+                lvl.posidx[b] = len(lvl.orbit)
+                self._member[b, i] = True
+                lvl.orbit.append(b)
+                lvl.uinv.append(lvl.uinv[j][ginv])
+            self._add_rows(len(lvl.orbit) - before)
+
+        old_len = len(lvl.orbit)
+        absorb(np.array(lvl.orbit, dtype=np.int64), new_gen)
+        head = old_len
+        while head < len(lvl.orbit):
+            batch = np.array(lvl.orbit[head:], dtype=np.int64)
+            head = len(lvl.orbit)
+            for g in lvl.gens:
+                absorb(batch, g)
 
     def _drain(self, rows, start, floor):
         absorbed = 0
@@ -365,6 +394,7 @@ class PlainKernels(groups.StabilizerChain):
                 pos = lvl.posidx[u_rows[:, lvl.point]]
                 schreier = np.take_along_axis(lvl.uinvstack()[pos],
                                               u_rows, axis=1)
+                self.schreier_sifted += len(schreier)
                 absorbed += self._drain(schreier, i + 1, i + 1)
         return absorbed
 
@@ -373,7 +403,7 @@ def check_chain_invariants(chain):
     degree = chain.degree
     ident = np.arange(degree, dtype=np.int64)
     assert chain.base == [lvl.point for lvl in chain.levels]
-    assert chain._member.shape == (len(chain.levels), degree)
+    assert chain._member.shape == (degree, len(chain.levels))
     assert chain.rows == sum(len(lvl.orbit) for lvl in chain.levels)
     # each residue is one array shared by every level it joined
     assert chain.strong_generators == len(
@@ -398,13 +428,14 @@ def check_chain_invariants(chain):
         expected = np.full(degree, -1, dtype=np.int64)
         expected[orbit] = np.arange(len(orbit))
         assert np.array_equal(lvl.posidx, expected), k
-        assert np.array_equal(chain._member[k], lvl.posidx >= 0), k
+        assert np.array_equal(chain._member[:, k], lvl.posidx >= 0), k
 
 
 def chain_snapshot(chain):
     return (chain.base, [lvl.orbit for lvl in chain.levels],
             [[g.tobytes() for g in lvl.gens] for lvl in chain.levels],
-            chain.order, chain.certificate, chain.absorbed)
+            chain.order, chain.certificate, chain.schreier_sifted,
+            chain.absorbed)
 
 
 def spec_generators(name):
@@ -442,9 +473,9 @@ def checked_growth(monkeypatch):
     def checked(self, residue, stall, floor=0):
         add(self, residue, stall, floor)
         inside = np.stack([lvl.posidx >= 0
-                           for lvl in self.levels[floor:stall + 1]])
-        assert np.array_equal(self._member[floor:stall + 1], inside)
-        assert inside[:, residue][inside].all(), "orbit left open"
+                           for lvl in self.levels[floor:stall + 1]], axis=1)
+        assert np.array_equal(self._member[:, floor:stall + 1], inside)
+        assert inside[residue][inside].all(), "orbit left open"
 
     monkeypatch.setattr(groups.StabilizerChain, "_add_generator", checked)
 
@@ -461,6 +492,87 @@ def test_sift_kernels_match_plain_kernels(case, monkeypatch,
     assert isinstance(plain, PlainKernels)
     check_chain_invariants(plain)
     assert chain_snapshot(chain) == chain_snapshot(plain)
+
+
+def test_batch_failing_past_its_first_segment_matches_plain(monkeypatch):
+    # r0_n3 verifies a batch whose first failing segment is not its
+    # first one: the segments before it are only counted, the failing
+    # one is drained on its own, and the batch resumes after it
+    seen = []
+    first_failure = groups.StabilizerChain._first_failure
+
+    def recording(self, rows, starts, level):
+        fail = first_failure(self, rows, starts, level)
+        seen.append((fail, len(starts)))
+        return fail
+
+    monkeypatch.setattr(groups.StabilizerChain, "_first_failure", recording)
+    make_gens, seed = KERNEL_CASES["r0_n3"]
+    gens = make_gens()
+    chain = groups.schreier_sims(gens, np.random.default_rng(seed))
+    assert any(0 < fail < count for fail, count in seen), seen
+    monkeypatch.setattr(groups, "StabilizerChain", PlainKernels)
+    plain = groups.schreier_sims(gens, np.random.default_rng(seed))
+    assert chain_snapshot(chain) == chain_snapshot(plain)
+
+
+@pytest.mark.parametrize("entries", [1, 1 << 30])
+def test_batch_size_leaves_the_chain_unchanged(entries, monkeypatch):
+    # one segment per batch, or every segment of a level in one batch
+    make_gens, seed = KERNEL_CASES["lossy_r0_n4"]
+    gens = make_gens()
+    chain = groups.schreier_sims(gens, np.random.default_rng(seed))
+    monkeypatch.setattr(groups, "VERIFY_BATCH_ENTRIES", entries)
+    other = groups.schreier_sims(gens, np.random.default_rng(seed))
+    assert chain_snapshot(chain) == chain_snapshot(other)
+
+
+def test_order_match_chain_is_final(monkeypatch):
+    # the random phase ends at the first clean sift once the order is
+    # |Alt(N)|; the chain is then final, so no product changes it
+    fed = []
+    feed = groups.StabilizerChain.feed
+
+    def recording(self, p):
+        fed.append(feed(self, p))
+        return fed[-1]
+
+    monkeypatch.setattr(groups.StabilizerChain, "feed", recording)
+    gens = spec_generators("conforming_n4")
+    chain = groups.schreier_sims(gens, np.random.default_rng(7))
+    assert chain.certificate == "alternating-order-match"
+    assert fed[-2:] == [True, False]
+    before = chain_snapshot(chain)
+    pool = gens + [perms.inverse(g) for g in gens]
+    rng = np.random.default_rng(8)
+    for _ in range(groups.CLEAN_STREAK):
+        mix = rng.integers(0, len(pool), groups.MIX_LENGTH)
+        assert not chain.feed(perms.compose_all([pool[i] for i in mix]))
+    assert chain_snapshot(chain) == before
+
+
+def test_storage_cap_fires_within_one_closure_round(monkeypatch):
+    # the cap is charged once per closure round, from inside the
+    # closure, so a chain stops at most one orbit's worth of rows past it
+    cap_rows = 4000
+    monkeypatch.setattr(groups, "TRANSVERSAL_ENTRY_CAP", cap_rows * 256)
+    chains = []
+    init = groups.StabilizerChain.__init__
+
+    def recording(self, degree):
+        init(self, degree)
+        chains.append(self)
+
+    monkeypatch.setattr(groups.StabilizerChain, "__init__", recording)
+    with pytest.raises(ValueError,
+                       match="transversal storage cap exceeded") as raised:
+        groups.schreier_sims(spec_generators("conforming_n4"),
+                             np.random.default_rng(7))
+    assert [entry.name for entry in raised.traceback][-2:] == [
+        "_extend_level", "_add_rows"]
+    chain, = chains
+    over = chain.rows - cap_rows
+    assert 0 < over <= max(len(lvl.orbit) for lvl in chain.levels)
 
 
 class ForwardRows(groups.StabilizerChain):
@@ -486,7 +598,7 @@ class ForwardRows(groups.StabilizerChain):
                     continue
                 ub = gen[forward[lvl.posidx[a]]]
                 lvl.posidx[b] = len(lvl.orbit)
-                self._member[i, b] = True
+                self._member[b, i] = True
                 lvl.orbit.append(b)
                 forward.append(ub)
                 inv = np.empty_like(ub)
