@@ -256,10 +256,9 @@ def scan_counters(scan: verify.BlockScanResult) -> str:
 
 
 def scan_blocks_report(args, spec: CipherSpec) -> Report:
-    sigma = perms.sigma_perm(spec)
     t0 = time.monotonic()
     transitive = verify.transitivity_check(spec)
-    scan = verify.block_scan(spec, sigma)
+    scan = verify.block_scan(spec)
     elapsed = time.monotonic() - t0
     primitive = verify.is_primitive(transitive, scan)
     candidate_lines, record = scan_report(scan, spec.n)
@@ -443,8 +442,14 @@ def verdict_report(args, spec: CipherSpec) -> Report:
         check("witness", "giant-witness: SKIPPED (gated by earlier checks)",
               None)
     check("conclusion", f"conclusion: {v.conclusion}", v.conclusion)
+    # trials: the hit's, the whole budget on a miss, none when gated off
+    trials = (g.trials_used if g is not None
+              else v.budget if v.witness_searched else 0)
+    stages = v.stage_seconds
     return lines, {"verdict": record}, v.exit_code, [
-        f"verdict {elapsed:.2f}s {scan_counters(scan)}"]
+        f"verdict {elapsed:.2f}s {scan_counters(scan)}",
+        f"verdict-stages scan={stages['scan']:.2f}s "
+        f"witness={stages['witness']:.2f}s trials={trials}"]
 
 
 # ---------------------------------------------------------------------------

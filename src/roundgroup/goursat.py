@@ -162,8 +162,7 @@ def coset_labels(triple: GoursatTriple) -> np.ndarray:
     modulo 2**e and, after subtracting z * 2**(f - e) * u, their v
     parts agree modulo 2**g (the correction is additive, so it cancels
     in differences).  Computed on the oriented grid, transposed when
-    swapped.  This is the O(degree) quotient map that block
-    certification rides on.
+    swapped.  This is the O(degree) quotient map of the subgroup.
     """
     n = triple.n
     swap, e, f, g, z = _oriented(np.array(triple.to_tuple()))

@@ -179,14 +179,11 @@ def rho_perm(k: tuple[int, int], n: int) -> np.ndarray:
             | ((steps + k[0]) & mask)).ravel()
 
 
-def standard_generators(spec: CipherSpec,
-                        sigma: np.ndarray | None = None) -> list[np.ndarray]:
-    """The three generators of the round group: rho(1,0), rho(0,1), sigma
-    (built here unless given).
+def standard_generators(spec: CipherSpec) -> list[np.ndarray]:
+    """The three generators of the round group: rho(1,0), rho(0,1), sigma.
 
     Every generalized round is a product of these with their inverses,
     and conversely, so they generate the whole group under study.
     """
-    if sigma is None:
-        sigma = sigma_perm(spec)
-    return [rho_perm((1, 0), spec.n), rho_perm((0, 1), spec.n), sigma]
+    return [rho_perm((1, 0), spec.n), rho_perm((0, 1), spec.n),
+            sigma_perm(spec)]

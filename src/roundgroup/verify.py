@@ -19,8 +19,11 @@ parameter set at hand:
   modular cosets of a subgroup of the state group, so scanning every
   Goursat subgroup settles it.  Candidates that pass the necessary
   image-coset equation (tried on probe members of all subgroups in one
-  pass first) are certified (or refuted) by a partition check of
-  sigma; the translations send x + H to x + k + H.
+  pass first) are certified (or refuted) by a difference lemma on the
+  2**n-entry S table (`partition_invariant`); the translations send
+  x + H to x + k + H.  The scan builds no state array: sigma is read
+  in closed form, and the dense generators are built only for the
+  witness search.
   Primitive means transitive with no certified candidate (`is_primitive`);
   a refuted candidate does not hold back the witness search;
 * case eliminations: with primitivity in hand, the remaining
@@ -45,11 +48,12 @@ partition yields Imprimitive.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+import time
+from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import goursat, perms, words
+from . import cipher, goursat, perms, words
 from .cipher import CipherSpec, SpecValidation, apply_s, validate_spec
 from .goursat import GoursatTriple
 from .groups import WITNESS_WORD_LEN, GiantWitness, giant_witness
@@ -103,16 +107,45 @@ def is_primitive(transitive: bool, scan: BlockScanResult) -> bool:
     return transitive and not scan.certified
 
 
-def partition_invariant(labels: np.ndarray, perm: np.ndarray,
-                        triple: GoursatTriple) -> bool:
-    """Does perm map the cosets of H = triple onto cosets, given labels =
-    goursat.coset_labels(triple)?  Iff L = labels[perm] has L(x + h) ==
-    L(x) for all x and h in H, i.e. (as goursat.generators(triple)
-    generate H) iff L on the fibre grid is unchanged when rolled by each."""
-    n = triple.n
-    image = labels[perm].reshape(1 << n, 1 << n)  # row x2, column x1
-    return all(np.array_equal(np.roll(image, (-c, -a), axis=(0, 1)), image)
-               for a, c in goursat.generators(triple))
+def partition_invariant(table: np.ndarray, triple: GoursatTriple) -> bool:
+    """Does the swap map send every coset of H = triple onto a coset,
+    for the S table `table`?  Read off the table, no state array.
+
+    sigma maps cosets into cosets iff sigma(x + h) - sigma(x) is in H
+    for every x and h in H, and into is onto as sigma is a bijection.
+    It is enough that this holds for the generators g1, g2 of
+    goursat.generators: the differences telescope, sigma(x + h + g) -
+    sigma(x) = (sigma(x + h + g) - sigma(x + h)) + (sigma(x + h) -
+    sigma(x)).  For h = (h1, h2),
+
+        sigma(x + h) - sigma(x) = (h2, D_h(x)),
+        D_h(x) = ((x1 + h1) ^ S(x2 + h2)) - (x1 ^ S(x2)) mod 2**n.
+
+    Two members of H with first part h2 differ by a member with first
+    part 0, and those are 0 x <2**tD> (Goursat), so (h2, D_h(x)) is in
+    H for every x iff (h2, D_h(0)) is in H and D_h(x) = D_h(0) mod
+    2**tD for every x.  Carries of + and - and the bits of ^ only move
+    upward, so D_h mod 2**tD reads x1 mod 2**tD alone: the congruence
+    is checked on the 2**n x 2**tD grid of (x2, x1 mod 2**tD), never
+    more than 2**(2n) points.
+    """
+    n, low = triple.n, (1 << triple.td) - 1
+    mask = (1 << n) - 1
+    row = np.array(triple.to_tuple())
+    # residues mod 2**tD; uint32 wraps mod 2**32, a multiple of 2**tD
+    residues = (table & low).astype(np.uint32)
+    x1 = np.arange(low + 1, dtype=np.uint32)
+    here = residues[:, None] ^ x1  # row x2: x1 ^ S(x2)
+    for h1, h2 in goursat.generators(triple):
+        d0 = ((h1 ^ int(table[h2])) - int(table[0])) & mask
+        if not goursat.contains(row, h2 | (d0 << n), n, 0):
+            return False
+        diff = np.roll(residues, -h2)[:, None] ^ ((x1 + h1) & low)
+        diff -= here
+        diff &= low  # D_h(x) mod 2**tD
+        if (diff != d0 & low).any():
+            return False
+    return True
 
 
 # (i, j) coefficients of the probe members i*g1 + j*g2 of a subgroup
@@ -121,19 +154,23 @@ PROBES = ((1, 0), (0, 1), (1, 1), (3, 5), (5, 3), (7, 11), (11, 7), (13, 1))
 SURVIVOR_CHUNK = 1 << 16
 
 
-def probe_refuted(table: np.ndarray, sigma: np.ndarray,
-                  shift: int) -> np.ndarray:
-    """Per row H of a goursat.subgroup_table: does the swap map send a
-    probe member i*g1 + j*g2 of H (g1, g2 as in goursat.generators)
-    outside H + (0, shift)?"""
-    n = (len(sigma).bit_length() - 1) // 2
-    left, right = goursat.members(table, *np.array(PROBES).T, n)
-    image = sigma[left | (right << n)]
-    return ~goursat.contains(table, image, n, shift).all(axis=1)
+def _swap(table: np.ndarray, left, right, n: int):
+    """sigma(left, right) = (right, left ^ S(right)) as states, for the
+    S table `table`."""
+    return right | ((left ^ table[right]) << n)
 
 
-def block_scan(spec: CipherSpec,
-               sigma: np.ndarray | None = None) -> BlockScanResult:
+def probe_refuted(subgroups: np.ndarray, table: np.ndarray) -> np.ndarray:
+    """Per row H of a goursat.subgroup_table: does the swap map (for the
+    S table `table`) send a probe member i*g1 + j*g2 of H (g1, g2 as
+    in goursat.generators) outside H + (0, S(0))?"""
+    n = len(table).bit_length() - 1
+    left, right = goursat.members(subgroups, *np.array(PROBES).T, n)
+    image = _swap(table, left, right, n)
+    return ~goursat.contains(subgroups, image, n, int(table[0])).all(axis=1)
+
+
+def block_scan(spec: CipherSpec) -> BlockScanResult:
     """Test every proper nontrivial Goursat subgroup for blockness.
 
     The only way a subgroup's cosets can be an invariant partition is
@@ -145,30 +182,29 @@ def block_scan(spec: CipherSpec,
     materializing them.  A survivor's members are listed and mapped
     SURVIVOR_CHUNK at a time until one image leaves the coset (sigma
     is a bijection, so sigma(H) inside H + (0, S(0)) is the set
-    equation); those that pass get the partition-invariance
-    certification against sigma (built here unless given); the
+    equation); those that pass are certified or refuted by the
+    difference lemma of `partition_invariant`.  Every step reads the
+    2**n-entry S table, sigma in closed form, and no state array; the
     translations send x + H to x + k + H.  No certified candidate plus
     transitivity therefore proves primitivity.
     """
     n = spec.n
     perms.check_degree(n)
-    if sigma is None:
-        sigma = perms.sigma_perm(spec)
-    shift = apply_s(spec, 0)
-    table = goursat.proper_subgroup_table(n)
-    refuted = probe_refuted(table, sigma, shift)
+    table = cipher.s_table(spec)
+    shift = int(table[0])
+    subgroups = goursat.proper_subgroup_table(n)
+    refuted = probe_refuted(subgroups, table)
     candidates = []
-    for row in table[~refuted]:
+    for row in subgroups[~refuted]:
         triple = GoursatTriple(n, *row.tolist())
         chunks = (goursat.member_pairs(triple, k, k + SURVIVOR_CHUNK)
                   for k in range(0, triple.size, SURVIVOR_CHUNK))
-        if not all(goursat.contains(row, sigma[left | (right << n)],
+        if not all(goursat.contains(row, _swap(table, left, right, n),
                                     n, shift).all() for left, right in chunks):
             continue
-        labels = goursat.coset_labels(triple)
-        certified = partition_invariant(labels, sigma, triple)
+        certified = partition_invariant(table, triple)
         candidates.append(BlockCandidate(triple, certified))
-    return BlockScanResult(len(table), int(refuted.sum()), shift,
+    return BlockScanResult(len(subgroups), int(refuted.sum()), shift,
                            tuple(candidates))
 
 
@@ -311,6 +347,9 @@ class Verdict:
     witness: GiantWitness | None
     witness_searched: bool  # the gate let the witness search run
     conclusion: str
+    # wall seconds of the block scan and of the witness stage, for the
+    # caller's timing line; not part of the verdict's value
+    stage_seconds: dict[str, float] = field(compare=False, repr=False)
 
     @property
     def primitive(self) -> bool:
@@ -325,10 +364,11 @@ def full_verdict(spec: CipherSpec, seed: int,
                  budget: int = 10_000) -> Verdict:
     """Run the whole pipeline on one spec with one RNG seed."""
     validation = validate_spec(spec)
-    sigma = perms.sigma_perm(spec)
     parity = parity_check(spec)
     transitivity = transitivity_check(spec)
-    scan = block_scan(spec, sigma)
+    t0 = time.perf_counter()
+    scan = block_scan(spec)
+    scan_s = time.perf_counter() - t0
     diag = diagonal_check(spec)
     affine = affine_check(spec.n)
     wreath = wreath_check(spec)
@@ -337,12 +377,13 @@ def full_verdict(spec: CipherSpec, seed: int,
     primitive = is_primitive(transitivity, scan)
     witness = None
     searched = parity and primitive
+    t0 = time.perf_counter()
     if searched:
-        # the translations are built only for the search; the scan
-        # reads sigma alone
-        gens = perms.standard_generators(spec, sigma)
+        # the only dense maps of a verdict: the scan reads the S table
+        gens = perms.standard_generators(spec)
         rng = np.random.default_rng(seed)
         witness = giant_witness(gens, rng, budget=budget)
+    witness_s = time.perf_counter() - t0
 
     if scan.certified:
         conclusion = IMPRIMITIVE
@@ -357,4 +398,5 @@ def full_verdict(spec: CipherSpec, seed: int,
 
     return Verdict(budget, WITNESS_WORD_LEN, validation, parity,
                    transitivity, scan, diag, affine, wreath, psl, witness,
-                   searched, conclusion)
+                   searched, conclusion,
+                   {"scan": scan_s, "witness": witness_s})

@@ -26,8 +26,9 @@ way:
   and the scalar probe test built on it, the coset labels from an
   arange over every state, and the generic partition check by class
   representatives on every generator, against the vectorized probe
-  pass, the fibre-grid labels and the roll check that skips checked
-  translations.
+  pass and the fibre-grid labels; the dense roll check of the swap
+  map, built state by state from any S table, against the difference
+  lemma that certifies blocks from the S table alone.
 """
 
 from __future__ import annotations
@@ -135,7 +136,7 @@ def atkinson_agrees_with_scan(spec: CipherSpec) -> bool:
     """At sweep-capped degrees, the generic minimal-block sweep and the
     Goursat scan must return the same primitivity verdict."""
     gens = perms.standard_generators(spec)
-    scan = block_scan(spec, gens[2])
+    scan = block_scan(spec)
     generic = primitivity_by_pairs(gens)
     return (generic is None) == (len(scan.certified) == 0)
 
@@ -484,6 +485,29 @@ def partition_invariant(labels: np.ndarray, perm: np.ndarray) -> bool:
     rep[labels] = np.arange(len(labels))
     image = labels[perm]
     return bool(np.array_equal(image, image[rep[labels]]))
+
+
+def roll_invariant(labels: np.ndarray, perm: np.ndarray,
+                   triple: GoursatTriple) -> bool:
+    """The dense check that block certification made before the
+    difference lemma: with labels = goursat.coset_labels(triple), perm
+    maps the cosets of H onto cosets iff L = labels[perm] has L(x + h)
+    == L(x) for all x and h in H, i.e. (as goursat.generators(triple)
+    generate H) iff L on the fibre grid is unchanged when rolled by
+    each generator."""
+    n = triple.n
+    image = labels[perm].reshape(1 << n, 1 << n)  # row x2, column x1
+    return all(np.array_equal(np.roll(image, (-c, -a), axis=(0, 1)), image)
+               for a, c in goursat.generators(triple))
+
+
+def swap_from_table(table: np.ndarray) -> np.ndarray:
+    """The swap map (x1, x2) -> (x2, x1 ^ S(x2)) for an arbitrary S
+    table, one state at a time, as a dense permutation."""
+    n = len(table).bit_length() - 1
+    mask = (1 << n) - 1
+    return np.array([(x >> n) | (((x & mask) ^ int(table[x >> n])) << n)
+                     for x in range(1 << (2 * n))], dtype=np.int64)
 
 
 def block_scan_reference(spec: CipherSpec,

@@ -1,10 +1,10 @@
 """Smoke test of the benchmark harness: both verdict workloads and
 `types-wide` at toy size, traced.  Fails if a report misses its gate,
 if a traced function was renamed under the harness, if the block scan
-stops rejecting subgroups before materializing them, if it checks a
-checked unit translation densely (one dense partition check per
-candidate, for sigma), or if `types` maps its images other than the
-2 * 7 times the harness's own tests pin."""
+stops rejecting subgroups before materializing them, if it certifies
+a candidate other than once (one partition check per candidate, for
+sigma, from the S table), or if `types` maps its images other than
+the 2 * 7 times the harness's own tests pin."""
 
 import json
 import subprocess

@@ -87,7 +87,7 @@ def test_verdict_body_byte_stable(capsys):
 
 def test_timing_goes_to_stderr_only(capsys):
     for command, timed in (("validate", 0), ("scan-blocks", 1),
-                           ("types", 0), ("order", 2), ("verdict", 1)):
+                           ("types", 0), ("order", 2), ("verdict", 2)):
         for fmt in ("text", "json"):
             _, out, err = run([command, "--spec", CONFORMING_N4,
                                "--format", fmt], capsys)
@@ -105,7 +105,7 @@ def test_scan_counters_on_stderr_add_up(command, key, capsys):
     for path in (CONFORMING_N4, CONFORMING_N8, IDENTITY_N4, IDENTITY_N8):
         argv = [command, "--spec", path, "--format", "json"]
         _, out, err = run(argv, capsys)
-        line, = err.splitlines()
+        line = err.splitlines()[0]
         counters = {k: int(v) for k, v in
                     (f.split("=") for f in line.split()[3:])}
         assert list(counters) == SCAN_COUNTERS
@@ -132,6 +132,59 @@ def test_scan_counters_on_stderr_add_up(command, key, capsys):
         for field in line.split()[3:]:
             assert field not in out and field not in text
         assert "probe_refuted" not in out + text
+
+
+def test_verdict_stage_timing_on_stderr_only(capsys):
+    """The second verdict timing line: the scan's and the witness
+    stage's wall seconds and the witness trials the body reports."""
+    for path, seed, trials in ((CONFORMING_N8, "20260823", 12),
+                               (IDENTITY_N8, "0", 0)):
+        _, out, err = run(["verdict", "--spec", path, "--seed", seed],
+                          capsys)
+        head, line = err.splitlines()
+        assert head.startswith("timing: verdict ")
+        fields = line.split()
+        assert fields[:2] == ["timing:", "verdict-stages"]
+        assert [f.split("=")[0] for f in fields[2:]] == \
+            ["scan", "witness", "trials"]
+        assert all(f.endswith("s") for f in fields[2:4])
+        assert fields[4] == f"trials={trials}"
+        assert "verdict-stages" not in out
+
+
+def test_scan_and_gated_verdict_build_no_dense_map(monkeypatch, capsys):
+    """With perms.sigma_perm raising, the gated-off verdict on identity
+    boxes prints its pinned body, and scan-blocks on both n=8 specs
+    prints the scan of the dense oracle, computed beforehand."""
+    root = SPECS.parent
+    expected = {}
+    for name in ("conforming_n8", "identity_r0_n8"):
+        spec = cipher.load_spec(SPECS / f"{name}.json")
+        reference = oracles.block_scan_reference(
+            spec, perms.standard_generators(spec))
+        candidate_lines, record = cli.scan_report(reference, spec.n)
+        expected[name] = (candidate_lines, dict(
+            record, transitive=True, primitive=not reference.certified),
+            2 if reference.certified else 0)
+
+    def dense(spec):
+        raise AssertionError("dense swap map built")
+
+    monkeypatch.setattr(perms, "sigma_perm", dense)
+    monkeypatch.chdir(root)
+    for fmt, suffix in (("text", "txt"), ("json", "json")):
+        rc, out, _ = run(["verdict", "--spec", "specs/identity_r0_n8.json",
+                          "--format", fmt], capsys)
+        golden = root / "tests" / "golden" / f"verdict_identity_r0_n8.{suffix}"
+        assert (rc, out) == (2, golden.read_text())
+    for name, (candidate_lines, record, code) in expected.items():
+        argv = ["scan-blocks", "--spec", f"specs/{name}.json"]
+        rc, out, _ = run(argv + ["--format", "json"], capsys)
+        assert (rc, json.loads(out)["scan"]) == (code, record)
+        rc, out, _ = run(argv, capsys)
+        lines = out.splitlines()
+        start = lines.index("-- block scan --") + 4
+        assert lines[start:start + len(candidate_lines)] == candidate_lines
 
 
 def test_scan_blocks_identity_exit_2(capsys):

@@ -142,7 +142,8 @@ def test_coset_labels_quotient():
 
 
 def test_generators_span_the_subgroup():
-    # the roll check in verify.partition_invariant rests on this
+    # the difference lemma in verify.partition_invariant and the roll
+    # check in oracles.roll_invariant rest on this
     for n in range(6):
         mask = (1 << n) - 1
         i = np.arange(1 << n)[:, None]

@@ -147,17 +147,17 @@ def proper_triples(n):
 def test_certified_candidates_are_real_partitions():
     spec = identity_spec(4, 2)
     gens = perms.standard_generators(spec)
-    scan = verify.block_scan(spec, gens[2])
+    table = cipher.s_table(spec)
+    scan = verify.block_scan(spec)
     certified = {cand.triple for cand in scan.certified}
     assert certified
     for triple in proper_triples(spec.n):
         labels = goursat.coset_labels(triple)
         assert np.array_equal(labels, oracles.coset_labels(triple))
-        for g in gens:
-            want = oracles.partition_invariant(labels, g)
-            assert verify.partition_invariant(labels, g, triple) == want
-            if triple in certified:
-                assert want
+        want = all(oracles.partition_invariant(labels, g) for g in gens)
+        assert verify.partition_invariant(table, triple) == want
+        if triple in certified:
+            assert want
 
 
 def test_partition_invariant_detects_breakage():
@@ -167,13 +167,13 @@ def test_partition_invariant_detects_breakage():
     assert oracles.partition_invariant(labels, keeps)
     assert not oracles.partition_invariant(labels, breaks)
     triple = GoursatTriple(1, 0, 0, 1, 1, 1)
-    assert verify.partition_invariant(labels, keeps, triple)
-    assert not verify.partition_invariant(labels, breaks, triple)
+    assert oracles.roll_invariant(labels, keeps, triple)
+    assert not oracles.roll_invariant(labels, breaks, triple)
     for triple in proper_triples(1):
         labels = goursat.coset_labels(triple)
         for perm in itertools.permutations(range(4)):
             perm = np.array(perm)
-            assert verify.partition_invariant(labels, perm, triple) == \
+            assert oracles.roll_invariant(labels, perm, triple) == \
                 oracles.partition_invariant(labels, perm)
 
 
@@ -216,7 +216,7 @@ def test_probe_reject_against_full_set_equation(spec):
     shift = cipher.apply_s(spec, 0)
     triples = proper_triples(spec.n)
     table = np.array([t.to_tuple() for t in triples], dtype=np.int64)
-    by_pass = verify.probe_refuted(table, sigma, shift).tolist()
+    by_pass = verify.probe_refuted(table, cipher.s_table(spec)).tolist()
     expected = []
     refuted = 0
     for triple, pass_refutes in zip(triples, by_pass):
@@ -230,7 +230,7 @@ def test_probe_reject_against_full_set_equation(spec):
             expected.append((triple, all(
                 partition_invariant_oracle(labels, g) for g in gens)))
     assert refuted > 0
-    scan = verify.block_scan(spec, gens[2])
+    scan = verify.block_scan(spec)
     assert [(c.triple, c.certified) for c in scan.candidates] == expected
     assert scan.probe_refuted == refuted
 
@@ -266,8 +266,7 @@ def test_partition_invariant_matches_sort_oracle():
             for perm in candidates + [swap_cyclic_coset(triple, labels)]:
                 want = partition_invariant_oracle(labels, perm)
                 assert oracles.partition_invariant(labels, perm) == want
-                assert verify.partition_invariant(labels, perm,
-                                                  triple) == want
+                assert oracles.roll_invariant(labels, perm, triple) == want
                 outcomes.add(want)
     assert outcomes == {True, False}
 
@@ -279,7 +278,7 @@ def test_scan_matches_oracle_scan_on_the_grid():
     reference = {}  # sigma bytes -> oracle scan; shared maps repeat
     for spec in specs:
         gens = perms.standard_generators(spec)
-        scan = verify.block_scan(spec, gens[2])
+        scan = verify.block_scan(spec)
         key = gens[2].tobytes()
         if key not in reference:
             reference[key] = oracles.block_scan_reference(spec, gens)
@@ -292,21 +291,60 @@ def test_scan_matches_oracle_scan_on_the_grid():
     assert kinds == {"certified", "refuted", "whole-set"}
 
 
+def test_partition_invariant_matches_roll_oracle_on_every_subgroup():
+    """The difference lemma against the dense roll check of the swap
+    map, on every proper subgroup rather than the scan's candidates
+    alone (a candidate already satisfies the set equation, which hides
+    a lemma that skips its membership test or its second generator):
+    the grid specs with n <= 4, every table at n = 1 and arbitrary
+    2**n tables, lossy and bijective."""
+    rng = np.random.default_rng(1507)
+    tables = [cipher.s_table(spec) for spec in grid_specs() if spec.n <= 4]
+    tables += [np.array(t) for t in itertools.product(range(2), repeat=2)]
+    for n in (2, 3, 4):
+        tables += [rng.integers(0, 1 << n, 1 << n) for _ in range(6)]
+        tables += [rng.permutation(1 << n) for _ in range(6)]
+    labels = {}  # triple -> oracle coset labels
+    outcomes = collections.Counter()
+    for table in tables:
+        n = len(table).bit_length() - 1
+        sigma = oracles.swap_from_table(table)
+        for triple in proper_triples(n):
+            if triple not in labels:
+                labels[triple] = oracles.coset_labels(triple)
+            want = oracles.roll_invariant(labels[triple], sigma, triple)
+            assert verify.partition_invariant(table, triple) == want, \
+                (table.tolist(), triple.describe())
+            outcomes[want] += 1
+    assert outcomes[True] > 0 and outcomes[False] > 0
+
+
 @pytest.mark.parametrize("n", [4, 6])
-def test_scan_checks_unrecognised_generators_densely(n, monkeypatch):
-    """Certification checks sigma alone, once per candidate; the
-    translations keep every coset partition."""
+def test_scan_certifies_each_candidate_from_the_s_table(n, monkeypatch):
+    """Certification reads the one S table of the scan, once per
+    candidate, and builds no dense map: the translations keep every
+    coset partition and sigma is read in closed form."""
     spec = identity_spec(n, 2)  # r = 0: certified diagonal candidates
-    sigma = perms.sigma_perm(spec)
-    checked = []
+    tables, checked = [], []
 
-    def spy(labels, perm, triple, real=verify.partition_invariant):
-        checked.append(id(perm))
-        return real(labels, perm, triple)
+    def table_spy(spec, real=cipher.s_table):
+        tables.append(real(spec))
+        return tables[-1]
 
+    def spy(table, triple, real=verify.partition_invariant):
+        checked.append(table)
+        return real(table, triple)
+
+    def dense(*args):
+        raise AssertionError("dense map built")
+
+    monkeypatch.setattr(cipher, "s_table", table_spy)
     monkeypatch.setattr(verify, "partition_invariant", spy)
-    scan = verify.block_scan(spec, sigma)
-    assert set(checked) == {id(sigma)}
+    monkeypatch.setattr(perms, "sigma_perm", dense)
+    monkeypatch.setattr(perms, "rho_perm", dense)
+    scan = verify.block_scan(spec)
+    assert len(tables) == 1
+    assert all(table is tables[0] for table in checked)
     assert len(checked) == len(scan.candidates) > 0
 
 
@@ -406,6 +444,20 @@ def test_full_verdict_alt_certified():
     assert v.witness is not None
     assert 32768 < v.witness.prime < 65534
     assert oracles.witness_replays(perms.standard_generators(spec), v.witness)
+
+
+def test_alt_certified_verdict_builds_sigma_once(monkeypatch):
+    spec = seeded_spec(6, 2, 3, seed=5)
+    built = []
+
+    def counted(spec, real=perms.sigma_perm):
+        built.append(spec)
+        return real(spec)
+
+    monkeypatch.setattr(perms, "sigma_perm", counted)
+    v = verify.full_verdict(spec, seed=11)
+    assert v.conclusion == verify.ALT_CERTIFIED
+    assert built == [spec]
 
 
 def test_full_verdict_imprimitive_control():
