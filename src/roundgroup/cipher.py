@@ -237,6 +237,12 @@ def s_table(spec: CipherSpec) -> np.ndarray:
     return out
 
 
+def swap(table: np.ndarray, left, right, n: int):
+    """sigma(left, right) = (right, left ^ S(right)) as states
+    x1 | x2 << n, for the S table `table`, elementwise over arrays."""
+    return right | ((left ^ table[right]) << n)
+
+
 # ---------------------------------------------------------------------------
 # validation
 

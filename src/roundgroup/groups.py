@@ -25,14 +25,18 @@ correctness story is spelled out:
       randomness in the statement.  The rebuild matters: the random
       phase leaves hundreds of redundant strong generators behind,
       and completion sifts one Schreier generator per (orbit point,
-      generator) pair, in batches that cost one flat gather per level
-      of sift depth.  A generator joining a level sweeps its orbit
+      generator) pair.  A generator joining a level sweeps its orbit
       only when it maps an orbit point outside the orbit.
   Route (1) is the cheap one: it needs no Schreier generator, so an
   alternating chain costs only its random phase.  It is still bounded
   by the degree cap of 4,096 and by transversal storage, which an
   alternating group already exhausts at degree 1,024.  Route (2)
   covers the degenerate groups where no parity certificate exists.
+* Two sift paths.  Scalar `sift` reduces one element per call, as the
+  random phase needs.  The completion has one batched, read-only
+  kernel, `_first_stall`: one flat gather per level of sift depth, up
+  to the first level where some row stalls.  The read-only check and
+  the absorbing `_drain` are both loops over it.
 * Two shortcuts leave the chain unchanged (same base, orbits in the
   same order, same strong generators in the same order).  The random
   phase stops at the first clean sift once the order is the largest
@@ -278,86 +282,48 @@ class StabilizerChain:
 
     # -- deterministic completion (strong-generation criterion)
 
-    def _drain(self, rows: np.ndarray, start: int, floor: int) -> int:
-        """Sift a batch of permutations from `start`, absorbing every
-        failure into the chain (at `floor` discipline) as it appears.
-
-        Identity rows are dropped once per batch and once more before
-        the bottom: an identity row meets position 0 at every level, so
-        carrying it never changes which row stalls first.  A row that
-        stalls is absorbed, after which the remaining rows resume at the
-        stall level since their partial reduction only used transversal
-        entries that never change.  Returns the number absorbed.
-        """
-        absorbed = 0
-        pending = [(rows, start)]
-        while pending:
-            rows, i = pending.pop()
-            rows = rows[(rows != self._identity).any(axis=1)]
-            while len(rows) and i < len(self.levels):
-                lvl = self.levels[i]
-                pos = lvl.posidx[rows[:, lvl.point]]
-                stalled = pos < 0
-                if stalled.any():
-                    j = int(np.nonzero(stalled)[0][0])
-                    self._add_generator(np.ascontiguousarray(rows[j]),
-                                        i, floor)
-                    absorbed += 1
-                    keep = np.ones(len(rows), dtype=bool)
-                    keep[j] = False
-                    pending.append((rows[keep], i))
-                    rows = rows[:0]
-                    break
-                # row r becomes uinv[pos[r]][rows[r]]: one flat gather
-                rows = lvl.uinvstack().ravel()[rows
-                                               + (pos * self.degree)[:, None]]
-                i += 1
-            rows = rows[(rows != self._identity).any(axis=1)]
-            if len(rows):
-                # fixes the whole base but is not the identity
-                self._add_generator(np.ascontiguousarray(rows[0]),
-                                    len(self.levels), floor)
-                absorbed += 1
-                pending.append((rows[1:], i))
-        return absorbed
-
-    def _first_failure(self, rows: np.ndarray, starts: np.ndarray,
-                       level: int) -> int:
-        """Index of the first segment of `rows` (segment k starts at row
-        starts[k]) holding a row that would not sift to the identity from
-        `level`, or len(starts) when every row does.  Read-only: `rows`
-        is not changed and nothing is absorbed.
-
-        A failure in a row cuts the batch back to the start of its
-        segment, since later rows cannot change which segment fails
-        first.  Identity rows are carried: they meet position 0 at every
-        level and stay the identity.
-        """
-        fail = len(starts)
-        n = len(rows)
+    def _first_stall(self, rows: np.ndarray,
+                     level: int) -> tuple[np.ndarray, int, int]:
+        """Reduce a batch of permutations from `level` down, read-only:
+        `rows` is never written to.  Returns (reduced, i, j): level i is
+        the first where some row stalls, j the lowest such row, and
+        `reduced` holds every row reduced through level i - 1.  At the
+        bottom i is the chain length and j the first row that is not the
+        identity, or -1 when every row sifts to the identity.  Identity
+        rows meet position 0 at every level, so carrying them never
+        changes (i, j)."""
         cur = rows
-        index = np.empty_like(rows)
-        work = np.empty_like(rows)
-        for lvl in self.levels[level:]:
+        index, work = np.empty_like(rows), np.empty_like(rows)
+        for i in range(level, len(self.levels)):
+            lvl = self.levels[i]
             pos = lvl.posidx[cur[:, lvl.point]]
             stalled = np.flatnonzero(pos < 0)
             if len(stalled):
-                fail = int(np.searchsorted(starts, stalled[0],
-                                           side="right")) - 1
-                n = int(starts[fail])
-                if not n:
-                    return fail
-                cur, pos = cur[:n], pos[:n]
+                return cur, i, int(stalled[0])
             np.multiply(pos, self.degree, out=pos)
-            np.add(cur, pos[:, None], out=index[:n])
+            np.add(cur, pos[:, None], out=index)
             # row r becomes uinv[pos[r]][cur[r]]: one flat gather
-            np.take(lvl.uinvstack().ravel(), index[:n], out=work[:n],
-                    mode="clip")
-            cur = work[:n]
+            np.take(lvl.uinvstack().ravel(), index, out=work, mode="clip")
+            cur = work
         moved = np.flatnonzero((cur != self._identity).any(axis=1))
-        if len(moved):
-            fail = int(np.searchsorted(starts, moved[0], side="right")) - 1
-        return fail
+        return cur, len(self.levels), int(moved[0]) if len(moved) else -1
+
+    def _drain(self, rows: np.ndarray, start: int, floor: int) -> int:
+        """Sift a batch of permutations from `start`, absorbing every
+        failure into the chain (at `floor` discipline) as it appears.
+        The stalled row joins as a copy, so no strong generator keeps
+        its batch alive; the others resume at the stall level, since
+        their partial reduction only used transversal entries that never
+        change.  Returns the number absorbed."""
+        absorbed, i = 0, start
+        while len(rows):
+            rows, i, j = self._first_stall(rows, i)
+            if j < 0:
+                break
+            self._add_generator(rows[j].copy(), i, floor)
+            absorbed += 1
+            rows = np.delete(rows, j, axis=0)
+        return absorbed
 
     def _verify_level(self, i: int, done: tuple[int, int]) -> int:
         """Sift level i's Schreier generators not covered by `done`,
@@ -369,9 +335,13 @@ class StabilizerChain:
         border needs checking.
 
         The generators come in segments, one per generator and orbit
-        chunk, in a fixed order.  Consecutive segments are stacked into
-        batches of about VERIFY_BATCH_ENTRIES entries and sifted
-        read-only (_first_failure).  The segments before the first
+        chunk, in a fixed order, stacked into batches of about
+        VERIFY_BATCH_ENTRIES entries.  A batch holds the rows "u_a then
+        g", which reduce to the Schreier generators at level i; no row
+        stalls there, since the orbit is closed under lvl.gens.  The
+        batch is sifted read-only and cut back to the start of the
+        stalled row's segment at each stall, since later rows cannot
+        change which segment fails first.  The segments before the first
         failing one absorb nothing, so they are only counted; the
         failing one goes through _drain on its own, exactly as it would
         unbatched, and the batch resumes after it against the grown
@@ -389,31 +359,29 @@ class StabilizerChain:
         sizes = [hi - lo for _, lo, hi in segments]
         cap = VERIFY_BATCH_ENTRIES // self.degree
         ustack = lvl.ustack()
-        uflat = lvl.uinvstack().ravel()
-        absorbed = 0
-        k = 0
+        absorbed = k = 0
         while k < len(segments):
             end, total = k + 1, sizes[k]
             while end < len(segments) and total + sizes[end] <= cap:
                 total += sizes[end]
                 end += 1
             starts = np.cumsum([0] + sizes[k:end])
-            index = np.empty((total, self.degree), dtype=np.int64)
+            batch = np.empty((total, self.degree), dtype=np.int64)
             for (g, lo, hi), a, b in zip(segments[k:end], starts, starts[1:]):
-                np.take(g, ustack[lo:hi], out=index[a:b], mode="clip")
-            pos = lvl.posidx[index[:, lvl.point]]
-            np.multiply(pos, self.degree, out=pos)
-            np.add(index, pos[:, None], out=index)
-            schreier = np.take(uflat, index, mode="clip")
-            fail = self._first_failure(schreier, starts[:-1], i + 1)
-            if fail == end - k:
-                self.schreier_sifted += total
-                k = end
-                continue
-            self.schreier_sifted += int(starts[fail + 1])
-            absorbed += self._drain(schreier[starts[fail]:starts[fail + 1]],
-                                    i + 1, i + 1)
-            k += fail + 1
+                np.take(g, ustack[lo:hi], out=batch[a:b], mode="clip")
+            fail, rows, at = end - k, batch, i
+            while len(rows):
+                rows, at, j = self._first_stall(rows, at)
+                if j < 0:
+                    break
+                fail = int(np.searchsorted(starts, j, side="right")) - 1
+                rows = rows[:starts[fail]]
+            if fail < end - k:
+                absorbed += self._drain(batch[starts[fail]:starts[fail + 1]],
+                                        i, i + 1)
+                end = k + fail + 1
+            self.schreier_sifted += int(starts[end - k])
+            k = end
         return absorbed
 
     def complete(self) -> None:

@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .cipher import CipherSpec, s_table
+from .cipher import CipherSpec, s_table, swap
 
 DEGREE_CAP = 1 << 24
 
@@ -163,11 +163,11 @@ def sign(p: np.ndarray) -> int:
 
 
 def sigma_perm(spec: CipherSpec) -> np.ndarray:
-    """(x1, x2) -> (x2, x1 ^ S(x2)): row x2 is x2 | S(x2) << n, the
-    image of x1 = 0, XOR x1 << n."""
+    """(x1, x2) -> (x2, x1 ^ S(x2)): row x2 is swap(S, 0, x2), the image
+    of x1 = 0, XOR x1 << n."""
     check_degree(spec.n)
     x = np.arange(1 << spec.n, dtype=np.int64)
-    heads = x | (s_table(spec) << spec.n)
+    heads = swap(s_table(spec), 0, x, spec.n)
     return (heads[:, None] ^ (x << spec.n)).ravel()
 
 

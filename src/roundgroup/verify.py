@@ -154,19 +154,13 @@ PROBES = ((1, 0), (0, 1), (1, 1), (3, 5), (5, 3), (7, 11), (11, 7), (13, 1))
 SURVIVOR_CHUNK = 1 << 16
 
 
-def _swap(table: np.ndarray, left, right, n: int):
-    """sigma(left, right) = (right, left ^ S(right)) as states, for the
-    S table `table`."""
-    return right | ((left ^ table[right]) << n)
-
-
 def probe_refuted(subgroups: np.ndarray, table: np.ndarray) -> np.ndarray:
     """Per row H of a goursat.subgroup_table: does the swap map (for the
     S table `table`) send a probe member i*g1 + j*g2 of H (g1, g2 as
     in goursat.generators) outside H + (0, S(0))?"""
     n = len(table).bit_length() - 1
     left, right = goursat.members(subgroups, *np.array(PROBES).T, n)
-    image = _swap(table, left, right, n)
+    image = cipher.swap(table, left, right, n)
     return ~goursat.contains(subgroups, image, n, int(table[0])).all(axis=1)
 
 
@@ -199,7 +193,7 @@ def block_scan(spec: CipherSpec) -> BlockScanResult:
         triple = GoursatTriple(n, *row.tolist())
         chunks = (goursat.member_pairs(triple, k, k + SURVIVOR_CHUNK)
                   for k in range(0, triple.size, SURVIVOR_CHUNK))
-        if not all(goursat.contains(row, _swap(table, left, right, n),
+        if not all(goursat.contains(row, cipher.swap(table, left, right, n),
                                     n, shift).all() for left, right in chunks):
             continue
         certified = partition_invariant(table, triple)

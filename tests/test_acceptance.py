@@ -128,8 +128,20 @@ def _mixed_spec(i: int) -> CipherSpec:
                       cipher.identity_sboxes(4 // m, m))
 
 
+# regression pins, not oracle values: the counters of the
+# schreier-verified AC5 chains (levels, Schreier generators sifted,
+# residues absorbed, transversal rows, strong generators).  A change to
+# the chain's kernels that alters any of these chains fails here.
+AC5_VERIFIED = {6: (13, 2218, 21, 386, 24), 8: (23, 10498, 46, 626, 49),
+                9: (80, 141009, 231, 2000, 234),
+                18: (23, 10514, 47, 626, 50), 28: (23, 11122, 49, 626, 52),
+                36: (7, 1722, 13, 370, 16), 38: (23, 10514, 47, 626, 50),
+                46: (14, 2450, 23, 390, 26), 48: (23, 11122, 49, 626, 52)}
+
+
 def test_ac05_scan_matches_generic_blocks_with_exact_orders():
     certificates = Counter()
+    verified = {}
     for i in range(50):
         spec = _mixed_spec(i)
         assert oracles.atkinson_agrees_with_scan(spec), i
@@ -140,7 +152,12 @@ def test_ac05_scan_matches_generic_blocks_with_exact_orders():
                                      "schreier-verified"), i
         assert chain.order >= 1
         certificates[chain.certificate] += 1
+        if chain.certificate == "schreier-verified":
+            verified[i] = (len(chain.levels), chain.schreier_sifted,
+                           chain.absorbed, chain.rows,
+                           chain.strong_generators)
     assert sum(certificates.values()) == 50
+    assert verified == AC5_VERIFIED
     print(f"\nAC5 oracle equivalence: scan vs generic blocks agree on "
           f"50 mixed n=4 specs, exact orders via {dict(certificates)}: "
           f"PASS")
