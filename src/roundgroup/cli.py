@@ -107,6 +107,10 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# parsing leaves no state in the parser, so one serves every call
+PARSER = build_parser()
+
+
 # body, record, exit code, and the timing lines for stderr
 Report = tuple[list[str], dict, int, list[str]]
 
@@ -119,14 +123,15 @@ def run_report(report, args) -> int:
     caps = {"materialize_log2": perms.DEGREE_CAP.bit_length() - 1,
             "chain_degree_log2": groups.BSGS_DEGREE_CAP.bit_length() - 1}
     params = {"n": spec.n, "m": spec.m, "delta": spec.delta, "r": spec.r}
+    digest = spec.digest()
     lines = [f"tool: {TOOL}",
-             f"spec: {args.spec} sha256={spec.digest()}",
+             f"spec: {args.spec} sha256={digest}",
              "parameters: " + " ".join(f"{k}={v}" for k, v in params.items()),
              f"seed: {args.seed}",
              f"caps: materialize=2^{caps['materialize_log2']} "
              f"chain-degree=2^{caps['chain_degree_log2']}"]
     data = {"tool": TOOL, "seed": args.seed, "caps": caps,
-            "spec": {"path": args.spec, "sha256": spec.digest(), **params}}
+            "spec": {"path": args.spec, "sha256": digest, **params}}
     emit(args, lines + body, {**data, **record})
     for line in timing:
         print(f"timing: {line}", file=sys.stderr)
@@ -468,7 +473,7 @@ REPORTS = {
 
 def main(argv=None) -> int:
     try:
-        args = build_parser().parse_args(argv)
+        args = PARSER.parse_args(argv)
         if args.command in REPORTS:
             return run_report(REPORTS[args.command], args)
         return COMMANDS[args.command](args)

@@ -90,14 +90,21 @@ WITNESS_WORD_LEN = 32
 
 
 def orbit_mask(gens: list[np.ndarray], start: int) -> np.ndarray:
-    """Boolean mask of the orbit of start: the points whose least
-    reachable point (perms.components) is start's.  A bijection's
-    inverse is one of its powers, so it changes no label but lets labels
-    travel both ways; a non-bijective map joins without one."""
-    pool = list(gens) + [perms.inverse(g) for g in gens
-                         if np.bincount(g, minlength=len(g)).all()]
-    labels = perms.components(pool)
-    return labels == labels[start]
+    """Mask of start's orbit under the permutations gens by frontier
+    sweeps: an inverse is a power, so forward closure is the orbit."""
+    seen = np.zeros(len(gens[0]), dtype=bool)
+    frontier = np.array([start])
+    while frontier.size:
+        seen[frontier] = True
+        images = np.concatenate([g[frontier] for g in gens])
+        frontier = np.unique(images[~seen[images]])
+    return seen
+
+
+def _alphabet(gens: list[np.ndarray]) -> list[np.ndarray]:
+    """Word letters: gens as int64 (0..k-1), then their inverses (k..2k-1)."""
+    letters = [np.asarray(g, dtype=np.int64) for g in gens]
+    return letters + [perms.inverse(g) for g in letters]
 
 
 # ---------------------------------------------------------------------------
@@ -424,14 +431,13 @@ def schreier_sims(gens: list[np.ndarray],
         rng = np.random.default_rng(0)
     t0 = time.perf_counter()
     degree = len(gens[0])
+    pool = _alphabet(gens)
     chain = StabilizerChain(degree)
-    for g in gens:
-        chain.feed(np.asarray(g, dtype=np.int64))
+    for g in pool[:len(gens)]:
+        chain.feed(g)
     if not chain.levels:  # trivial group
         chain.certificate = "schreier-verified"
         return chain
-    pool = [np.asarray(g, dtype=np.int64) for g in gens]
-    pool += [perms.inverse(g) for g in pool]
     all_even = all(perms.sign(g) == 1 for g in gens)
     half = math.factorial(degree) // 2
     # the largest order <gens> can have; a chain of that order can no
@@ -475,12 +481,12 @@ class GiantWitness:
     For a transitive PRIMITIVE group, a cycle of prime length p with
     p <= degree-3 forces the group to contain the alternating group
     (Jordan's single-cycle criterion); with every generator even the
-    group then IS the alternating group.  The witness records the pool
-    word (indices < len(gens) are generators, the rest their
-    inverses), the prime, how many trials the search used, and the lcm
-    of the other cycle lengths.  The p-cycle is the word's longest;
-    the others are shorter, hence coprime to p, so the word's power by
-    other_lcm is a bare p-cycle without a recheck.
+    group then IS the alternating group.  The witness records the word
+    (its letters numbered as in `_alphabet`), the prime, how many
+    trials the search used, and the lcm of the other cycle lengths.
+    The p-cycle is the word's longest; the others are shorter, hence
+    coprime to p, so the word's power by other_lcm is a bare p-cycle
+    without a recheck.
     """
 
     word: tuple[int, ...]
@@ -510,7 +516,7 @@ def _is_prime(x: int) -> bool:
 
 def evaluate_witness_word(gens: list[np.ndarray],
                           word: tuple[int, ...]) -> np.ndarray:
-    pool = list(gens) + [perms.inverse(g) for g in gens]
+    pool = _alphabet(gens)
     return perms.compose_all([pool[i] for i in word])
 
 
@@ -526,7 +532,7 @@ def giant_witness(gens: list[np.ndarray], rng: np.random.Generator, *,
     exhausted: never evidence of absence.
     """
     degree = len(gens[0])
-    pool = list(gens) + [perms.inverse(g) for g in gens]
+    pool = _alphabet(gens)
     for trial in range(1, budget + 1):
         word = tuple(int(i) for i in
                      rng.integers(0, len(pool), WITNESS_WORD_LEN))

@@ -5,14 +5,12 @@ rearrangement of 0..N-1; p[x] is the image of x.  Composition is in
 application order: compose_all([p, q]) applies p first, matching the
 postfix convention of the cipher maps.  inverse(p) also takes a 2-D
 stack of permutations and inverts every row in one scatter.
+cycle_reps(p), the one cycle kernel, labels each point with the least
+point of its cycle; sign and cycle_lengths count those labels.
 
 States (x1, x2) are flattened to indices x1 + 2**n * x2, so the left
 word occupies the low bits.  All round maps materialize through the
 mixing-map table in O(N) vectorized steps.
-
-Cycles and orbits are one computation: components(maps) labels each
-point with the least point reachable from it, and sign, cycle_reps,
-cycle_lengths and groups.orbit_mask read those labels.
 
 DEGREE_CAP (2**24 states) bounds dense materialization;
 callers wanting larger parameter sets must stay with the wordwise maps
@@ -38,10 +36,6 @@ def check_degree(n: int) -> int:
     return degree
 
 
-def identity_perm(degree: int) -> np.ndarray:
-    return np.arange(degree, dtype=np.int64)
-
-
 def compose_all(ps) -> np.ndarray:
     ps = list(ps)
     out = ps[0].copy()
@@ -60,63 +54,33 @@ def power(p: np.ndarray, e: int) -> np.ndarray:
     """p**e by binary exponentiation; e may be a huge python int."""
     if e < 0:
         return power(inverse(p), -e)
-    out = identity_perm(len(p))
-    base = p
+    out = np.arange(len(p), dtype=np.int64)
     while e:
         if e & 1:
-            out = base[out]
-        base = base[base]
+            out = p[out]
+        p = p[p]
         e >>= 1
     return out
 
 
-def components(maps) -> np.ndarray:
-    """For every point, the least point reachable from it under `maps`
-    (any maps): for permutations the orbit minimum, for one permutation
-    the cycle minimum.  Every update keeps m[i] reachable from i.
-
-    One map: round k makes m[i] the least of the first 2**k points on
-    i's path.  These windows tile the path, so a round that changes no
-    label (round ceil(log2 L) + 1 at the latest, for a longest path L)
-    shows m[i] <= m[p**(2**k)(i)] everywhere, i.e. every label is the
-    path minimum; N-point windows cover every path, so ceil(log2 N)
-    rounds always suffice.  Several maps: each round applies every map,
-    from the second round on the doubled powers too, then m = m[m] to a
-    fixpoint.  Once no map lowers a label, m[i] <= m[g(i)] for every g,
-    so m[i] is at most every point reachable from i; every other round
-    lowers a label, so the loop ends.
-    """
-    maps = list(maps)
-    degree = len(maps[0])
-    m = np.arange(degree, dtype=maps[0].dtype)
-    if len(maps) == 1:
-        q = maps[0]
-        for _ in range((degree - 1).bit_length()):
-            ahead = m[q]
-            if (ahead >= m).all():
-                break
-            m, q = np.minimum(m, ahead), q[q]
-        return m
-    powers = None
-    while True:
-        before = m
-        for g in maps:
-            m = np.minimum(m, m[g])
-        if np.array_equal(m, before):
-            return m
-        if powers is None:
-            powers = maps
-        else:
-            powers = [q[q] for q in powers]
-            for q in powers:
-                m = np.minimum(m, m[q])
-        while not np.array_equal(jumped := m[m], m):
-            m = jumped
-
-
 def cycle_reps(p: np.ndarray) -> np.ndarray:
-    """Least point of each point's cycle (of its path, for any map)."""
-    return components([p])
+    """Least point of each point's cycle (of its path, for any map).
+
+    Round k makes m[i] the least of the first 2**k points on i's path.
+    These windows tile the path, so a round that changes no label
+    (round ceil(log2 L) + 1 at the latest, for a longest path L) shows
+    m[i] <= m[p**(2**k)(i)] everywhere: every label is the path
+    minimum.  N-point windows cover every path, so ceil(log2 N) rounds
+    always suffice."""
+    degree = len(p)
+    m = np.arange(degree, dtype=p.dtype)
+    q = p
+    for _ in range((degree - 1).bit_length()):
+        ahead = m[q]
+        if (ahead >= m).all():
+            break
+        m, q = np.minimum(m, ahead), q[q]
+    return m
 
 
 def cycle_lengths(p: np.ndarray) -> np.ndarray:

@@ -193,7 +193,7 @@ def conjugates_contained(subgroup_gens: list[np.ndarray],
 
 def words_of_length(gens: list[np.ndarray], length: int) -> list[np.ndarray]:
     """All products of exactly `length` generators (no inverses)."""
-    out = [perms.identity_perm(len(gens[0]))]
+    out = [np.arange(len(gens[0]), dtype=np.int64)]
     for _ in range(length):
         out = [g[w] for w in out for g in gens]
     return out

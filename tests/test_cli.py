@@ -564,6 +564,20 @@ def test_budget_zero_stays_legal(capsys):
     assert "conclusion: Inconclusive" in out
 
 
+def test_main_reuses_one_parser(monkeypatch, capsys):
+    # every call parses with the parser built at import, and each gets
+    # a fresh namespace with its own subcommand's defaults
+    def rebuilt():
+        raise AssertionError("parser rebuilt per call")
+
+    monkeypatch.setattr(cli, "build_parser", rebuilt)
+    rc, out, _ = run(["verdict", "--spec", CONFORMING_N4, "--seed", "5",
+                      "--budget", "0"], capsys)
+    assert rc == 3 and "seed: 5" in out
+    rc, out, _ = run(["validate", "--spec", CONFORMING_N4], capsys)
+    assert rc == 0 and "seed: 0" in out
+
+
 def test_witness_found_on_lossy_boxes(tmp_path, capsys):
     # the gate reads parity and primitivity, not bijectivity; the
     # reported word is replayed on the built generators

@@ -1,4 +1,4 @@
-"""Dense permutation arrays: algebra, cycle and orbit labels,
+"""Dense permutation arrays: algebra, cycle labels and orbits,
 cipher materialization."""
 
 from pathlib import Path
@@ -47,8 +47,8 @@ def test_compose_inverse_power():
     x = 17
     assert perms.compose_all([p, q])[x] == q[p[x]]
     assert np.array_equal(perms.compose_all([p, perms.inverse(p)]),
-                          perms.identity_perm(40))
-    assert np.array_equal(perms.power(p, 0), perms.identity_perm(40))
+                          np.arange(40))
+    assert np.array_equal(perms.power(p, 0), np.arange(40))
     assert np.array_equal(perms.power(p, 5),
                           perms.compose_all([p, p, p, p, p]))
     assert np.array_equal(perms.power(p, -2),
@@ -56,7 +56,7 @@ def test_compose_inverse_power():
 
 
 def test_sign_basics():
-    ident = perms.identity_perm(6)
+    ident = np.arange(6)
     assert perms.sign(ident) == 1
     swap = ident.copy()
     swap[[0, 1]] = [1, 0]
@@ -181,59 +181,59 @@ def test_standard_generators():
 
 
 # ---------------------------------------------------------------------------
-# components: against a forward-closure search and the replaced code
+# cycles and orbits: against a forward-closure search and the replaced
+# code
 
 
 def closure(maps, start):
-    """The points reachable from start under maps, by plain search."""
-    seen, todo = {start}, [start]
+    """Mask of the points reachable from start under maps, by plain
+    search."""
+    images = [np.asarray(g).tolist() for g in maps]
+    seen, todo = [False] * len(images[0]), [start]
+    seen[start] = True
     while todo:
         x = todo.pop()
-        for g in maps:
-            y = int(g[x])
-            if y not in seen:
-                seen.add(y)
+        for g in images:
+            y = g[x]
+            if not seen[y]:
+                seen[y] = True
                 todo.append(y)
     return seen
 
 
-def closure_labels(maps):
-    return [min(closure(maps, i)) for i in range(len(maps[0]))]
-
-
-@pytest.mark.parametrize("maps", [
-    ([3, 8, 6, 7, 1, 4, 2, 0, 5], [4, 1, 2, 8, 0, 7, 5, 4, 7]),
-    ([5, 0, 4, 2, 2, 2], [3, 4, 2, 5, 0, 1]),
-])
-def test_components_terminates_on_pinned_sets(maps):
-    # a loop that applies only the doubled powers after its first round
-    # never lowers these labels to the answer, so it never stops
-    maps = [np.array(g, dtype=np.int64) for g in maps]
-    assert perms.components(maps).tolist() == closure_labels(maps)
-
-
-def test_components_fuzz_against_closure():
+def test_cycle_reps_fuzz_against_closure():
+    # one map, lossy ones included: the least point on each point's path
     rng = np.random.default_rng(20261018)
     lossy = 0
     for _ in range(5000):
         degree = int(rng.integers(1, 12))
-        maps = [rng.permutation(degree) if rng.random() < 0.5
-                else rng.integers(0, degree, degree)
+        p = (rng.permutation(degree) if rng.random() < 0.5
+             else rng.integers(0, degree, degree))
+        lossy += not is_perm(p)
+        assert perms.cycle_reps(p).tolist() == [
+            closure([p], i).index(True) for i in range(degree)]
+    assert 1500 < lossy < 5000
+
+
+def test_orbit_mask_fuzz_against_closure():
+    rng = np.random.default_rng(20261019)
+    for _ in range(5000):
+        degree = int(rng.integers(1, 12))
+        gens = [rng.permutation(degree)
                 for _ in range(int(rng.integers(1, 4)))]
-        bijective = [is_perm(g) for g in maps]
-        lossy += not all(bijective)
-        assert perms.components(maps).tolist() == closure_labels(maps)
-        if len(maps) == 1:
-            assert perms.cycle_reps(maps[0]).tolist() == closure_labels(maps)
-        pool = maps + [perms.inverse(g) for g, b in zip(maps, bijective) if b]
-        labels = closure_labels(pool)
         start = int(rng.integers(0, degree))
-        mask = groups.orbit_mask(maps, start).tolist()
-        assert mask == [x == labels[start] for x in labels]
-        if all(bijective):  # the orbit is start's forward closure
-            reached = closure(maps, start)
-            assert mask == [i in reached for i in range(degree)]
-    assert 2000 < lossy < 5000
+        assert groups.orbit_mask(gens, start).tolist() == \
+            closure(gens, start)
+    # two involutions on a randomly labelled path of 4,096 points: a
+    # dihedral orbit that no single generator's powers shorten
+    path = rng.permutation(4096)
+    gens = []
+    for first in (0, 1):
+        g = np.arange(4096)
+        g[path[first:-1:2]], g[path[first + 1::2]] = \
+            path[first + 1::2], path[first:-1:2]
+        gens.append(g)
+    assert groups.orbit_mask(gens, int(path[1000])).all()
 
 
 def doubling_reps(p):
@@ -258,21 +258,6 @@ def unique_cycle_lengths(p):
 def unique_sign(p):
     ncycles = len(np.unique(doubling_reps(p)))
     return 1 if (len(p) - ncycles) % 2 == 0 else -1
-
-
-def sweep_orbit_mask(gens, start):
-    """The replaced orbit_mask: vectorized frontier sweeps."""
-    seen = np.zeros(len(gens[0]), dtype=bool)
-    seen[start] = True
-    frontier = np.array([start], dtype=np.int64)
-    while frontier.size:
-        images = np.concatenate([g[frontier] for g in gens])
-        images = images[~seen[images]]
-        if images.size:
-            images = np.unique(images)
-            seen[images] = True
-        frontier = images
-    return seen
 
 
 def oracle_specs():
@@ -308,5 +293,5 @@ def test_components_match_replaced_code_on_specs():
                                   unique_cycle_lengths(p))
         for subset in (gens, gens[2:], gens[::2], words[:1], words[1:]):
             for start in (0, int(rng.integers(0, spec.degree))):
-                assert np.array_equal(groups.orbit_mask(subset, start),
-                                      sweep_orbit_mask(subset, start))
+                assert groups.orbit_mask(subset, start).tolist() == \
+                    closure(subset, start)
