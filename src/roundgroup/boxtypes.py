@@ -101,18 +101,18 @@ def s_image_type_violations(spec: CipherSpec) -> list[int]:
             == type_of(s_image(table, q), m, delta)]
 
 
-def s_image_coset_violations(spec: CipherSpec) -> list[int]:
-    """q in (0, n) where the image of <2**q> under the mixing map is
-    exactly the modular coset (image of 0) + <2**q>.  Empty on
-    conforming bijective specs; this set equality is precisely what
-    would hand the scan an invariant partition.
+def s_image_coset_violations(table: np.ndarray) -> list[int]:
+    """q in (0, n) where the image of <2**q> under the mixing map with
+    this s_table is exactly the modular coset (image of 0) + <2**q>.
+    Empty on conforming bijective specs; this set equality is precisely
+    what would hand the scan an invariant partition.
 
     The coset is the set of the 2**(n-q) words congruent to S(0) mod
     2**q, so the image equals it when it has that many words, all of
     them congruent to S(0): no coset to build or sort.  The count is
     needed: an all-zero box maps <2**q> to {S(0)}, congruent but short.
     """
-    n, table = spec.n, s_table(spec)
+    n = len(table).bit_length() - 1
     images = ((q, s_image(table, q)) for q in range(1, n))
     return [q for q, image in images if image.size == 1 << (n - q)
             and not ((image ^ table[0]) & ((1 << q) - 1)).any()]

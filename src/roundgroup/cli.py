@@ -302,7 +302,7 @@ def types_report(args, spec: CipherSpec) -> Report:
                      "verdict": verdict})
         lines.append(f"q={q}: D={dtype} DS={image} [{verdict}]")
     tv = [row["q"] for row in rows if row["verdict"] == "same"]
-    cv = boxtypes.s_image_coset_violations(spec)
+    cv = boxtypes.s_image_coset_violations(table)
     lines.append(f"type violations: {tv or 'none'}")
     lines.append(f"coset violations: {cv or 'none'}")
     return lines, {"types": {"rows": rows, "type_violations": tv,
@@ -381,8 +381,9 @@ def verdict_report(args, spec: CipherSpec) -> Report:
     v = verify.full_verdict(spec, seed=args.seed, budget=args.budget)
     elapsed = time.monotonic() - t0
     n, val = spec.n, v.validation
-    lines = [f"budget: {v.budget}  word-len: {v.word_len}", "-- checks --"]
-    record = {"budget": v.budget, "word_len": v.word_len,
+    lines = [f"budget: {v.budget}  word-len: {groups.WITNESS_WORD_LEN}",
+             "-- checks --"]
+    record = {"budget": v.budget, "word_len": groups.WITNESS_WORD_LEN,
               "validation": {"conforming": val.conforming,
                              "bijective": val.bijective,
                              "theorem_scope": val.theorem_scope,
@@ -442,14 +443,13 @@ def verdict_report(args, spec: CipherSpec) -> Report:
                "word_hex": g.word_hex, "other_lcm": str(g.other_lcm)})
     elif v.witness_searched:
         check("witness", f"giant-witness: NONE within budget {v.budget}",
-              None)
+              {"prime": None, "trials_used": v.budget})
     else:
         check("witness", "giant-witness: SKIPPED (gated by earlier checks)",
               None)
     check("conclusion", f"conclusion: {v.conclusion}", v.conclusion)
     # trials: the hit's, the whole budget on a miss, none when gated off
-    trials = (g.trials_used if g is not None
-              else v.budget if v.witness_searched else 0)
+    trials = record["witness"]["trials_used"] if record["witness"] else 0
     stages = v.stage_seconds
     return lines, {"verdict": record}, v.exit_code, [
         f"verdict {elapsed:.2f}s {scan_counters(scan)}",

@@ -134,17 +134,19 @@ def contains(table: np.ndarray, states: np.ndarray, n: int,
     return _label(u, v, e, f, g, z, n) == 0
 
 
-def member_pairs(triple: GoursatTriple, start: int = 0,
+def member_pairs(triple: GoursatTriple,
                  stop: int | None = None) -> tuple[np.ndarray, np.ndarray]:
-    """(left, right) component arrays of members start..stop-1 (all by
-    default), as int64.  Member k is i*g1 + j*g2 for i = k // 2**(n-g)
-    and j = k % 2**(n-g), g as in the module docstring."""
+    """(left, right) int64 arrays of members 0..stop-1 (all by default).
+    Member k is i*g1 + j*g2, inner index j < 2**(n-g), or i < 2**(n-e)
+    when t < s (module docstring), so the first 2**(n - min(s, t)) are
+    one per coset of the subgroup K of verify.block_scan."""
     row = np.array(triple.to_tuple())
-    _, _, _, g, _ = _oriented(row)
-    inner = triple.n - g
+    swap, e, _, g, _ = _oriented(row)
+    inner = triple.n - (e if swap else g)
     stop = triple.size if stop is None else min(stop, triple.size)
-    k = np.arange(start, stop, dtype=np.int64)
-    return members(row, k >> inner, k & ((1 << inner) - 1), triple.n)
+    outer, low = np.divmod(np.arange(stop, dtype=np.int64), 1 << inner)
+    i, j = (low, outer) if swap else (outer, low)
+    return members(row, i, j, triple.n)
 
 
 def generators(triple: GoursatTriple) -> tuple[tuple[int, int], ...]:

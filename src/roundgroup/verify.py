@@ -19,9 +19,10 @@ parameter set at hand:
   modular cosets of a subgroup of the state group, so scanning every
   Goursat subgroup settles it.  Candidates that pass the necessary
   image-coset equation (tried on probe members of all subgroups in one
-  pass first) are certified (or refuted) by a difference lemma on the
-  2**n-entry S table (`partition_invariant`); the translations send
-  x + H to x + k + H.  The scan builds no state array: sigma is read
+  pass first, then on at most 2**n members of each survivor) are
+  certified (or refuted) by a difference lemma on the 2**n-entry S
+  table (`partition_invariant`); the translations send x + H to
+  x + k + H.  The scan builds no state array: sigma is read
   in closed form, and the dense generators are built only for the
   witness search.
   Primitive means transitive with no certified candidate (`is_primitive`);
@@ -56,7 +57,7 @@ import numpy as np
 from . import cipher, goursat, perms, words
 from .cipher import CipherSpec, SpecValidation, apply_s, validate_spec
 from .goursat import GoursatTriple
-from .groups import WITNESS_WORD_LEN, GiantWitness, giant_witness
+from .groups import GiantWitness, giant_witness
 
 
 # ---------------------------------------------------------------------------
@@ -151,7 +152,6 @@ def partition_invariant(table: np.ndarray, triple: GoursatTriple) -> bool:
 # (i, j) coefficients of the probe members i*g1 + j*g2 of a subgroup
 # generated by g1, g2; fixed, so no RNG stream is touched
 PROBES = ((1, 0), (0, 1), (1, 1), (3, 5), (5, 3), (7, 11), (11, 7), (13, 1))
-SURVIVOR_CHUNK = 1 << 16
 
 
 def probe_refuted(subgroups: np.ndarray, table: np.ndarray) -> np.ndarray:
@@ -167,20 +167,22 @@ def probe_refuted(subgroups: np.ndarray, table: np.ndarray) -> np.ndarray:
 def block_scan(spec: CipherSpec) -> BlockScanResult:
     """Test every proper nontrivial Goursat subgroup for blockness.
 
-    The only way a subgroup's cosets can be an invariant partition is
-    if the swap map sends the subgroup itself to its coset through the
-    image of zero (the translations already force coset-to-coset
-    behaviour).  That set equation is the scan filter.  It is tried
-    first on a few members of every subgroup in one pass
-    (`probe_refuted`), which refutes most subgroups without
-    materializing them.  A survivor's members are listed and mapped
-    SURVIVOR_CHUNK at a time until one image leaves the coset (sigma
-    is a bijection, so sigma(H) inside H + (0, S(0)) is the set
-    equation); those that pass are certified or refuted by the
-    difference lemma of `partition_invariant`.  Every step reads the
-    2**n-entry S table, sigma in closed form, and no state array; the
-    translations send x + H to x + k + H.  No certified candidate plus
-    transitivity therefore proves primitivity.
+    A subgroup's cosets can be an invariant partition only if the swap
+    map sends the subgroup to its coset through the image of zero (the
+    translations already map cosets to cosets).  That set equation,
+    sigma(H) = H + (0, S(0)), is the scan filter; `probe_refuted` tries
+    it on a few members of every subgroup in one pass.  A survivor is
+    decided on one member per coset of K = {x in H : x2 = 0, x1 = 0
+    mod 2**tD}, which is H meet (<2**g> x 0), g = max(sB, tD).  For
+    (k1, 0) in K, sigma(x + k) - sigma(x) = (0, ((x1 + k1) ^ S(x2)) -
+    (x1 ^ S(x2))) is 0 mod 2**tD in its second part, so lies in 0 x
+    <2**tD>, inside H.  So sigma(H) lies in H + (0, S(0)) iff the
+    |H|/|K| = 2**(n - min(s, t)) members goursat.member_pairs lists
+    first do; sigma is a bijection for every S table, so that is the
+    set equation, lossy boxes included.  Candidates are certified or
+    refuted by `partition_invariant`, all off the 2**n-entry S table
+    with sigma in closed form: no state array.  No certified candidate
+    plus transitivity proves primitivity.
     """
     n = spec.n
     perms.check_degree(n)
@@ -191,13 +193,11 @@ def block_scan(spec: CipherSpec) -> BlockScanResult:
     candidates = []
     for row in subgroups[~refuted]:
         triple = GoursatTriple(n, *row.tolist())
-        chunks = (goursat.member_pairs(triple, k, k + SURVIVOR_CHUNK)
-                  for k in range(0, triple.size, SURVIVOR_CHUNK))
-        if not all(goursat.contains(row, cipher.swap(table, left, right, n),
-                                    n, shift).all() for left, right in chunks):
-            continue
-        certified = partition_invariant(table, triple)
-        candidates.append(BlockCandidate(triple, certified))
+        stop = 1 << (n - min(triple.s, triple.t))
+        image = cipher.swap(table, *goursat.member_pairs(triple, stop), n)
+        if goursat.contains(row, image, n, shift).all():
+            candidates.append(BlockCandidate(
+                triple, partition_invariant(table, triple)))
     return BlockScanResult(len(subgroups), int(refuted.sum()), shift,
                            tuple(candidates))
 
@@ -329,7 +329,6 @@ EXIT_CODES = {ALT_CERTIFIED: 0, THEOREM_APPLIES: 0,
 @dataclass(frozen=True)
 class Verdict:
     budget: int
-    word_len: int
     validation: SpecValidation
     parity: bool
     transitivity: bool
@@ -390,7 +389,6 @@ def full_verdict(spec: CipherSpec, seed: int,
     else:
         conclusion = INCONCLUSIVE
 
-    return Verdict(budget, WITNESS_WORD_LEN, validation, parity,
-                   transitivity, scan, diag, affine, wreath, psl, witness,
-                   searched, conclusion,
+    return Verdict(budget, validation, parity, transitivity, scan, diag,
+                   affine, wreath, psl, witness, searched, conclusion,
                    {"scan": scan_s, "witness": witness_s})

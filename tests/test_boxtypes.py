@@ -160,13 +160,15 @@ def test_mixing_violations_empty_on_conforming_bijective():
             spec = bijective_spec(n, m, delta, r, seed)
             assert spec.conforming
             assert boxtypes.s_image_type_violations(spec) == []
-            assert boxtypes.s_image_coset_violations(spec) == []
+            table = cipher.s_table(spec)
+            assert boxtypes.s_image_coset_violations(table) == []
 
 
 def test_mixing_violations_identity_control():
     spec = cipher.CipherSpec(8, 2, 4, 0, cipher.identity_sboxes(4, 2))
     assert boxtypes.s_image_type_violations(spec) == list(range(1, 8))
-    assert boxtypes.s_image_coset_violations(spec) == list(range(1, 8))
+    assert boxtypes.s_image_coset_violations(cipher.s_table(spec)) \
+        == list(range(1, 8))
 
 
 def test_mixing_violations_r0_bijective_control():
@@ -177,7 +179,8 @@ def test_mixing_violations_r0_bijective_control():
         for seed in seeds:
             spec = bijective_spec(n, m, delta, 0, seed)
             tv = boxtypes.s_image_type_violations(spec)
-            cv = set(boxtypes.s_image_coset_violations(spec))
+            table = cipher.s_table(spec)
+            cv = set(boxtypes.s_image_coset_violations(table))
             assert tv == list(range(1, n))
             assert whole <= cv
 
@@ -189,7 +192,7 @@ def test_coset_violation_implies_type_violation():
     specs += [bijective_spec(8, 2, 4, 3, seed) for seed in range(3)]
     for spec in specs:
         tv = set(boxtypes.s_image_type_violations(spec))
-        cv = set(boxtypes.s_image_coset_violations(spec))
+        cv = set(boxtypes.s_image_coset_violations(cipher.s_table(spec)))
         assert cv <= tv
 
 

@@ -251,8 +251,8 @@ def test_types_identity_reports_violations(capsys):
 
 def test_types_maps_each_image_once_per_check(monkeypatch, capsys):
     # the rows type each image once and the violations are read off
-    # them; the coset check maps each image again and builds its own
-    # table: n - 1 types, 2 (n - 1) images and 2 tables at n = 8
+    # them; the coset check maps each image again off the same table:
+    # n - 1 types, 2 (n - 1) images and 1 table at n = 8
     calls = Counter()
 
     def count(owner, attr, name):
@@ -269,7 +269,7 @@ def test_types_maps_each_image_once_per_check(monkeypatch, capsys):
     count(boxtypes, "s_table", "s_table")
     rc, _, _ = run(["types", "--spec", CONFORMING_N8], capsys)
     assert rc == 0
-    assert calls == {"type_of": 7, "s_image": 14, "s_table": 2}
+    assert calls == {"type_of": 7, "s_image": 14, "s_table": 1}
 
 
 def test_goursat_count_and_check(capsys):
@@ -562,6 +562,20 @@ def test_budget_zero_stays_legal(capsys):
     assert rc == 3  # delta = 2 is outside the theorem's scope
     assert "giant-witness: NONE within budget 0" in out
     assert "conclusion: Inconclusive" in out
+
+
+def test_verdict_json_tells_a_missed_witness_from_a_skipped_one(capsys):
+    # NONE (searched, nothing found) records the budget it spent;
+    # SKIPPED (gated off) stays null
+    rc, out, _ = run(["verdict", "--spec", CONFORMING_N8, "--budget", "0",
+                      "--format", "json"], capsys)
+    assert rc == 0  # TheoremApplies
+    assert json.loads(out)["verdict"]["witness"] == {"prime": None,
+                                                     "trials_used": 0}
+    rc, out, _ = run(["verdict", "--spec", IDENTITY_N8, "--format", "json"],
+                     capsys)
+    assert rc == 2
+    assert json.loads(out)["verdict"]["witness"] is None
 
 
 def test_main_reuses_one_parser(monkeypatch, capsys):

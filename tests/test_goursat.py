@@ -45,11 +45,33 @@ def test_sizes_and_flags():
     for tri in goursat.enumerate_subgroups(3):
         left, right = goursat.member_pairs(tri)
         assert len(left) == tri.size
-        # a range at a time lists the same members in the same order
-        parts = [goursat.member_pairs(tri, k, k + 3)
-                 for k in range(0, tri.size, 3)]
-        assert np.array_equal(np.concatenate([p[0] for p in parts]), left)
-        assert np.array_equal(np.concatenate([p[1] for p in parts]), right)
+        # each prefix starts the full list; a stop past the end is all
+        for stop in range(tri.size + 2):
+            part = goursat.member_pairs(tri, stop)
+            assert len(part[0]) == min(stop, tri.size)
+            assert np.array_equal(part[0], left[:stop])
+            assert np.array_equal(part[1], right[:stop])
+
+
+def test_first_members_are_one_per_coset_of_the_scan_subgroup():
+    # verify.block_scan decides its set equation on the first
+    # 2**(n - min(s, t)) members: they must be one per coset of K = {x
+    # in H : x2 = 0, x1 = 0 mod 2**tD}, i.e. have distinct (x2, x1 mod
+    # 2**tD), and be exactly |H| / |K| of them
+    swapped = 0
+    for n in range(1, 6):
+        for tri in goursat.enumerate_subgroups(n):
+            count = 1 << (n - min(tri.s, tri.t))
+            left, right = goursat.member_pairs(tri, count)
+            assert len(left) == count, tri
+            keys = set(zip(right.tolist(),
+                           (left & ((1 << tri.td) - 1)).tolist()))
+            assert len(keys) == count, tri
+            kernel = [a for a in range(0, 1 << n, 1 << tri.td)
+                      if oracles.contains(tri, a, 0)]
+            assert tri.size == count * len(kernel), tri
+            swapped += tri.t < tri.s
+    assert swapped > 0
 
 
 def test_members_form_a_subgroup():

@@ -190,6 +190,40 @@ def set_equation_holds(triple, sigma, shift):
     return bool(np.array_equal(image, shifted))
 
 
+def test_one_pass_survivor_check_decides_the_set_equation(monkeypatch):
+    """With the probe pass switched off every proper subgroup reaches
+    the survivor check, which maps one member per coset of K alone
+    (verify.block_scan): its candidates must be exactly the subgroups
+    whose whole member set satisfies the set equation.  n = 2..5,
+    every m and r, identity, bijective and lossy boxes."""
+    def no_probe(subgroups, table):
+        return np.zeros(len(subgroups), dtype=bool)
+
+    monkeypatch.setattr(verify, "probe_refuted", no_probe)
+    rng = np.random.default_rng(1507)
+    pairs, outcomes = 0, collections.Counter()
+    for n in range(2, 6):
+        triples = proper_triples(n)
+        for m in [d for d in range(1, n + 1) if n % d == 0]:
+            for r in range(n):
+                for spec in (identity_spec(n, m, r),
+                             cipher.random_spec(m, n // m, r, rng),
+                             cipher.random_spec(m, n // m, r, rng,
+                                                bijective=False)):
+                    sigma = perms.standard_generators(spec)[2]
+                    shift = cipher.apply_s(spec, 0)
+                    holds = [set_equation_holds(t, sigma, shift)
+                             for t in triples]
+                    scan = verify.block_scan(spec)
+                    assert scan.probe_refuted == 0
+                    assert [c.triple for c in scan.candidates] == \
+                        [t for t, ok in zip(triples, holds) if ok]
+                    pairs += len(triples)
+                    outcomes.update(holds)
+    assert pairs == 8952
+    assert outcomes[True] > 0 and outcomes[False] > 0
+
+
 def partition_invariant_oracle(labels, perm):
     """The sort-based check that the linear partition_invariant replaced."""
     _, rep_idx, inverse = np.unique(labels, return_index=True,
