@@ -38,8 +38,6 @@ from . import words
 # The real cipher's parameter frame (not its secret tables).
 GOST_PARAMS = (32, 4, 8, 11)
 
-TABLE_CAP = 1 << 24
-
 
 @dataclass(frozen=True)
 class CipherSpec:
@@ -103,14 +101,17 @@ class CipherSpec:
         return hashlib.sha256(blob.encode()).hexdigest()
 
 
-def _parse_entry(v) -> int:
+def _parse_entry(j: int, v) -> int:
     # tables may mix decimal ints and hex strings like "0x1f"; a JSON
     # boolean is not a number here, though Python counts it as an int
-    if isinstance(v, str):
-        return int(v, 0)
     if type(v) is int:
         return v
-    raise ValueError(f"S-box entry {v!r} is neither int nor numeric string")
+    if isinstance(v, str):
+        try:
+            return int(v, 0)
+        except ValueError:
+            pass
+    raise ValueError(f"table {j}: entry {v!r} is not a number")
 
 
 def spec_from_dict(data: dict) -> CipherSpec:
@@ -118,11 +119,11 @@ def spec_from_dict(data: dict) -> CipherSpec:
     would otherwise load as some other spec under the same digest."""
     try:
         fields = [data[key] for key in ("n", "m", "delta", "r")]
-        if any(type(v) is not int for v in fields):
+        if any(type(v) is not int for v in fields) or \
+                not isinstance(data["sboxes"], list):
             raise TypeError
-        tables = tuple(
-            tuple(_parse_entry(v) for v in table) for table in data["sboxes"]
-        )
+        tables = tuple(tuple(_parse_entry(j, v) for v in table)
+                       for j, table in enumerate(data["sboxes"]))
     except KeyError as e:
         raise ValueError(f"spec file missing field {e.args[0]!r}") from None
     except TypeError:
@@ -226,9 +227,7 @@ def s_table(spec: CipherSpec) -> np.ndarray:
     bit permutation, so it distributes over the OR of the shifted
     S-box tables: S is their outer OR after rotating each 2**m-entry
     table, highest brick first (brick 1 last)."""
-    if (1 << spec.n) > TABLE_CAP:
-        raise ValueError(f"S table for n={spec.n} exceeds cap "
-                         f"2**{TABLE_CAP.bit_length() - 1}")
+    words.check_cap("table", 1 << spec.n)
     out = np.zeros(1, dtype=np.int64)
     for j in reversed(range(spec.delta)):
         table = np.asarray(spec.sboxes[j], dtype=np.int64) << (j * spec.m)

@@ -95,7 +95,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = add("goursat", "enumerate subgroups of the state translation "
             "group", spec=False, seed=False)
-    p.add_argument("--n", type=int, required=True, help="word width")
+    p.add_argument("--n", type=_int_from(1), required=True, help="word width")
     p.add_argument("--list", action="store_true",
                    help="print every triple, not just the count")
 
@@ -117,11 +117,11 @@ Report = tuple[list[str], dict, int, list[str]]
 
 def run_report(report, args) -> int:
     """Load the spec, run `report(args, spec)` and emit its body under
-    the header; the caps are read from the modules that enforce them."""
+    the header; the caps are read from the size-cap table."""
     spec = cipher.load_spec(args.spec)
     body, record, code, timing = report(args, spec)
-    caps = {"materialize_log2": perms.DEGREE_CAP.bit_length() - 1,
-            "chain_degree_log2": groups.BSGS_DEGREE_CAP.bit_length() - 1}
+    caps = {"materialize_log2": words.CAPS["materialize"].bit_length() - 1,
+            "chain_degree_log2": words.CAPS["chain-degree"].bit_length() - 1}
     params = {"n": spec.n, "m": spec.m, "delta": spec.delta, "r": spec.r}
     digest = spec.digest()
     lines = [f"tool: {TOOL}",
@@ -315,8 +315,7 @@ def types_report(args, spec: CipherSpec) -> Report:
 
 def cmd_goursat(args) -> int:
     n = args.n
-    if not 1 <= n <= 16:
-        raise ValueError("subgroup enumeration supported for 1 <= n <= 16")
+    words.check_cap("goursat-width", n)
     triples = goursat.enumerate_subgroups(n)
     lines = [f"tool: {TOOL}", f"n: {n}", f"subgroups: {len(triples)}"]
     data = {"tool": TOOL, "n": n, "count": len(triples)}
@@ -334,11 +333,7 @@ def cmd_goursat(args) -> int:
 
 def order_report(args, spec: CipherSpec) -> Report:
     degree = spec.degree
-    if degree > groups.BSGS_DEGREE_CAP:
-        raise ValueError(
-            f"exact order needs degree <= "
-            f"2^{groups.BSGS_DEGREE_CAP.bit_length() - 1}; "
-            f"this spec has degree 2^{2 * spec.n}")
+    words.check_cap("chain-degree", degree)  # before any dense generator
     gens = perms.standard_generators(spec)
     chain = groups.schreier_sims(gens, np.random.default_rng(args.seed))
     order = chain.order

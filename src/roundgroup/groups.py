@@ -29,8 +29,8 @@ correctness story is spelled out:
       only when it maps an orbit point outside the orbit.
   Route (1) is the cheap one: it needs no Schreier generator, so an
   alternating chain costs only its random phase.  It is still bounded
-  by the degree cap of 4,096 and by transversal storage, which an
-  alternating group already exhausts at degree 1,024.  Route (2)
+  by the size caps in words.CAPS: chain degree 4,096 and transversal
+  storage, which an alternating group exhausts at degree 1,024.  Route (2)
   covers the degenerate groups where no parity certificate exists.
 * Two sift paths.  Scalar `sift` reduces one element per call, as the
   random phase needs.  The completion has one batched, read-only
@@ -49,11 +49,11 @@ correctness story is spelled out:
 * Storage.  A level keeps one inverse transversal row per orbit point,
   the only rows sifting reads: a point b = gen(a) joins with
   uinv_b = uinv_a after gen^-1, one gather against the generator's
-  inverse, which is computed once and shared by every level the
-  generator joined.  Each row is held once, as a view of the level's
-  stack after `_Level.uinvstack`.  Forward rows are derived from the
-  inverse rows only when the deterministic completion asks for them
-  (`_Level.ustack`), so a chain certified by route (1) holds none.
+  inverse, computed once (by `_alphabet` for an original generator)
+  and shared by every level the generator joined.  Each row is held
+  once, as a view of the level's stack after `_Level.uinvstack`;
+  forward rows are derived from the inverse rows only when the
+  completion asks (`_Level.ustack`), so route (1) chains hold none.
 """
 
 from __future__ import annotations
@@ -65,11 +65,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import perms
-
-BSGS_DEGREE_CAP = 1 << 12
-# total entries of the inverse transversal rows (sum of orbit lengths
-# times degree), 512 MB of int64
-TRANSVERSAL_ENTRY_CAP = 1 << 26
+from .words import check_cap
 
 # Schreier generators are verified in read-only batches of about this
 # many entries (rows times degree)
@@ -150,9 +146,6 @@ class StabilizerChain:
     exactness protocol.  Build with schreier_sims(), not directly."""
 
     def __init__(self, degree: int):
-        if degree > BSGS_DEGREE_CAP:
-            raise ValueError(f"stabilizer chain capped at degree "
-                             f"{BSGS_DEGREE_CAP}, got {degree}")
         self.degree = degree
         self.base: list[int] = []
         self.levels: list[_Level] = []
@@ -162,9 +155,9 @@ class StabilizerChain:
         # step with posidx so a new generator tests every level at once;
         # point-major, so the generator's images gather whole rows
         self._member = np.zeros((degree, 0), dtype=bool)
-        # inverse of each strong generator by id: a residue is one array
-        # shared by every level it joined, and so is its inverse
-        self._inverses: dict[int, np.ndarray] = {}
+        # (generator, inverse) by id, the generator held so its id stays
+        # its own: a residue and its inverse serve every level it joined
+        self._inverses: dict[int, tuple[np.ndarray, np.ndarray]] = {}
         # inverse transversal rows held, summed over the levels, and
         # residues joined as strong generators
         self.rows = 0
@@ -188,9 +181,7 @@ class StabilizerChain:
 
     def _add_rows(self, count: int) -> None:
         self.rows += count
-        if self.rows * self.degree > TRANSVERSAL_ENTRY_CAP:
-            raise ValueError("transversal storage cap exceeded; the group "
-                             "is too large for an exact chain at this degree")
+        check_cap("transversal", self.rows * self.degree)
 
     # -- sifting
 
@@ -212,10 +203,9 @@ class StabilizerChain:
     # -- growth
 
     def _inverse(self, gen: np.ndarray) -> np.ndarray:
-        inv = self._inverses.get(id(gen))
-        if inv is None:
-            inv = self._inverses[id(gen)] = perms.inverse(gen)
-        return inv
+        if id(gen) not in self._inverses:
+            self._inverses[id(gen)] = (gen, perms.inverse(gen))
+        return self._inverses[id(gen)][1]
 
     def _extend_level(self, i: int, new_gen: np.ndarray) -> None:
         """Close level i's orbit after new_gen joined its generator list.
@@ -431,10 +421,18 @@ def schreier_sims(gens: list[np.ndarray],
         rng = np.random.default_rng(0)
     t0 = time.perf_counter()
     degree = len(gens[0])
+    check_cap("chain-degree", degree)
     pool = _alphabet(gens)
-    chain = StabilizerChain(degree)
-    for g in pool[:len(gens)]:
-        chain.feed(g)
+
+    def seeded() -> StabilizerChain:
+        # fed the original generators, with the pool's inverses
+        chain = StabilizerChain(degree)
+        for g, inv in zip(pool[:len(gens)], pool[len(gens):]):
+            chain._inverses[id(g)] = (g, inv)
+            chain.feed(g)
+        return chain
+
+    chain = seeded()
     if not chain.levels:  # trivial group
         chain.certificate = "schreier-verified"
         return chain
@@ -461,9 +459,7 @@ def schreier_sims(gens: list[np.ndarray],
     else:
         # no order certificate applies: rebuild lean from the original
         # generators and verify deterministically
-        chain = StabilizerChain(degree)
-        for g in pool[:len(gens)]:
-            chain.feed(g)
+        chain = seeded()
         chain.complete()
     chain.stage_seconds = {"random": random_s,
                            "complete": time.perf_counter() - t0 - random_s}

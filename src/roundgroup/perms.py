@@ -12,10 +12,10 @@ States (x1, x2) are flattened to indices x1 + 2**n * x2, so the left
 word occupies the low bits.  All round maps materialize through the
 mixing-map table in O(N) vectorized steps.
 
-DEGREE_CAP (2**24 states) bounds dense materialization;
-callers wanting larger parameter sets must stay with the wordwise maps
-in cipher, which are also the scalar oracle these arrays are tested
-against.
+The "materialize" cap of the size-cap table (words.CAPS, 2**24
+states) bounds dense materialization; callers wanting larger parameter
+sets must stay with the wordwise maps in cipher, which are also the
+scalar oracle these arrays are tested against.
 """
 
 from __future__ import annotations
@@ -23,17 +23,7 @@ from __future__ import annotations
 import numpy as np
 
 from .cipher import CipherSpec, s_table, swap
-
-DEGREE_CAP = 1 << 24
-
-
-def check_degree(n: int) -> int:
-    degree = 1 << (2 * n)
-    if degree > DEGREE_CAP:
-        raise ValueError(
-            f"degree 2**{2 * n} exceeds the dense cap "
-            f"2**{DEGREE_CAP.bit_length() - 1}; use the wordwise maps instead")
-    return degree
+from .words import check_cap
 
 
 def compose_all(ps) -> np.ndarray:
@@ -129,14 +119,14 @@ def sign(p: np.ndarray) -> int:
 def sigma_perm(spec: CipherSpec) -> np.ndarray:
     """(x1, x2) -> (x2, x1 ^ S(x2)): row x2 is swap(S, 0, x2), the image
     of x1 = 0, XOR x1 << n."""
-    check_degree(spec.n)
+    check_cap("materialize", spec.degree)
     x = np.arange(1 << spec.n, dtype=np.int64)
     heads = swap(s_table(spec), 0, x, spec.n)
     return (heads[:, None] ^ (x << spec.n)).ravel()
 
 
 def rho_perm(k: tuple[int, int], n: int) -> np.ndarray:
-    check_degree(n)
+    check_cap("materialize", 1 << (2 * n))
     steps = np.arange(1 << n, dtype=np.int64)
     mask = (1 << n) - 1
     return ((((steps + k[1]) & mask) << n)[:, None]

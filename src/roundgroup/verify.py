@@ -185,7 +185,7 @@ def block_scan(spec: CipherSpec) -> BlockScanResult:
     plus transitivity proves primitivity.
     """
     n = spec.n
-    perms.check_degree(n)
+    words.check_cap("materialize", spec.degree)  # the dense maps' scope
     table = cipher.s_table(spec)
     shift = int(table[0])
     subgroups = goursat.proper_subgroup_table(n)
@@ -240,8 +240,7 @@ class AffineCheck:
 
 
 def affine_check(n: int) -> AffineCheck:
-    if n < 2:
-        raise ValueError("width must be at least 2")
+    words.check_width(n)
     return AffineCheck(n, (n - 1).bit_length())
 
 
@@ -308,8 +307,7 @@ class PslCheck:
 
 
 def psl_check(n: int) -> PslCheck:
-    if n < 2:
-        raise ValueError("width must be at least 2")
+    words.check_width(n)
     return PslCheck(n, (1 << n) - 1, (1 << n) + 1)
 
 

@@ -23,12 +23,33 @@ constant is odd), and the unique element of order 2 is 2**(n-1).
 
 from __future__ import annotations
 
-MAX_WIDTH = 64
+# Every size cap, by name: the largest size that check_cap lets through.
+CAPS = {
+    "width": 64,              # bits in a word, for every spec
+    "table": 1 << 24,         # words in the S table (cipher.s_table)
+    "materialize": 1 << 24,   # states of a dense permutation (perms)
+    "chain-degree": 1 << 12,  # degree of a stabilizer chain (groups)
+    "transversal": 1 << 26,   # a chain's inverse row entries, 512 MB
+    "goursat-width": 16,      # word width of subgroup enumeration
+}
+
+
+def _size(value: int) -> str:
+    k = value.bit_length() - 1
+    return f"2^{k}" if value == 1 << k and k > 8 else str(value)
+
+
+def check_cap(name: str, size: int) -> None:
+    """Raise the one-line error naming the cap when size is past it."""
+    if size > CAPS[name]:
+        raise ValueError(f"size {_size(size)} exceeds the {name} cap "
+                         f"{_size(CAPS[name])}")
 
 
 def check_width(width: int) -> None:
-    if not 1 < width <= MAX_WIDTH:
-        raise ValueError(f"width must be in (1, {MAX_WIDTH}], got {width}")
+    if width < 2:
+        raise ValueError(f"width must be at least 2, got {width}")
+    check_cap("width", width)
 
 
 def mask(width: int) -> int:

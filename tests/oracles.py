@@ -43,9 +43,9 @@ from roundgroup.boxtypes import (BLACK, RULED, WHITE, subgroup_members_array,
                                  subgroup_type, type_of)
 from roundgroup.cipher import CipherSpec, apply_s, s_table
 from roundgroup.goursat import GoursatTriple, enumerate_subgroups, member_pairs
-from roundgroup.groups import (BSGS_DEGREE_CAP, MIX_LENGTH, GiantWitness,
-                               StabilizerChain, _is_prime,
-                               evaluate_witness_word, schreier_sims)
+from roundgroup.groups import (MIX_LENGTH, GiantWitness, StabilizerChain,
+                               _is_prime, evaluate_witness_word,
+                               schreier_sims)
 from roundgroup.verify import (PROBES, BlockCandidate, BlockScanResult,
                                block_scan)
 
@@ -118,13 +118,11 @@ def primitivity_by_pairs(gens: list[np.ndarray]) -> BlockSystem | None:
     """None iff primitive: sweeps seed pairs (0, beta) for all beta.
 
     Requires transitivity (a block system of an intransitive group is
-    not meaningful here); capped at the chain degree bound since the
-    sweep is quadratic-ish.
+    not meaningful here); held to the chain-degree cap of the size-cap
+    table since the sweep is quadratic-ish.
     """
     degree = len(gens[0])
-    if degree > BSGS_DEGREE_CAP:
-        raise ValueError(f"pairwise block sweep capped at degree "
-                         f"{BSGS_DEGREE_CAP}, got {degree}")
+    words.check_cap("chain-degree", degree)
     for beta in range(1, degree):
         system = minimal_blocks(gens, 0, beta)
         if system is not None:

@@ -9,7 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from roundgroup import boxtypes, cipher, cli, goursat, perms
+from roundgroup import boxtypes, cipher, cli, goursat, groups, perms, words
 
 import oracles
 
@@ -375,7 +375,80 @@ def test_order_refuses_large_degree(capsys):
 def test_max_degree_cap_named_in_error(capsys):
     rc, _, err = run(["verdict", "--spec", GOST_FRAME], capsys)
     assert rc == 1
-    assert "exceeds the dense cap 2**24" in err
+    assert "exceeds the materialize cap 2^24" in err
+
+
+def sims_past_chain_cap(monkeypatch):
+    # refused before _alphabet inverts a generator
+    monkeypatch.setattr(perms, "inverse", None)
+    groups.schreier_sims([np.arange(words.CAPS["chain-degree"] + 1)])
+
+
+def rows_past_transversal_cap(monkeypatch):
+    chain = groups.StabilizerChain(1)
+    chain._add_rows(words.CAPS["transversal"])
+    chain._add_rows(1)
+
+
+# For each cap: its bound as errors print it, then each way to pass it
+# by the least step, with the size the error names.  A way is a command
+# line, run on a spec of width n when n is given, or a library call.
+CAP_CASES = {
+    "width": ("64", [(["validate"], 65, "65")]),
+    "table": ("2^24", [(["types"], 25, "2^25")]),
+    "materialize": ("2^24", [
+        (["scan-blocks"], 13, "2^26"), (["verdict"], 13, "2^26"),
+        (lambda mp: perms.rho_perm((1, 0), 13), None, "2^26")]),
+    "chain-degree": ("2^12", [(["order"], 7, "2^14"),
+                              (sims_past_chain_cap, None, "4097")]),
+    "transversal": ("2^26", [(rows_past_transversal_cap, None,
+                              str((1 << 26) + 1))]),
+    "goursat-width": ("16", [(["goursat", "--n", "17"], None, "17")]),
+}
+
+
+def spec_of_width(tmp_path, n):
+    """An identity spec of n one-bit bricks: a small file at any width."""
+    path = tmp_path / f"width{n}.json"
+    path.write_text(json.dumps({"n": n, "m": 1, "delta": n, "r": 0,
+                                "sboxes": [[0, 1]] * n}))
+    return str(path)
+
+
+@pytest.mark.parametrize("cap", sorted(words.CAPS))
+def test_each_cap_refuses_the_least_size_past_it(cap, tmp_path, monkeypatch,
+                                                 capsys):
+    assert sorted(CAP_CASES) == sorted(words.CAPS)
+    bound, ways = CAP_CASES[cap]
+    words.check_cap(cap, words.CAPS[cap])  # the bound itself passes
+    for way, n, size in ways:
+        if callable(way):
+            with pytest.raises(ValueError) as raised:
+                way(monkeypatch)
+            message = str(raised.value)
+        else:
+            argv = way + ["--spec", spec_of_width(tmp_path, n)] if n else way
+            rc, out, err = run(argv, capsys)
+            assert one_line_error(rc, err) and out == "", err
+            message = err
+        assert f"size {size} exceeds the {cap} cap {bound}" in message
+        assert "\n" not in message.rstrip("\n")
+
+
+@pytest.mark.parametrize("cap,log2,argv,bound", [
+    ("materialize", 14, ["verdict", "--spec", CONFORMING_N8], "2^14"),
+    ("chain-degree", 7, ["order", "--spec", CONFORMING_N4], "128")])
+def test_a_patched_cap_moves_its_bound_and_its_header(cap, log2, argv, bound,
+                                                       monkeypatch, capsys):
+    monkeypatch.setitem(words.CAPS, cap, 1 << log2)
+    rc, _, err = run(argv, capsys)
+    assert one_line_error(rc, err), err
+    assert f"exceeds the {cap} cap {bound}" in err
+    _, text, _ = run(["validate", "--spec", CONFORMING_N4], capsys)
+    assert f" {cap}=2^{log2}" in text
+    _, record, _ = run(["validate", "--spec", CONFORMING_N4, "--format",
+                        "json"], capsys)
+    assert json.loads(record)["caps"][cap.replace("-", "_") + "_log2"] == log2
 
 
 def test_missing_spec_file_exit_1(capsys):
@@ -490,14 +563,23 @@ def test_usage_errors_exit_1(argv, named, capsys):
     assert out == ""
 
 
-@pytest.mark.parametrize("sboxes", ["5", "null", "[5, 6]",
-                                    "[[0, true, 2, 3], [0, 1, 2, 3]]"])
+@pytest.mark.parametrize("sboxes", ["5", "null", "[5, 6]", '"abcd"',
+                                    "[[0, true, 2, 3], [0, 1, 2, 3]]",
+                                    '[["zz", 2, 3, 0], [0, 1, 2, 3]]'])
 def test_malformed_sboxes_exit_1(sboxes, tmp_path, capsys):
     bad = tmp_path / "bad.json"
     bad.write_text('{"n": 4, "m": 2, "delta": 2, "r": 2, "sboxes": %s}'
                    % sboxes)
     rc, _, err = run(["validate", "--spec", str(bad)], capsys)
     assert one_line_error(rc, err), err
+    # a bad entry is named by its table, anything else is not a list
+    # of tables
+    if "true" in sboxes:
+        assert "table 0: entry True" in err
+    elif "zz" in sboxes:
+        assert "table 0: entry 'zz'" in err
+    else:
+        assert "sboxes a list of tables" in err
 
 
 @pytest.mark.parametrize("field", ['"n": null', '"r": [1]', '"m": {}',

@@ -9,7 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from roundgroup import cipher, groups, perms
+from roundgroup import cipher, groups, perms, words
 
 import oracles
 
@@ -205,11 +205,6 @@ def test_unverified_membership_guard():
     chain.feed(cycle_perm([1, 0, 2, 3, 4, 5, 6, 7]))
     with pytest.raises(ValueError, match="unverified"):
         oracles.chain_contains(chain, np.arange(8, dtype=np.int64))
-
-
-def test_chain_degree_cap():
-    with pytest.raises(ValueError, match="capped"):
-        groups.StabilizerChain(1 << 13)
 
 
 def test_giant_witness_found_and_verified():
@@ -609,7 +604,7 @@ def test_storage_cap_fires_within_one_closure_round(monkeypatch):
     # the cap is charged once per closure round, from inside the
     # closure, so a chain stops at most one orbit's worth of rows past it
     cap_rows = 4000
-    monkeypatch.setattr(groups, "TRANSVERSAL_ENTRY_CAP", cap_rows * 256)
+    monkeypatch.setitem(words.CAPS, "transversal", cap_rows * 256)
     chains = []
     init = groups.StabilizerChain.__init__
 
@@ -619,11 +614,11 @@ def test_storage_cap_fires_within_one_closure_round(monkeypatch):
 
     monkeypatch.setattr(groups.StabilizerChain, "__init__", recording)
     with pytest.raises(ValueError,
-                       match="transversal storage cap exceeded") as raised:
+                       match="exceeds the transversal cap 1024000") as raised:
         groups.schreier_sims(spec_generators("conforming_n4"),
                              np.random.default_rng(7))
-    assert [entry.name for entry in raised.traceback][-2:] == [
-        "_extend_level", "_add_rows"]
+    assert [entry.name for entry in raised.traceback][-3:] == [
+        "_extend_level", "_add_rows", "check_cap"]
     chain, = chains
     over = chain.rows - cap_rows
     assert 0 < over <= max(len(lvl.orbit) for lvl in chain.levels)

@@ -12,9 +12,13 @@ used.  Dunder names (`__init__`, `__version__`) are called or read by
 Python itself and are not checked.  Names are matched without their
 module or class, so the check is one-sided: it can miss an unused name
 that shares its name with a used one, never flag a used name.
+
+The size caps are held to one table the same way: no src module but
+words binds a cap constant, and only words.check_cap raises a cap error.
 """
 
 import ast
+import re
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -127,3 +131,22 @@ def test_every_private_src_name_and_method_is_used_outside_tests():
     assert not any("__" in label for label in labels)
     unused = [label for label in unused_names() if not public(label)]
     assert not unused, f"referenced only from tests/: {', '.join(unused)}"
+
+
+def test_size_caps_live_in_one_table():
+    # every size cap is an entry of words.CAPS, and only words.check_cap
+    # raises an error naming one
+    stray, raisers = [], []
+    for path in sorted(SRC.glob("*.py")):
+        tree = parse(path)
+        stray += [f"{path.stem}.{name}" for stmt in tree.body
+                  for name in bound_names(stmt)
+                  if path.stem != "words"
+                  and re.fullmatch(r"MAX_\w+|\w+_CAP", name)]
+        raisers += [f"{path.stem}.{func.name}" for func in ast.walk(tree)
+                    if isinstance(func, ast.FunctionDef)
+                    and any(isinstance(node, ast.Raise)
+                            and " cap" in ast.unparse(node)
+                            for node in ast.walk(func))]
+    assert not stray, f"size caps outside words.CAPS: {', '.join(stray)}"
+    assert raisers == ["words.check_cap"]

@@ -4,7 +4,6 @@ cipher materialization."""
 from pathlib import Path
 
 import numpy as np
-import pytest
 
 from roundgroup import cipher, groups, perms
 
@@ -88,12 +87,6 @@ def test_cycle_reps_label_cycles():
     p = np.array([1, 0, 3, 4, 2, 5])
     reps = perms.cycle_reps(p)
     assert reps.tolist() == [0, 0, 2, 2, 2, 5]
-
-
-def test_degree_cap():
-    with pytest.raises(ValueError, match="cap"):
-        perms.check_degree(13)
-    assert perms.check_degree(12) == 1 << 24
 
 
 def test_sigma_perm_matches_wordwise():
