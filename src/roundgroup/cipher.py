@@ -115,12 +115,14 @@ def _parse_entry(j: int, v) -> int:
 
 
 def spec_from_dict(data: dict) -> CipherSpec:
-    """The four fields must be JSON integers: a float, string or boolean
-    would otherwise load as some other spec under the same digest."""
+    """The four fields must be JSON integers and each table a JSON list:
+    a float, string or boolean would otherwise load as some other spec
+    under the same digest."""
     try:
         fields = [data[key] for key in ("n", "m", "delta", "r")]
         if any(type(v) is not int for v in fields) or \
-                not isinstance(data["sboxes"], list):
+                not isinstance(data["sboxes"], list) or \
+                any(not isinstance(t, list) for t in data["sboxes"]):
             raise TypeError
         tables = tuple(tuple(_parse_entry(j, v) for v in table)
                        for j, table in enumerate(data["sboxes"]))

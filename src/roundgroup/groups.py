@@ -26,7 +26,15 @@ correctness story is spelled out:
       phase leaves hundreds of redundant strong generators behind,
       and completion sifts one Schreier generator per (orbit point,
       generator) pair.  A generator joining a level sweeps its orbit
-      only when it maps an orbit point outside the orbit.
+      only when it maps an orbit point outside the orbit.  The
+      completion works deepest level first: after each residue found
+      at level i it completes the deeper levels that residue made
+      stale, then sifts level i's next Schreier generator, so no
+      Schreier generator fails merely against an incomplete chain
+      below it.  Level i cannot change meanwhile (residues join levels
+      i + 1 and deeper), so its orbit, generators and part-reduced
+      rows stay valid while it waits as a suspended step of one loop,
+      never as a nested call.
   Route (1) is the cheap one: it needs no Schreier generator, so an
   alternating chain costs only its random phase.  It is still bounded
   by the size caps in words.CAPS: chain degree 4,096 and transversal
@@ -35,8 +43,8 @@ correctness story is spelled out:
 * Two sift paths.  Scalar `sift` reduces one element per call, as the
   random phase needs.  The completion has one batched, read-only
   kernel, `_first_stall`: one flat gather per level of sift depth, up
-  to the first level where some row stalls.  The read-only check and
-  the absorbing `_drain` are both loops over it.
+  to the first level where some row stalls.  The read-only check is a
+  loop over it, and the absorbing `_drain` one call per residue.
 * Two shortcuts leave the chain unchanged (same base, orbits in the
   same order, same strong generators in the same order).  The random
   phase stops at the first clean sift once the order is the largest
@@ -45,7 +53,7 @@ correctness story is spelled out:
   level's Schreier generators in read-only batches of consecutive
   (generator, orbit chunk) segments; the segments before the first
   failing one would absorb nothing, and the failing one is drained on
-  its own exactly as without batches.
+  its own, one residue at a time, exactly as without batches.
 * Storage.  A level keeps one inverse transversal row per orbit point,
   the only rows sifting reads: a point b = gen(a) joins with
   uinv_b = uinv_a after gen^-1, one gather against the generator's
@@ -60,6 +68,7 @@ from __future__ import annotations
 
 import math
 import time
+from collections.abc import Iterator
 from dataclasses import dataclass
 
 import numpy as np
@@ -305,26 +314,52 @@ class StabilizerChain:
         moved = np.flatnonzero((cur != self._identity).any(axis=1))
         return cur, len(self.levels), int(moved[0]) if len(moved) else -1
 
-    def _drain(self, rows: np.ndarray, start: int, floor: int) -> int:
-        """Sift a batch of permutations from `start`, absorbing every
-        failure into the chain (at `floor` discipline) as it appears.
-        The stalled row joins as a copy, so no strong generator keeps
-        its batch alive; the others resume at the stall level, since
-        their partial reduction only used transversal entries that never
-        change.  Returns the number absorbed."""
-        absorbed, i = 0, start
+    def _drain(self, rows: np.ndarray, start: int,
+               floor: int) -> tuple[np.ndarray, int] | None:
+        """Sift a batch of permutations from `start` up to its first
+        failure and absorb that one into the chain (at `floor`
+        discipline).  The stalled row joins as a copy, so no strong
+        generator keeps its batch alive.  Returns the other rows and the
+        stall level to resume them at, since their partial reduction
+        only used transversal entries that never change; None when every
+        row sifts to the identity."""
+        rows, i, j = self._first_stall(rows, start)
+        if j < 0:
+            return None
+        self._add_generator(rows[j].copy(), i, floor)
+        self.absorbed += 1
+        return np.delete(rows, j, axis=0), i
+
+    def _check_batch(self, segments: list[tuple[np.ndarray, int, int]],
+                     ustack: np.ndarray,
+                     level: int) -> tuple[int, np.ndarray | None]:
+        """Stack `segments` of level `level` into one batch of rows
+        "u_a then g" and sift it read-only.  The batch is cut back to the
+        start of the stalled row's segment at each stall, since later
+        rows cannot change which segment fails first.  Returns how many
+        segments are settled (those before the first failing one, and
+        that one) and a copy of the failing segment's rows, or None when
+        every row sifts to the identity."""
+        starts = np.cumsum([0] + [hi - lo for _, lo, hi in segments])
+        batch = np.empty((starts[-1], self.degree), dtype=np.int64)
+        for (g, lo, hi), a, b in zip(segments, starts, starts[1:]):
+            np.take(g, ustack[lo:hi], out=batch[a:b], mode="clip")
+        fail, rows, at = len(segments), batch, level
         while len(rows):
-            rows, i, j = self._first_stall(rows, i)
+            rows, at, j = self._first_stall(rows, at)
             if j < 0:
                 break
-            self._add_generator(rows[j].copy(), i, floor)
-            absorbed += 1
-            rows = np.delete(rows, j, axis=0)
-        return absorbed
+            fail = int(np.searchsorted(starts, j, side="right")) - 1
+            rows = rows[:starts[fail]]
+        if fail == len(segments):
+            return fail, None
+        return fail + 1, batch[starts[fail]:starts[fail + 1]].copy()
 
-    def _verify_level(self, i: int, done: tuple[int, int]) -> int:
+    def _verify_level(self, i: int, done: tuple[int, int]) -> Iterator[bool]:
         """Sift level i's Schreier generators not covered by `done`,
-        absorbing failures below level i.  Returns the number absorbed.
+        absorbing failures below level i.  Yields after each residue it
+        absorbs, so the caller can complete the deeper levels before the
+        next Schreier generator is sifted.
 
         done = (points, gens) verified in an earlier pass; transversals
         of existing orbit points never change, so a pair that sifted to
@@ -336,14 +371,13 @@ class StabilizerChain:
         VERIFY_BATCH_ENTRIES entries.  A batch holds the rows "u_a then
         g", which reduce to the Schreier generators at level i; no row
         stalls there, since the orbit is closed under lvl.gens.  The
-        batch is sifted read-only and cut back to the start of the
-        stalled row's segment at each stall, since later rows cannot
-        change which segment fails first.  The segments before the first
-        failing one absorb nothing, so they are only counted; the
-        failing one goes through _drain on its own, exactly as it would
-        unbatched, and the batch resumes after it against the grown
-        chain.  Level i itself never changes here (residues join at
-        floor i + 1), so its Schreier generators stay valid throughout.
+        segments before a batch's first failing one absorb nothing, so
+        they are only counted; the failing one goes through _drain on
+        its own, one residue per step, and the next batch starts after
+        it against the grown chain.  Level i itself never changes here
+        (residues join at floor i + 1), so its orbit, generators,
+        segments and part-reduced rows stay valid while it waits; it
+        holds no more than the failing segment meanwhile.
         """
         lvl = self.levels[i]
         done_o, done_g = done
@@ -356,30 +390,20 @@ class StabilizerChain:
         sizes = [hi - lo for _, lo, hi in segments]
         cap = VERIFY_BATCH_ENTRIES // self.degree
         ustack = lvl.ustack()
-        absorbed = k = 0
+        k = 0
         while k < len(segments):
             end, total = k + 1, sizes[k]
             while end < len(segments) and total + sizes[end] <= cap:
                 total += sizes[end]
                 end += 1
-            starts = np.cumsum([0] + sizes[k:end])
-            batch = np.empty((total, self.degree), dtype=np.int64)
-            for (g, lo, hi), a, b in zip(segments[k:end], starts, starts[1:]):
-                np.take(g, ustack[lo:hi], out=batch[a:b], mode="clip")
-            fail, rows, at = end - k, batch, i
-            while len(rows):
-                rows, at, j = self._first_stall(rows, at)
-                if j < 0:
-                    break
-                fail = int(np.searchsorted(starts, j, side="right")) - 1
-                rows = rows[:starts[fail]]
-            if fail < end - k:
-                absorbed += self._drain(batch[starts[fail]:starts[fail + 1]],
-                                        i, i + 1)
-                end = k + fail + 1
-            self.schreier_sifted += int(starts[end - k])
-            k = end
-        return absorbed
+            settled, failing = self._check_batch(segments[k:end], ustack, i)
+            self.schreier_sifted += sum(sizes[k:k + settled])
+            k += settled
+            if failing is None:
+                continue
+            rest = (failing, i)
+            while (rest := self._drain(*rest, i + 1)) is not None:
+                yield True
 
     def complete(self) -> None:
         """Add Schreier-generator residues until every level passes.
@@ -387,25 +411,29 @@ class StabilizerChain:
         On return every Schreier generator of every level sifts to the
         identity through the deeper levels, which is the classical
         criterion for the chain to be strong; M is then exactly |G|.
-        Levels are verified bottom-up; absorbing a residue can only
-        touch levels below the one being verified, so each sweep leaves
-        the verified level final and repeated sweeps settle the rest.
+
+        The schedule is one loop over the deepest stale level, a level
+        whose orbit or generators grew since it last passed.  Verifying
+        level i absorbs residues into levels i + 1 and deeper only, so
+        after each residue level i waits, unchanged, as a suspended
+        _verify_level step while the loop completes the deeper levels;
+        each level thus sifts through a complete chain below it, and the
+        stack stays flat however deeply the absorptions nest.
         """
         marks: list[tuple[int, int]] = []
+        waiting: dict[int, Iterator[bool]] = {}
         while True:
-            absorbed = 0
-            for i in range(len(self.levels) - 1, -1, -1):
-                while len(marks) < len(self.levels):
-                    marks.append((0, 0))
-                lvl = self.levels[i]
-                snapshot = (len(lvl.orbit), len(lvl.gens))
-                if marks[i] == snapshot:
-                    continue
-                absorbed += self._verify_level(i, marks[i])
-                marks[i] = snapshot
-            self.absorbed += absorbed
-            if not absorbed:
+            now = [(len(lvl.orbit), len(lvl.gens)) for lvl in self.levels]
+            marks += [(0, 0)] * (len(now) - len(marks))
+            stale = [i for i, mark in enumerate(marks) if mark != now[i]]
+            if not stale:
                 break
+            i = stale[-1]
+            steps = waiting.pop(i, None) or self._verify_level(i, marks[i])
+            if next(steps, False):
+                waiting[i] = steps
+            else:
+                marks[i] = now[i]
         self.certificate = "schreier-verified"
 
 

@@ -8,6 +8,8 @@ way:
   Goursat block scan;
 * membership in a verified stabilizer chain and a conjugation sampler,
   for sampled evidence of normal subgroups;
+* the strong-generation criterion by scalar sifting of every Schreier
+  generator, against the completion's batched verification;
 * the dense kernels behind `types` by sorting: the mixing-map image
   of <2**q> by np.unique, the type by one np.unique per brick, and the
   S table by a gather per brick over every word and a full-width
@@ -150,6 +152,35 @@ def chain_contains(chain: StabilizerChain, p: np.ndarray) -> bool:
         raise ValueError("membership test on an unverified chain")
     residue, _ = chain.sift(p)
     return residue is None
+
+
+def schreier_generator_failures(
+        chain: StabilizerChain) -> tuple[int, list[tuple[int, int, int]]]:
+    """The strong-generation criterion, one element at a time: for every
+    level i, orbit point a and level generator g, the Schreier generator
+    "u_a then g then u_{g(a)}^-1" must sift to the identity through
+    levels i+1.. by scalar sifting.  Reads the chain's orbits, inverse
+    transversal rows and generator lists, none of its sift kernels.
+    Returns how many Schreier generators were checked and the (level,
+    orbit index, generator index) of each one that fails."""
+    levels = chain.levels
+    where = [{b: k for k, b in enumerate(lvl.orbit)} for lvl in levels]
+    identity = np.arange(chain.degree)
+    checked, failures = 0, []
+    for i, lvl in enumerate(levels):
+        for k, (a, uinv_a) in enumerate(zip(lvl.orbit, lvl.uinv)):
+            u_a = np.argsort(uinv_a)
+            for gi, g in enumerate(lvl.gens):
+                s = lvl.uinv[where[i][int(g[a])]][g[u_a]]
+                for deeper, at in zip(levels[i + 1:], where[i + 1:]):
+                    pos = at.get(int(s[deeper.point]))
+                    if pos is None:
+                        break
+                    s = deeper.uinv[pos][s]
+                checked += 1
+                if not np.array_equal(s, identity):
+                    failures.append((i, k, gi))
+    return checked, failures
 
 
 @dataclass(frozen=True)

@@ -564,6 +564,7 @@ def test_usage_errors_exit_1(argv, named, capsys):
 
 
 @pytest.mark.parametrize("sboxes", ["5", "null", "[5, 6]", '"abcd"',
+                                    '["0123", "0123"]',
                                     "[[0, true, 2, 3], [0, 1, 2, 3]]",
                                     '[["zz", 2, 3, 0], [0, 1, 2, 3]]'])
 def test_malformed_sboxes_exit_1(sboxes, tmp_path, capsys):

@@ -3,6 +3,7 @@ independent oracles (closure enumeration, cycle arithmetic, sympy)."""
 
 import json
 import math
+import traceback
 import tracemalloc
 from pathlib import Path
 
@@ -302,7 +303,9 @@ class PlainKernels(groups.StabilizerChain):
     joins it, an orbit is closed with vectorized sweeps, each level
     reduces its rows with take_along_axis, identity rows are dropped
     after every level, and every Schreier generator goes through
-    _drain, one (generator, orbit chunk) segment at a time."""
+    _drain, one (generator, orbit chunk) segment at a time.  The
+    completion's schedule is the chain's own: a level yields after each
+    residue it absorbs, so the deeper levels are completed first."""
 
     def _add_generator(self, residue, stall, floor=0):
         if stall == len(self.levels):
@@ -345,40 +348,33 @@ class PlainKernels(groups.StabilizerChain):
                 absorb(batch, g)
 
     def _drain(self, rows, start, floor):
-        absorbed = 0
-        pending = [(rows, start)]
-        while pending:
-            rows, i = pending.pop()
+        i = start
+        rows = rows[(rows != self._identity).any(axis=1)]
+        while len(rows):
+            if i == len(self.levels):
+                j = 0
+                break
+            lvl = self.levels[i]
+            pos = lvl.posidx[rows[:, lvl.point]]
+            stalled = np.nonzero(pos < 0)[0]
+            if len(stalled):
+                j = int(stalled[0])
+                break
+            rows = np.take_along_axis(lvl.uinvstack()[pos], rows, axis=1)
             rows = rows[(rows != self._identity).any(axis=1)]
-            while len(rows) and i < len(self.levels):
-                lvl = self.levels[i]
-                pos = lvl.posidx[rows[:, lvl.point]]
-                stalled = pos < 0
-                if stalled.any():
-                    j = int(np.nonzero(stalled)[0][0])
-                    self._add_generator(np.ascontiguousarray(rows[j]),
-                                        i, floor)
-                    absorbed += 1
-                    keep = np.ones(len(rows), dtype=bool)
-                    keep[j] = False
-                    pending.append((rows[keep], i))
-                    rows = rows[:0]
-                    break
-                rows = np.take_along_axis(lvl.uinvstack()[pos], rows, axis=1)
-                rows = rows[(rows != self._identity).any(axis=1)]
-                i += 1
-            if len(rows):
-                self._add_generator(np.ascontiguousarray(rows[0]),
-                                    len(self.levels), floor)
-                absorbed += 1
-                pending.append((rows[1:], i))
-        return absorbed
+            i += 1
+        else:
+            return None
+        self._add_generator(np.ascontiguousarray(rows[j]), i, floor)
+        self.absorbed += 1
+        keep = np.ones(len(rows), dtype=bool)
+        keep[j] = False
+        return rows[keep], i
 
     def _verify_level(self, i, done):
         lvl = self.levels[i]
         done_o, done_g = done
         n_o, n_g = len(lvl.orbit), len(lvl.gens)
-        absorbed = 0
         chunk = max(1, (1 << 22) // self.degree)
         for gi in range(n_g):
             g = lvl.gens[gi]
@@ -390,8 +386,9 @@ class PlainKernels(groups.StabilizerChain):
                 schreier = np.take_along_axis(lvl.uinvstack()[pos],
                                               u_rows, axis=1)
                 self.schreier_sifted += len(schreier)
-                absorbed += self._drain(schreier, i + 1, i + 1)
-        return absorbed
+                rest = (schreier, i + 1)
+                while (rest := self._drain(*rest, i + 1)) is not None:
+                    yield True
 
 
 def check_chain_invariants(chain):
@@ -492,23 +489,22 @@ def test_sift_kernels_match_plain_kernels(case, monkeypatch,
 def test_batch_failing_past_its_first_segment_matches_plain(monkeypatch):
     # r0_n3 verifies a batch whose first failing segment is not its
     # first one: the segments before it are only counted, the failing
-    # one is drained on its own, and the batch resumes after it.  The
-    # drained segment is a view of its batch, so its row offset there
-    # is the failing segment's start
-    offsets = []
-    drain = groups.StabilizerChain._drain
+    # one is drained on its own, and the next batch starts after it.
+    # A batch with a failing segment settles the segments up to it
+    settled = []
+    check = groups.StabilizerChain._check_batch
 
-    def recording(self, rows, start, floor):
-        batch = rows.base
-        offsets.append((rows.ctypes.data - batch.ctypes.data)
-                       // rows.strides[0])
-        return drain(self, rows, start, floor)
+    def recording(self, segments, ustack, level):
+        count, failing = check(self, segments, ustack, level)
+        if failing is not None:
+            settled.append(count)
+        return count, failing
 
-    monkeypatch.setattr(groups.StabilizerChain, "_drain", recording)
+    monkeypatch.setattr(groups.StabilizerChain, "_check_batch", recording)
     make_gens, seed = KERNEL_CASES["r0_n3"]
     gens = make_gens()
     chain = groups.schreier_sims(gens, np.random.default_rng(seed))
-    assert any(offset > 0 for offset in offsets), offsets
+    assert any(count > 1 for count in settled), settled
     monkeypatch.setattr(groups, "StabilizerChain", PlainKernels)
     plain = groups.schreier_sims(gens, np.random.default_rng(seed))
     assert chain_snapshot(chain) == chain_snapshot(plain)
@@ -718,9 +714,9 @@ def test_order_match_chain_holds_inverse_rows_only():
 
 def test_verified_chain_residues_own_their_memory():
     # a residue absorbed from a sift batch joins as a copy, so no strong
-    # generator keeps its batch alive.  The build peaks at 5.6 MB under
-    # tracemalloc, and at 18.3 MB with residues held as views of their
-    # batches
+    # generator keeps its batch alive.  The build peaks at 6.9 MB under
+    # tracemalloc, each waiting level holding its failing segment; with
+    # residues held as views of their batches it took 18.3 MB
     gens = spec_generators("identity_r0_n4")
     tracemalloc.start()
     try:
@@ -764,3 +760,71 @@ def test_identity_r0_n4_matches_pinned_order():
                                  np.random.default_rng(0))
     assert chain.certificate == "schreier-verified"
     assert chain.order == int(pin["order"])
+
+
+@pytest.mark.parametrize("case", ["C4", "D4", "identity_r0_n4",
+                                  "lossy_r0_n4", "r0_n3"])
+def test_verified_chain_meets_the_strong_generation_criterion(case):
+    # every Schreier generator of every level, sifted one at a time by a
+    # loop that shares no kernel with the completion
+    make_gens, seed = KERNEL_CASES[case]
+    chain = groups.schreier_sims(make_gens(), np.random.default_rng(seed))
+    assert chain.certificate == "schreier-verified"
+    check_chain_invariants(chain)
+    checked, failures = oracles.schreier_generator_failures(chain)
+    assert checked >= len(chain.levels) and failures == []
+
+
+def test_completion_stack_stays_flat_on_ac5_i9(monkeypatch):
+    # a level waits for the deeper levels as a suspended step, not as a
+    # nested call, so the stack depth at every level verification and
+    # every absorbing sift stays within a small constant of the others
+    # however deeply the absorptions nest.  The spec is AC5's i=9,
+    # whose order perfbench pins from sympy
+    pin = json.loads((ROOT / "perfbench" / "data" /
+                      "pinned_orders.json").read_text())["ac5_i9"]
+    spec = cipher.random_spec(2, 2, 0, np.random.default_rng(150_009))
+    assert spec.digest() == pin["spec_sha256"]
+    depths = {"_verify_level": [], "_drain": []}
+
+    def recording(name):
+        method = getattr(groups.StabilizerChain, name)
+
+        def wrapped(self, *args):
+            depth = sum(1 for _ in traceback.walk_stack(None))
+            depths[name].append(depth)
+            return method(self, *args)
+        monkeypatch.setattr(groups.StabilizerChain, name, wrapped)
+
+    for name in depths:
+        recording(name)
+    chain = groups.schreier_sims(perms.standard_generators(spec),
+                                 np.random.default_rng(160_009))
+    assert chain.certificate == "schreier-verified"
+    assert chain.order == int(pin["order"])
+    assert len(depths["_verify_level"]) >= len(chain.levels)
+    assert len(depths["_drain"]) > chain.absorbed > 100
+    seen = depths["_verify_level"] + depths["_drain"]
+    assert max(seen) - min(seen) <= 2, (min(seen), max(seen))
+
+
+def test_former_timeout_matches_sympy_order():
+    # lossy (m, r) = (2, 1) at n=4, one of the six slow n=4 specs of
+    # ROADMAP item 2: a 140-level degenerate chain.  The order was
+    # computed once offline by sympy 1.14 (PermutationGroup.order on the
+    # three standard generators, 109 s), which shares no code with groups
+    spec = cipher.random_spec(2, 2, 1, np.random.default_rng(4210),
+                              bijective=False)
+    assert spec.digest() == ("dccd678f82516adb93419456a04dc806"
+                             "d3fb8b66dd7e3abe550c161862c0d66f")
+    chain = groups.schreier_sims(perms.standard_generators(spec),
+                                 np.random.default_rng(3))
+    assert chain.certificate == "schreier-verified"
+    assert chain.order == int(
+        "532788145763339575926469694835555085779523471673988392811414362"
+        "49238679252980299988992")
+    # the completion's residues join level 1 and deeper, so level 0
+    # holds the fed generators alone and every other strong generator
+    # is a residue the completion counted once
+    assert chain.absorbed == (chain.strong_generators
+                              - len(chain.levels[0].gens)) > 0
