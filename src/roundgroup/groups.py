@@ -508,9 +508,12 @@ class GiantWitness:
     group then IS the alternating group.  The witness records the word
     (its letters numbered as in `_alphabet`), the prime, how many
     trials the search used, and the lcm of the other cycle lengths.
-    The p-cycle is the word's longest; the others are shorter, hence
-    coprime to p, so the word's power by other_lcm is a bare p-cycle
-    without a recheck.
+    The p-cycle is longer than degree/2, so it is the word's one long
+    cycle (two would need more than degree points), the only one a
+    trial measures: `perms.long_cycle` takes it from eight fixed probe
+    points, with the full cycle type as its exact fallback.  The other
+    cycles are shorter, hence coprime to p, so the word's power by
+    other_lcm is a bare p-cycle without a recheck.
     """
 
     word: tuple[int, ...]
@@ -550,8 +553,12 @@ def giant_witness(gens: list[np.ndarray], rng: np.random.Generator, *,
 
     A hit is an element whose longest cycle has prime length p,
     degree/2 < p < degree-2.  At most one cycle is longer than
-    degree/2, so each trial is decided by the longest cycle alone;
-    the others are shorter than p and hence coprime to it, and
+    degree/2 (two would need more than degree points), so each trial
+    is decided by that cycle alone: `perms.long_cycle` measures it
+    exactly from eight fixed probe points, falling back to the full
+    `perms.cycle_lengths` when the probes leave it open, and draws
+    nothing from rng.  Only a hit pays for the full cycle type: the
+    other cycles are shorter than p and hence coprime to it, and
     other_lcm is the lcm of their lengths.  None means budget
     exhausted: never evidence of absence.
     """
@@ -561,9 +568,9 @@ def giant_witness(gens: list[np.ndarray], rng: np.random.Generator, *,
         word = tuple(int(i) for i in
                      rng.integers(0, len(pool), WITNESS_WORD_LEN))
         w = perms.compose_all([pool[i] for i in word])
-        lengths = perms.cycle_lengths(w)
-        p = int(lengths[-1])
+        p = perms.long_cycle(w)
         if degree // 2 < p < degree - 2 and _is_prime(p):
+            lengths = perms.cycle_lengths(w)
             return GiantWitness(word, p, trial,
                                 math.lcm(*lengths[:-1].tolist()))
     return None

@@ -7,6 +7,10 @@ postfix convention of the cipher maps.  inverse(p) also takes a 2-D
 stack of permutations and inverts every row in one scatter.
 cycle_reps(p), the one cycle kernel, labels each point with the least
 point of its cycle; sign and cycle_lengths count those labels.
+long_cycle(p), all a witness trial needs, is the length of p's one
+cycle longer than N/2 (at most one fits) or 0: it measures the cycles
+of eight fixed probes by baby step giant step, and falls back to
+cycle_lengths when they neither include that cycle nor cover N/2.
 
 States (x1, x2) are flattened to indices x1 + 2**n * x2, so the left
 word occupies the low bits.  All round maps materialize through the
@@ -77,6 +81,58 @@ def cycle_lengths(p: np.ndarray) -> np.ndarray:
     """Sorted cycle lengths (with multiplicity), vectorized."""
     counts = np.bincount(cycle_reps(p))
     return np.sort(counts[counts > 0])
+
+
+def long_cycle(p: np.ndarray) -> int:
+    """Length of p's one cycle longer than N/2, or 0 if there is none.
+
+    Two such cycles would need more than N points, so there is at most
+    one.  Eight probes, the points i*N//8, are measured exactly by baby
+    step giant step: with s = floor(bits(N-1) / 2) and m = 2**s, the s
+    squarings that give q = p**m also give each probe's baby window
+    x, p(x), ..., p**(m-1)(x).  A cycle of length L < m shows x again
+    at step L of its window; otherwise the first q**j(x) back in the
+    window, at slot i, gives L = j*m - i.  A probe in a measured
+    cycle's window is skipped, and so is one whose giant walk meets
+    such a window (the walk meets any m consecutive points of its own
+    cycle no later than its own window).  A measured cycle longer than
+    N/2 is the answer; measured cycles covering at least N/2 points
+    leave room for none, so the answer is 0.  Undecided probes fall
+    back to the exact cycle_lengths."""
+    degree = len(p)
+    s = (degree - 1).bit_length() // 2
+    step = 1 << s
+    windows = (np.arange(8, dtype=p.dtype) * degree // 8)[:, None]
+    q = p
+    for _ in range(s):
+        windows = np.concatenate([windows, q[windows]], axis=1)
+        q = q[q]
+    giant = q.item
+    measured = set()  # the window points of every measured cycle
+    covered = 0
+    for window in windows:
+        x = window.item(0)
+        if x in measured:
+            continue
+        row = window.tolist()
+        slot = dict(zip(row, range(step)))
+        if len(slot) < step:
+            length = row.index(x, 1)
+        else:
+            j, y = 1, giant(x)
+            while y not in measured and y not in slot:
+                j, y = j + 1, giant(y)
+            if y in measured:
+                continue
+            length = j * step - slot[y]
+        if 2 * length > degree:
+            return length
+        covered += length
+        if 2 * covered >= degree:
+            return 0
+        measured.update(slot)
+    longest = int(cycle_lengths(p)[-1])
+    return longest if 2 * longest > degree else 0
 
 
 def cycle_lengths_walk(p: np.ndarray) -> list[int]:

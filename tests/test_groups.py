@@ -224,10 +224,12 @@ def test_giant_witness_found_and_verified():
     assert set(witness.word_hex) <= set("0123456789abcdef")
 
 
-@pytest.mark.parametrize("n,m", [(4, 2), (6, 2), (6, 3), (8, 2), (8, 4)])
+@pytest.mark.parametrize("n,m", [(2, 1), (2, 2), (3, 1), (3, 3), (4, 2),
+                                 (6, 2), (6, 3), (8, 2), (8, 4)])
 def test_giant_witness_matches_recheck_oracle(n, m):
     # eight seeded searches per frame; rotations at n < 8 include
-    # non-conforming ones, so some searches exhaust the budget
+    # non-conforming ones, so some searches exhaust the budget (at n=2
+    # all of them do)
     delta = n // m
     for seed in range(8):
         rng = np.random.default_rng([n, m, seed])
@@ -245,6 +247,21 @@ def test_giant_witness_matches_recheck_oracle(n, m):
         lengths = perms.cycle_lengths_walk(
             perms.power(element, fast.other_lcm))
         assert lengths == [1] * (len(element) - fast.prime) + [fast.prime]
+
+
+def test_giant_witness_runs_full_cycle_type_only_on_the_hit(monkeypatch):
+    # the seed the CLI tests pin: a hit at trial 12, whose 11 misses are
+    # all decided by the probes, so the one full cycle type is the hit's
+    calls = []
+    plain = perms.cycle_lengths
+    monkeypatch.setattr(perms, "cycle_lengths",
+                        lambda p: calls.append(len(p)) or plain(p))
+    spec = cipher.load_spec(SPECS / "conforming_n8.json")
+    witness = groups.giant_witness(perms.standard_generators(spec),
+                                   np.random.default_rng(20260823),
+                                   budget=10_000)
+    assert witness.trials_used == 12
+    assert calls == [spec.degree]
 
 
 def test_giant_witness_deterministic_under_seed():

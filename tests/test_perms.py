@@ -83,6 +83,82 @@ def test_cycle_scans_agree():
             assert sum(fast) == n
 
 
+def expected_long_cycle(p):
+    longest = perms.cycle_lengths_walk(p)[-1]
+    return longest if 2 * longest > len(p) else 0
+
+
+def from_cycles(degree, cycles):
+    p = np.arange(degree, dtype=np.int64)
+    for cycle in cycles:
+        p[cycle] = np.roll(cycle, -1)
+    return p
+
+
+def counting_cycle_lengths(monkeypatch):
+    calls = []
+    plain = perms.cycle_lengths
+
+    def counted(p):
+        calls.append(len(p))
+        return plain(p)
+
+    monkeypatch.setattr(perms, "cycle_lengths", counted)
+    return calls
+
+
+def test_long_cycle_matches_walk_on_random_perms():
+    rng = np.random.default_rng(13)
+    for n in (1, 2, 3, 4, 5, 7, 8, 9, 17, 63, 100, 255, 256, 1000, 1024):
+        for _ in range(30):
+            p = random_perm(n, rng)
+            assert perms.long_cycle(p) == expected_long_cycle(p), n
+
+
+def test_long_cycle_on_built_perms(monkeypatch):
+    calls = counting_cycle_lengths(monkeypatch)
+    for n in (64, 100, 256):
+        half = n // 2
+        probes = [i * n // 8 for i in range(8)]
+        rest = [x for x in range(n) if x not in probes]
+        prime = next(q for q in range(n - 3, half, -1)
+                     if all(q % f for f in range(2, q)))
+        # decided by the probes: no fallback
+        cases = [
+            (from_cycles(n, [list(range(n))]), n),
+            (from_cycles(n, [list(range(prime))]), prime),
+            (from_cycles(n, [list(range(half)), list(range(half, n))]), 0),
+            (from_cycles(n, [list(range(n - half - 1, n))]), half + 1),
+        ]
+        for p, expected in cases:
+            assert perms.long_cycle(p) == expected == expected_long_cycle(p)
+        assert calls == []
+        # the probes decide nothing, so the exact fallback answers: the
+        # identity (8 fixed probes), a long cycle through every point
+        # but the probes, a 7-cycle of probes or a 20-cycle through
+        # three (1 and 10 steps apart) beside a long cycle, and
+        # 2-cycles pairing each probe with its successor (16 probed
+        # points) beside a long or a short rest; counting a cycle once
+        # per probe on it would rule the long cycle out
+        shared = [probes[0], probes[1]] + rest[:8] + [probes[2]] + rest[8:17]
+        pairs = [[x, x + 1] for x in probes]
+        others = [x for x in range(n) if x not in sum(pairs, [])]
+        fallbacks = [
+            (np.arange(n, dtype=np.int64), 0),
+            (from_cycles(n, [rest]), n - 8),
+            (from_cycles(n, [probes[:7], rest]), n - 8),
+            (from_cycles(n, [shared, rest[17:]]), n - 8 - 17),
+            (from_cycles(n, pairs), 0),
+            (from_cycles(n, pairs + [others]), n - 16),
+            (from_cycles(n, pairs + [others[:half - 16],
+                                     others[half - 16:]]), 0),
+        ]
+        for p, expected in fallbacks:
+            assert perms.long_cycle(p) == expected == expected_long_cycle(p)
+        assert calls == [n] * len(fallbacks)
+        calls.clear()
+
+
 def test_cycle_reps_label_cycles():
     p = np.array([1, 0, 3, 4, 2, 5])
     reps = perms.cycle_reps(p)
