@@ -16,6 +16,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import resource
 import sys
 import time
 
@@ -369,6 +370,12 @@ def order_report(args, spec: CipherSpec) -> Report:
 # verdict
 
 
+def peak_rss_mb() -> int:
+    """The process's peak resident set so far, in MB (Linux reports
+    ru_maxrss in KiB)."""
+    return resource.getrusage(resource.RUSAGE_SELF).ru_maxrss // 1024
+
+
 def verdict_report(args, spec: CipherSpec) -> Report:
     """The verdict's text lines and JSON record, each check's line and
     record made together."""
@@ -449,7 +456,8 @@ def verdict_report(args, spec: CipherSpec) -> Report:
     return lines, {"verdict": record}, v.exit_code, [
         f"verdict {elapsed:.2f}s {scan_counters(scan)}",
         f"verdict-stages scan={stages['scan']:.2f}s "
-        f"witness={stages['witness']:.2f}s trials={trials}"]
+        f"witness={stages['witness']:.2f}s trials={trials} "
+        f"fallbacks={v.fallbacks} peak_rss={peak_rss_mb()}MB"]
 
 
 # ---------------------------------------------------------------------------

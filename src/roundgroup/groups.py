@@ -68,7 +68,7 @@ from __future__ import annotations
 
 import math
 import time
-from collections.abc import Iterator
+from collections.abc import Callable, Iterator
 from dataclasses import dataclass
 
 import numpy as np
@@ -511,7 +511,7 @@ class GiantWitness:
     The p-cycle is longer than degree/2, so it is the word's one long
     cycle (two would need more than degree points), the only one a
     trial measures: `perms.long_cycle` takes it from eight fixed probe
-    points, with the full cycle type as its exact fallback.  The other
+    points, with the full cycle type as the exact fallback.  The other
     cycles are shorter, hence coprime to p, so the word's power by
     other_lcm is a bare p-cycle without a recheck.
     """
@@ -547,30 +547,46 @@ def evaluate_witness_word(gens: list[np.ndarray],
     return perms.compose_all([pool[i] for i in word])
 
 
-def giant_witness(gens: list[np.ndarray], rng: np.random.Generator, *,
-                  budget: int) -> GiantWitness | None:
-    """Search random generator words for a large-prime-cycle element.
+def giant_witness(evaluate: Callable[[tuple[int, ...]], np.ndarray],
+                  letters: int, rng: np.random.Generator, *, budget: int,
+                  counters: dict[str, int] | None = None
+                  ) -> GiantWitness | None:
+    """Search random words for a large-prime-cycle element.
 
-    A hit is an element whose longest cycle has prime length p,
-    degree/2 < p < degree-2.  At most one cycle is longer than
-    degree/2 (two would need more than degree points), so each trial
-    is decided by that cycle alone: `perms.long_cycle` measures it
-    exactly from eight fixed probe points, falling back to the full
-    `perms.cycle_lengths` when the probes leave it open, and draws
-    nothing from rng.  Only a hit pays for the full cycle type: the
-    other cycles are shorter than p and hence coprime to it, and
-    other_lcm is the lcm of their lengths.  None means budget
-    exhausted: never evidence of absence.
+    Each trial draws WITNESS_WORD_LEN letters from range(letters) and
+    maps the word to its dense permutation with `evaluate`: any
+    generators, as `evaluate_witness_word` over `_alphabet`'s letters,
+    or a cipher's round maps read off its S table
+    (`perms.word_evaluator`).  A hit is an element whose longest cycle
+    has prime length p, degree/2 < p < degree-2.  At most one cycle is
+    longer than degree/2 (two would need more than degree points), so
+    each trial is decided by that cycle alone: `perms.long_cycle`
+    measures it exactly from eight fixed probe points, and when the
+    probes leave it open the trial falls back to the full
+    `perms.cycle_lengths`; neither draws from rng.  Only a hit needs
+    the full cycle type: the other cycles are shorter than p and hence
+    coprime to it, and other_lcm is the lcm of their lengths.  The
+    number of fallbacks goes to counters["fallbacks"] when counters is
+    given.  None means budget exhausted: never evidence of absence.
     """
-    degree = len(gens[0])
-    pool = _alphabet(gens)
+    fallbacks = 0
+    witness = None
     for trial in range(1, budget + 1):
-        word = tuple(int(i) for i in
-                     rng.integers(0, len(pool), WITNESS_WORD_LEN))
-        w = perms.compose_all([pool[i] for i in word])
+        word = tuple(rng.integers(0, letters, WITNESS_WORD_LEN).tolist())
+        w = evaluate(word)
+        degree = len(w)
+        lengths = None
         p = perms.long_cycle(w)
-        if degree // 2 < p < degree - 2 and _is_prime(p):
+        if p is None:
+            fallbacks += 1
             lengths = perms.cycle_lengths(w)
-            return GiantWitness(word, p, trial,
-                                math.lcm(*lengths[:-1].tolist()))
-    return None
+            p = int(lengths[-1])
+        if degree // 2 < p < degree - 2 and _is_prime(p):
+            if lengths is None:
+                lengths = perms.cycle_lengths(w)
+            witness = GiantWitness(word, p, trial,
+                                   math.lcm(*lengths[:-1].tolist()))
+            break
+    if counters is not None:
+        counters["fallbacks"] = fallbacks
+    return witness

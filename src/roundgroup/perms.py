@@ -9,12 +9,14 @@ cycle_reps(p), the one cycle kernel, labels each point with the least
 point of its cycle; sign and cycle_lengths count those labels.
 long_cycle(p), all a witness trial needs, is the length of p's one
 cycle longer than N/2 (at most one fits) or 0: it measures the cycles
-of eight fixed probes by baby step giant step, and falls back to
-cycle_lengths when they neither include that cycle nor cover N/2.
+of eight fixed probes by baby step giant step, and returns None, for
+the caller to fall back to cycle_lengths, when they neither include
+that cycle nor cover N/2.
 
 States (x1, x2) are flattened to indices x1 + 2**n * x2, so the left
 word occupies the low bits.  All round maps materialize through the
-mixing-map table in O(N) vectorized steps.
+mixing-map table in O(N) vectorized steps, and so does any word in
+them (word_evaluator), without materializing the maps themselves.
 
 The "materialize" cap of the size-cap table (words.CAPS, 2**24
 states) bounds dense materialization; callers wanting larger parameter
@@ -23,6 +25,9 @@ scalar oracle these arrays are tested against.
 """
 
 from __future__ import annotations
+
+import functools
+from collections.abc import Callable, Sequence
 
 import numpy as np
 
@@ -83,8 +88,9 @@ def cycle_lengths(p: np.ndarray) -> np.ndarray:
     return np.sort(counts[counts > 0])
 
 
-def long_cycle(p: np.ndarray) -> int:
-    """Length of p's one cycle longer than N/2, or 0 if there is none.
+def long_cycle(p: np.ndarray) -> int | None:
+    """Length of p's one cycle longer than N/2, 0 if there is none, or
+    None if the probes leave it open.
 
     Two such cycles would need more than N points, so there is at most
     one.  Eight probes, the points i*N//8, are measured exactly by baby
@@ -97,8 +103,9 @@ def long_cycle(p: np.ndarray) -> int:
     such a window (the walk meets any m consecutive points of its own
     cycle no later than its own window).  A measured cycle longer than
     N/2 is the answer; measured cycles covering at least N/2 points
-    leave room for none, so the answer is 0.  Undecided probes fall
-    back to the exact cycle_lengths."""
+    leave room for none, so the answer is 0.  When the probes decide
+    neither, the exact answer needs the full cycle_lengths, which the
+    caller runs (and may reuse)."""
     degree = len(p)
     s = (degree - 1).bit_length() // 2
     step = 1 << s
@@ -131,8 +138,7 @@ def long_cycle(p: np.ndarray) -> int:
         if 2 * covered >= degree:
             return 0
         measured.update(slot)
-    longest = int(cycle_lengths(p)[-1])
-    return longest if 2 * longest > degree else 0
+    return None
 
 
 def cycle_lengths_walk(p: np.ndarray) -> list[int]:
@@ -197,3 +203,100 @@ def standard_generators(spec: CipherSpec) -> list[np.ndarray]:
     """
     return [rho_perm((1, 0), spec.n), rho_perm((0, 1), spec.n),
             sigma_perm(spec)]
+
+
+# The letters of a word in the standard generators, numbered as
+# groups._alphabet numbers them: rho(1,0), rho(0,1), sigma, then their
+# inverses.  Letter i moves the translation offsets by
+# (STEP_1[i], STEP_2[i]); the two swap letters move them by nothing.
+SIGMA, SIGMA_INVERSE = 2, 5
+STEP_1 = (1, 0, 0, -1, 0, 0)
+STEP_2 = (0, 1, 0, 0, -1, 0)
+LETTERS = 6
+
+# states carried through a word's swaps at a time, so that the halves
+# and their temporaries stay in cache
+EVAL_CHUNK = 1 << 16
+
+
+def word_evaluator(spec: CipherSpec) -> Callable[[Sequence[int]], np.ndarray]:
+    """word -> its dense permutation (letters applied first to last),
+    equal to composing the standard_generators letter by letter, read
+    off 2**n-entry tables alone.
+
+    A state is held as its halves (L, H) plus pending translation
+    offsets (a, b): it is (L + a, H + b) mod 2**n.  A translation letter
+    only moves the offsets, so a run of them costs nothing.  sigma sends
+    the state to (H, (L + a) ^ S'(H)) with offsets (b, 0), where
+    S'(h) = S(h + b); sigma^-1 sends it to ((H + b) ^ S''(L), L) with
+    offsets (0, a), where S''(l) = S(l + a).  So a swap is a lookup
+    into a shifted S table, a lookup into a shifted identity when the
+    other half has an offset, and an xor; each shifted table is built
+    once per offset.  (At small degrees a lookup costs less than
+    numpy's add and mask with a scalar; at large ones about as much.)
+    sigma next to sigma^-1 with no net translation between them
+    cancels before anything is computed.  Every state runs the same
+    swaps, EVAL_CHUNK states at a time, and the state array is
+    assembled once, after the last swap."""
+    check_cap("materialize", spec.degree)
+    n, degree = spec.n, spec.degree
+    mask = (1 << n) - 1
+    identity = np.arange(mask + 1, dtype=np.int64)
+    shifted_s = _shifts(s_table(spec))
+    shifted_low = _shifts(identity)
+    shifted_high = _shifts(identity << n)
+    # whole fibres of 2**n states, so every chunk has the same low half
+    x = np.arange(min(max(EVAL_CHUNK, mask + 1), degree), dtype=np.int64)
+    low, high = x & mask, x >> n
+
+    def swaps(word: Sequence[int]):
+        """The swap letters left after cancellation, each as (forward,
+        its S lookup, the other half's translation lookup or None),
+        and the offsets pending at the end."""
+        kept = []  # (swap letter, offsets moved since the kept one before)
+        a = b = 0
+        for letter in word:
+            if letter != SIGMA and letter != SIGMA_INVERSE:
+                a += STEP_1[letter]
+                b += STEP_2[letter]
+            elif (kept and kept[-1][0] != letter
+                    and not a & mask and not b & mask):
+                _, a, b = kept.pop()
+            else:
+                kept.append((letter, a, b))
+                a = b = 0
+        steps = []
+        pa = pb = 0  # the offsets pending before each kept swap
+        for letter, da, db in kept:
+            pa, pb = (pa + da) & mask, (pb + db) & mask
+            if letter == SIGMA:
+                steps.append((True, shifted_s(pb),
+                              shifted_low(pa) if pa else None))
+                pa, pb = pb, 0
+            else:
+                steps.append((False, shifted_s(pa),
+                              shifted_low(pb) if pb else None))
+                pa, pb = 0, pa
+        return steps, (pa + a) & mask, (pb + b) & mask
+
+    def evaluate(word: Sequence[int]) -> np.ndarray:
+        steps, a, b = swaps(word)
+        out = np.empty(degree, dtype=np.int64)
+        for start in range(0, degree, len(x)):
+            lo, hi = low, high + (start >> n) if start else high
+            for forward, s, plus in steps:
+                read, other = (hi, lo) if forward else (lo, hi)
+                mixed = s[read]
+                mixed ^= other if plus is None else plus[other]
+                lo, hi = (read, mixed) if forward else (mixed, read)
+            out[start:start + len(x)] = (shifted_high(b)[hi]
+                                         | shifted_low(a)[lo])
+        return out
+
+    return evaluate
+
+
+def _shifts(base: np.ndarray) -> Callable[[int], np.ndarray]:
+    """k -> base shifted by k, 0 <= k < len(base): entry h is
+    base[(h + k) mod len(base)].  Each shift is built once."""
+    return functools.cache(lambda k: np.concatenate((base[k:], base[:k])))

@@ -23,8 +23,7 @@ parameter set at hand:
   certified (or refuted) by a difference lemma on the 2**n-entry S
   table (`partition_invariant`); the translations send x + H to
   x + k + H.  The scan builds no state array: sigma is read
-  in closed form, and the dense generators are built only for the
-  witness search.
+  in closed form.
   Primitive means transitive with no certified candidate (`is_primitive`);
   a refuted candidate does not hold back the witness search;
 * case eliminations: with primitivity in hand, the remaining
@@ -35,7 +34,10 @@ parameter set at hand:
 * giant certificate: independently of the eliminations, an element
   with a single large prime cycle (found by random word search)
   combined with primitivity forces the alternating group outright
-  (Jordan).
+  (Jordan).  Each trial's word is evaluated from the round maps
+  (`perms.word_evaluator`: translations as pending offsets, one
+  S-table lookup per sigma letter), so a verdict builds no dense
+  generator, and a search that runs no trial builds no state array.
 
 The witness search is gated on parity and primitivity alone: sigma is
 a permutation for every S table, so a witness certifies the
@@ -338,9 +340,11 @@ class Verdict:
     witness: GiantWitness | None
     witness_searched: bool  # the gate let the witness search run
     conclusion: str
-    # wall seconds of the block scan and of the witness stage, for the
-    # caller's timing line; not part of the verdict's value
+    # wall seconds of the block scan and of the witness stage, and the
+    # witness trials the probes left open, for the caller's timing
+    # line; not part of the verdict's value
     stage_seconds: dict[str, float] = field(compare=False, repr=False)
+    fallbacks: int = field(compare=False, repr=False)
 
     @property
     def primitive(self) -> bool:
@@ -368,12 +372,14 @@ def full_verdict(spec: CipherSpec, seed: int,
     primitive = is_primitive(transitivity, scan)
     witness = None
     searched = parity and primitive
+    counters = {"fallbacks": 0}
     t0 = time.perf_counter()
-    if searched:
-        # the only dense maps of a verdict: the scan reads the S table
-        gens = perms.standard_generators(spec)
+    if searched and budget:
+        # the only state arrays of a verdict, one per trial: the scan
+        # and the word evaluator read the S table
         rng = np.random.default_rng(seed)
-        witness = giant_witness(gens, rng, budget=budget)
+        witness = giant_witness(perms.word_evaluator(spec), perms.LETTERS,
+                                rng, budget=budget, counters=counters)
     witness_s = time.perf_counter() - t0
 
     if scan.certified:
@@ -389,4 +395,5 @@ def full_verdict(spec: CipherSpec, seed: int,
 
     return Verdict(budget, validation, parity, transitivity, scan, diag,
                    affine, wreath, psl, witness, searched, conclusion,
-                   {"scan": scan_s, "witness": witness_s})
+                   {"scan": scan_s, "witness": witness_s},
+                   counters["fallbacks"])

@@ -1,6 +1,7 @@
 """End-to-end checks of the command-line front end."""
 
 import json
+import re
 import subprocess
 import sys
 from collections import Counter
@@ -136,7 +137,8 @@ def test_scan_counters_on_stderr_add_up(command, key, capsys):
 
 def test_verdict_stage_timing_on_stderr_only(capsys):
     """The second verdict timing line: the scan's and the witness
-    stage's wall seconds and the witness trials the body reports."""
+    stage's wall seconds, the witness trials the body reports, the
+    trials the probes left open and the process's peak RSS."""
     for path, seed, trials in ((CONFORMING_N8, "20260823", 12),
                                (IDENTITY_N8, "0", 0)):
         _, out, err = run(["verdict", "--spec", path, "--seed", seed],
@@ -146,10 +148,33 @@ def test_verdict_stage_timing_on_stderr_only(capsys):
         fields = line.split()
         assert fields[:2] == ["timing:", "verdict-stages"]
         assert [f.split("=")[0] for f in fields[2:]] == \
-            ["scan", "witness", "trials"]
+            ["scan", "witness", "trials", "fallbacks", "peak_rss"]
         assert all(f.endswith("s") for f in fields[2:4])
         assert fields[4] == f"trials={trials}"
+        # the hit at trial 12 follows 11 misses the probes all decide
+        assert fields[5] == "fallbacks=0"
+        assert re.fullmatch(r"peak_rss=[1-9][0-9]*MB", fields[6])
         assert "verdict-stages" not in out
+
+
+def test_verdict_stage_line_counts_fallbacks(tmp_path, capsys):
+    """fallbacks= is the number of trials, the hit's included, whose
+    word the probes of perms.long_cycle left open, replayed here from
+    the seed's draws."""
+    spec = cipher.random_spec(2, 2, 1, np.random.default_rng(3))
+    path = tmp_path / "spec.json"
+    cipher.save_spec(spec, path)
+    _, out, err = run(["verdict", "--spec", str(path), "--seed", "1",
+                       "--format", "json"], capsys)
+    trials = json.loads(out)["verdict"]["witness"]["trials_used"]
+    rng = np.random.default_rng(1)
+    evaluate = perms.word_evaluator(spec)
+    open_words = sum(
+        perms.long_cycle(evaluate(
+            tuple(rng.integers(0, perms.LETTERS, 32).tolist()))) is None
+        for _ in range(trials))
+    assert open_words == 1
+    assert f" trials={trials} fallbacks={open_words} " in err
 
 
 def test_scan_and_gated_verdict_build_no_dense_map(monkeypatch, capsys):

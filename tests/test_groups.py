@@ -1,6 +1,7 @@
 """Orbits, blocks, stabilizer chains, witnesses: correctness against
 independent oracles (closure enumeration, cycle arithmetic, sympy)."""
 
+import functools
 import json
 import math
 import traceback
@@ -211,8 +212,8 @@ def test_unverified_membership_guard():
 def test_giant_witness_found_and_verified():
     spec = seeded_spec(4, 2, 2, seed=5)
     gens = perms.standard_generators(spec)
-    witness = groups.giant_witness(gens, np.random.default_rng(11),
-                                   budget=2000)
+    witness = groups.giant_witness(perms.word_evaluator(spec), perms.LETTERS,
+                                   np.random.default_rng(11), budget=2000)
     assert witness is not None
     degree = 256
     assert degree // 2 < witness.prime < degree - 2
@@ -227,17 +228,19 @@ def test_giant_witness_found_and_verified():
 @pytest.mark.parametrize("n,m", [(2, 1), (2, 2), (3, 1), (3, 3), (4, 2),
                                  (6, 2), (6, 3), (8, 2), (8, 4)])
 def test_giant_witness_matches_recheck_oracle(n, m):
-    # eight seeded searches per frame; rotations at n < 8 include
-    # non-conforming ones, so some searches exhaust the budget (at n=2
-    # all of them do)
+    # eight seeded searches per frame, 72 specs in all, the fast search
+    # evaluating words from the round maps and the oracle composing the
+    # dense generators; rotations at n < 8 include non-conforming ones,
+    # so some searches exhaust the budget (at n=2 all of them do)
     delta = n // m
     for seed in range(8):
         rng = np.random.default_rng([n, m, seed])
         r = (int(rng.integers(m, (delta - 1) * m + 1)) if n == 8
              else int(rng.integers(1, n)))
-        gens = perms.standard_generators(cipher.random_spec(m, delta, r, rng))
-        fast = groups.giant_witness(gens, np.random.default_rng(seed),
-                                    budget=100)
+        spec = cipher.random_spec(m, delta, r, rng)
+        gens = perms.standard_generators(spec)
+        fast = groups.giant_witness(perms.word_evaluator(spec), perms.LETTERS,
+                                    np.random.default_rng(seed), budget=100)
         ref = oracles.giant_witness_reference(
             gens, np.random.default_rng(seed), budget=100)
         assert fast == ref, (n, m, seed)
@@ -257,18 +260,22 @@ def test_giant_witness_runs_full_cycle_type_only_on_the_hit(monkeypatch):
     monkeypatch.setattr(perms, "cycle_lengths",
                         lambda p: calls.append(len(p)) or plain(p))
     spec = cipher.load_spec(SPECS / "conforming_n8.json")
-    witness = groups.giant_witness(perms.standard_generators(spec),
+    counters = {}
+    witness = groups.giant_witness(perms.word_evaluator(spec), perms.LETTERS,
                                    np.random.default_rng(20260823),
-                                   budget=10_000)
+                                   budget=10_000, counters=counters)
     assert witness.trials_used == 12
     assert calls == [spec.degree]
+    assert counters == {"fallbacks": 0}
 
 
 def test_giant_witness_deterministic_under_seed():
     spec = seeded_spec(4, 2, 2, seed=5)
-    gens = perms.standard_generators(spec)
-    w1 = groups.giant_witness(gens, np.random.default_rng(42), budget=500)
-    w2 = groups.giant_witness(gens, np.random.default_rng(42), budget=500)
+    evaluate = perms.word_evaluator(spec)
+    w1 = groups.giant_witness(evaluate, perms.LETTERS,
+                              np.random.default_rng(42), budget=500)
+    w2 = groups.giant_witness(evaluate, perms.LETTERS,
+                              np.random.default_rng(42), budget=500)
     assert w1 == w2
 
 
@@ -276,8 +283,9 @@ def test_giant_witness_none_on_translation_group():
     # every element is a translation; cycle lengths are powers of two,
     # never an odd prime
     gens = [perms.rho_perm((1, 0), 4), perms.rho_perm((0, 1), 4)]
-    assert groups.giant_witness(gens, np.random.default_rng(1),
-                                budget=60) is None
+    evaluate = functools.partial(groups.evaluate_witness_word, gens)
+    assert groups.giant_witness(evaluate, 2 * len(gens),
+                                np.random.default_rng(1), budget=60) is None
 
 
 def test_words_of_length():

@@ -6,6 +6,7 @@ from pathlib import Path
 import numpy as np
 
 from roundgroup import cipher, groups, perms
+from roundgroup.cipher import CipherSpec
 
 SPECS = Path(__file__).resolve().parent.parent / "specs"
 
@@ -108,11 +109,16 @@ def counting_cycle_lengths(monkeypatch):
 
 
 def test_long_cycle_matches_walk_on_random_perms():
+    # None leaves the trial to the exact fallback; an answer is exact
     rng = np.random.default_rng(13)
+    decided = 0
     for n in (1, 2, 3, 4, 5, 7, 8, 9, 17, 63, 100, 255, 256, 1000, 1024):
         for _ in range(30):
             p = random_perm(n, rng)
-            assert perms.long_cycle(p) == expected_long_cycle(p), n
+            got = perms.long_cycle(p)
+            assert got in (None, expected_long_cycle(p)), n
+            decided += got is not None
+    assert decided >= 0.9 * 15 * 30
 
 
 def test_long_cycle_on_built_perms(monkeypatch):
@@ -132,14 +138,13 @@ def test_long_cycle_on_built_perms(monkeypatch):
         ]
         for p, expected in cases:
             assert perms.long_cycle(p) == expected == expected_long_cycle(p)
-        assert calls == []
-        # the probes decide nothing, so the exact fallback answers: the
-        # identity (8 fixed probes), a long cycle through every point
-        # but the probes, a 7-cycle of probes or a 20-cycle through
-        # three (1 and 10 steps apart) beside a long cycle, and
-        # 2-cycles pairing each probe with its successor (16 probed
-        # points) beside a long or a short rest; counting a cycle once
-        # per probe on it would rule the long cycle out
+        # the probes decide nothing, leaving the exact answer to the
+        # caller's fallback: the identity (8 fixed probes), a long cycle
+        # through every point but the probes, a 7-cycle of probes or a
+        # 20-cycle through three (1 and 10 steps apart) beside a long
+        # cycle, and 2-cycles pairing each probe with its successor (16
+        # probed points) beside a long or a short rest; counting a
+        # cycle once per probe on it would rule the long cycle out
         shared = [probes[0], probes[1]] + rest[:8] + [probes[2]] + rest[8:17]
         pairs = [[x, x + 1] for x in probes]
         others = [x for x in range(n) if x not in sum(pairs, [])]
@@ -154,9 +159,9 @@ def test_long_cycle_on_built_perms(monkeypatch):
                                      others[half - 16:]]), 0),
         ]
         for p, expected in fallbacks:
-            assert perms.long_cycle(p) == expected == expected_long_cycle(p)
-        assert calls == [n] * len(fallbacks)
-        calls.clear()
+            assert perms.long_cycle(p) is None
+            assert expected == expected_long_cycle(p)
+        assert calls == []
 
 
 def test_cycle_reps_label_cycles():
@@ -247,6 +252,54 @@ def test_standard_generators():
     gens = perms.standard_generators(spec)
     assert len(gens) == 3
     assert np.array_equal(gens[2], perms.sigma_perm(spec))
+
+
+def evaluator_specs():
+    """Per width n = 2..8: a conforming spec, r = 0, a rotation outside
+    the conforming range (m = n leaves none inside), an all-zero box
+    and a seeded lossy box; at n = 7 and 8, where 200 dense words cost
+    most (about 1.5 s per n=8 spec), two and one of them."""
+    out = []
+    for n in range(2, 9):
+        m = 2 if n % 2 == 0 and n > 2 else 1
+        zero = ((0,) * (1 << m),) * (n // m)
+        kinds = {"conforming": seeded_spec(n, m, m, n),
+                 "r=0": seeded_spec(n, m, 0, n),
+                 "non-conforming": seeded_spec(n, n, 1, n),
+                 "zero box": CipherSpec(n, m, n // m, 1, zero),
+                 "lossy": seeded_spec(n, m, m, n, bijective=False)}
+        keep = {7: ("non-conforming", "zero box"),
+                8: ("lossy",)}.get(n, kinds)
+        out += [(f"n={n} {kind}", kinds[kind]) for kind in keep]
+    return out
+
+
+def test_word_evaluator_matches_dense_words(monkeypatch):
+    """The S-table evaluator equals composing the dense generators on
+    every letter, every letter pair and 200 random 32-letter words; so
+    does one run a fibre of 2**n states at a time, on every eighth
+    word, as the evaluator runs its chunks past n=8."""
+    cases = evaluator_specs()
+    assert {(s.conforming, s.bijective, s.r == 0) for _, s in cases} >= {
+        (True, True, False), (False, True, True), (False, True, False),
+        (True, False, False)}
+    letters = range(perms.LETTERS)
+    for label, spec in cases:
+        gens = perms.standard_generators(spec)
+        evaluate = perms.word_evaluator(spec)
+        with monkeypatch.context() as patch:
+            patch.setattr(perms, "EVAL_CHUNK", 1)
+            by_fibre = perms.word_evaluator(spec)
+        rng = np.random.default_rng(spec.n)
+        words = ([(a,) for a in letters]
+                 + [(a, b) for a in letters for b in letters]
+                 + [tuple(rng.integers(0, perms.LETTERS, 32).tolist())
+                    for _ in range(200)])
+        for i, word in enumerate(words):
+            dense = groups.evaluate_witness_word(gens, word)
+            assert np.array_equal(evaluate(word), dense), (label, word)
+            if i % 8 == 0:
+                assert np.array_equal(by_fibre(word), dense), (label, word)
 
 
 # ---------------------------------------------------------------------------

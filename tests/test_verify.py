@@ -480,18 +480,39 @@ def test_full_verdict_alt_certified():
     assert oracles.witness_replays(perms.standard_generators(spec), v.witness)
 
 
-def test_alt_certified_verdict_builds_sigma_once(monkeypatch):
-    spec = seeded_spec(6, 2, 3, seed=5)
-    built = []
+def refuse(*args):
+    raise AssertionError("state array built")
 
-    def counted(spec, real=perms.sigma_perm):
-        built.append(spec)
-        return real(spec)
 
-    monkeypatch.setattr(perms, "sigma_perm", counted)
-    v = verify.full_verdict(spec, seed=11)
+def test_alt_certified_verdict_builds_no_dense_map(monkeypatch):
+    # the witness words are evaluated from the S table: no dense
+    # generator is built, sigma included
+    for name in ("sigma_perm", "rho_perm", "standard_generators"):
+        monkeypatch.setattr(perms, name, refuse)
+    v = verify.full_verdict(seeded_spec(6, 2, 3, seed=5), seed=11)
     assert v.conclusion == verify.ALT_CERTIFIED
-    assert built == [spec]
+
+
+def test_verdict_builds_nothing_for_no_trial(monkeypatch):
+    """Budget 0 on a conforming spec (TheoremApplies) and a search gated
+    off by certified blocks (identity boxes, r=0: Imprimitive) build
+    neither a dense generator nor the word evaluator; past the
+    materialize cap the scan still refuses first, with its message."""
+    for name in ("sigma_perm", "rho_perm", "standard_generators",
+                 "word_evaluator"):
+        monkeypatch.setattr(perms, name, refuse)
+    v = verify.full_verdict(cipher.load_spec(SPECS / "conforming_n8.json"),
+                            seed=3, budget=0)
+    assert v.witness_searched and v.witness is None
+    assert v.conclusion == verify.THEOREM_APPLIES
+    v = verify.full_verdict(identity_spec(8, 2), seed=1)
+    assert not v.witness_searched
+    assert v.conclusion == verify.IMPRIMITIVE
+    for budget in (0, 10_000):
+        with pytest.raises(ValueError, match=r"^size 2\^28 exceeds the "
+                           r"materialize cap 2\^24$"):
+            verify.full_verdict(seeded_spec(14, 2, 3, seed=0), seed=1,
+                                budget=budget)
 
 
 def test_full_verdict_imprimitive_control():
