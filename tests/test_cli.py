@@ -79,6 +79,30 @@ def test_verdict_json_structure(capsys):
     assert data["seed"] == 20260823
 
 
+def test_verdict_renders_the_failed_eliminations(tmp_path, capsys):
+    """Constant boxes make S constant: the diagonal collision FAILs and
+    the wreath check sees no distinct images (values pinned from the
+    reports before the check records were introduced)."""
+    tables = tuple(tuple(0 for _ in range(4)) for _ in range(4))
+    path = tmp_path / "flat.json"
+    cipher.save_spec(cipher.CipherSpec(8, 2, 4, 3, tables), path)
+    rc, out, _ = run(["verdict", "--spec", str(path)], capsys)
+    assert rc == 2
+    lines = out.splitlines()
+    assert "diagonal-collision: FAIL S(0)=0x00 S(top)=0x00" in lines
+    assert ("wreath-top-brick: NOT-EXCLUDED distinct=no "
+            "top-brick S(0)=0x0 S(top)=0x0") in lines
+    rc, out, _ = run(["verdict", "--spec", str(path), "--format", "json"],
+                     capsys)
+    assert rc == 2
+    data = json.loads(out)["verdict"]
+    assert data["diagonal"] == {"passed": False, "s_at_zero_hex": "00",
+                                "s_at_top_hex": "00"}
+    assert data["wreath"] == {"excluded": False, "distinct_images": False,
+                              "top_slice_zero_hex": "0",
+                              "top_slice_top_hex": "0"}
+
+
 def test_verdict_body_byte_stable(capsys):
     argv = ["verdict", "--spec", CONFORMING_N8, "--seed", "20260823"]
     _, first, _ = run(argv, capsys)

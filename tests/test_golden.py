@@ -22,7 +22,16 @@ REPORTS = [
     ("types", "identity_r0_n4", [], 0),
     ("order", "conforming_n4", [], 0),
     ("validate", "gost_frame_n32", [], 0),
+    ("verdict", "conforming_n4", ["--budget", "0"], 3),
+    ("verdict", "conforming_n8", ["--budget", "0"], 0),
 ]
+
+
+def golden(command, spec, extra, suffix):
+    """The pinned body; a --budget run's file name carries the budget."""
+    tag = (f"_budget{extra[extra.index('--budget') + 1]}"
+           if "--budget" in extra else "")
+    return (GOLDEN / f"{command}_{spec}{tag}.{suffix}").read_text()
 
 
 @pytest.mark.parametrize("fmt,suffix", [("text", "txt"), ("json", "json")])
@@ -34,4 +43,4 @@ def test_report_body_pinned(command, spec, extra, code, fmt, suffix,
                    "--format", fmt] + extra)
     out = capsys.readouterr().out
     assert rc == code
-    assert out == (GOLDEN / f"{command}_{spec}.{suffix}").read_text()
+    assert out == golden(command, spec, extra, suffix)
