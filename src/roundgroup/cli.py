@@ -2,10 +2,10 @@
 
 Subcommands: encrypt, validate, scan-blocks, types, goursat, order,
 verdict.  Each report (all but encrypt and goursat) is a function
-returning its text lines and JSON record, built side by side, its exit
-code and its timing; one runner, `run_report`, loads the spec and emits
-header (seed and caps) and body as text or JSON, the timing on stderr,
-so the body is byte-stable for a fixed command line.
+returning its text lines and JSON record (the verdict's rendered from
+its `verify.Check` records), its exit code and its timing; one runner,
+`run_report`, loads the spec and emits header (seed and caps) and body
+as text or JSON, the timing on stderr, so the body is byte-stable.
 
 Exit codes: 0 clean, 2 a certified invariant partition was found,
 3 inconclusive verdict, 1 usage or I/O errors.
@@ -27,10 +27,6 @@ from . import (__version__, boxtypes, cipher, goursat, groups, perms, verify,
 from .cipher import CipherSpec
 
 TOOL = f"roundgroup {__version__}"
-
-
-def _hex(value: int, n: int) -> str:
-    return format(value, f"0{(n + 3) // 4}x")
 
 
 def _yes(ok: bool) -> str:
@@ -211,7 +207,7 @@ def cmd_encrypt(args) -> int:
         states = read_words(sys.stdin, n, "state", (2,), "two")
     for st in states:
         out = apply_rounds(spec, rounds, tuple(st), args.inverse)
-        print(f"{_hex(out[0], n)} {_hex(out[1], n)}")
+        print(f"{words.hex_word(out[0], n)} {words.hex_word(out[1], n)}")
     return 0
 
 
@@ -237,23 +233,6 @@ def validate_report(args, spec: CipherSpec) -> Report:
 # scan-blocks
 
 
-def scan_report(scan: verify.BlockScanResult, n: int,
-                indent: str = "") -> tuple[list[str], dict]:
-    """Candidate lines and the scan's JSON record, shared by the
-    scan-blocks and verdict reports."""
-    lines, candidates = [], []
-    for c in scan.candidates:
-        t = c.triple
-        status = "certified" if c.certified else "refuted-by-partition-check"
-        lines.append(f"{indent}block {t.describe()} size={t.size} "
-                     f"blocks={(1 << (2 * n)) // t.size} {status}")
-        candidates.append({"triple": list(t.to_tuple()), "size": t.size,
-                           "certified": c.certified})
-    return lines, {"subgroups_tested": scan.subgroups_tested,
-                   "shift_hex": _hex(scan.shift, n),
-                   "candidates": candidates}
-
-
 def scan_counters(scan: verify.BlockScanResult) -> str:
     """The scan's deterministic counters, for the stderr timing line."""
     return (f"tested={scan.subgroups_tested} probe_refuted="
@@ -267,11 +246,13 @@ def scan_blocks_report(args, spec: CipherSpec) -> Report:
     scan = verify.block_scan(spec)
     elapsed = time.monotonic() - t0
     primitive = verify.is_primitive(transitive, scan)
-    candidate_lines, record = scan_report(scan, spec.n)
+    check = verify.scan_check(scan, spec.n)
+    record = check.value  # shared with the verdict's block-scan check
     lines = ["-- block scan --",
              f"transitive: {_yes(transitive)} (lemma)",
              f"subgroups tested: {scan.subgroups_tested}",
-             f"forced shift: (0, 0x{record['shift_hex']})", *candidate_lines]
+             f"forced shift: (0, 0x{record['shift_hex']})",
+             *(line.lstrip() for line in check.lines[1:])]
     if scan.empty:
         lines.append("result: empty (no invariant subgroup-coset "
                      "partition exists)")
@@ -377,12 +358,11 @@ def peak_rss_mb() -> int:
 
 
 def verdict_report(args, spec: CipherSpec) -> Report:
-    """The verdict's text lines and JSON record, each check's line and
-    record made together."""
+    """The verdict's header, then each check's lines and record."""
     t0 = time.monotonic()
     v = verify.full_verdict(spec, seed=args.seed, budget=args.budget)
     elapsed = time.monotonic() - t0
-    n, val = spec.n, v.validation
+    val = v.validation
     lines = [f"budget: {v.budget}  word-len: {groups.WITNESS_WORD_LEN}",
              "-- checks --"]
     record = {"budget": v.budget, "word_len": groups.WITNESS_WORD_LEN,
@@ -391,70 +371,14 @@ def verdict_report(args, spec: CipherSpec) -> Report:
                              "theorem_scope": val.theorem_scope,
                              "notes": list(val.notes)},
               "primitive": v.primitive}
-
-    def check(key: str, line: str, fields) -> None:
-        lines.append(line)
-        record[key] = fields
-
-    for key, passed in (("parity", v.parity),
-                        ("transitivity", v.transitivity)):
-        check(key, f"{key}: {'PASS' if passed else 'FAIL'} (lemma)",
-              {"route": "lemma", "passed": passed})
-    scan = v.scan
-    candidate_lines, scan_record = scan_report(scan, n, indent="  ")
-    if scan.empty:
-        check("block_scan", f"block-scan: EMPTY {scan.subgroups_tested} "
-              f"subgroups, shift (0, 0x{scan_record['shift_hex']})",
-              scan_record)
-    else:
-        check("block_scan", f"block-scan: {len(scan.certified)} certified "
-              f"of {len(scan.candidates)} candidates from "
-              f"{scan.subgroups_tested} subgroups", scan_record)
-    lines += candidate_lines
-    d = v.diagonal
-    check("diagonal", f"diagonal-collision: {'PASS' if d.passed else 'FAIL'} "
-          f"S(0)=0x{_hex(d.s_at_zero, n)} S(top)=0x{_hex(d.s_at_top, n)}",
-          {"passed": d.passed, "s_at_zero_hex": _hex(d.s_at_zero, n),
-           "s_at_top_hex": _hex(d.s_at_top, n)})
-    a = v.affine
-    check("affine", f"affine-order-bound: "
-          f"{'EXCLUDED' if a.excluded else 'INCONCLUSIVE'} "
-          f"ceil(log2 n)+2={a.bound} vs n={a.n}",
-          {"excluded": a.excluded, "bound": a.bound, "n": a.n})
-    w = v.wreath
-    check("wreath", f"wreath-top-brick: "
-          f"{'EXCLUDED' if w.excluded else 'NOT-EXCLUDED'} "
-          f"distinct={_yes(w.distinct_images)} "
-          f"top-brick S(0)=0x{w.top_slice_zero:x} "
-          f"S(top)=0x{w.top_slice_top:x}",
-          {"excluded": w.excluded, "distinct_images": w.distinct_images,
-           "top_slice_zero_hex": f"{w.top_slice_zero:x}",
-           "top_slice_top_hex": f"{w.top_slice_top:x}"})
-    p = v.psl
-    check("psl", f"projective-line: "
-          f"{'EXCLUDED' if p.excluded else 'NOT-EXCLUDED'} "
-          f"{(1 << (2 * n)) - 1} = {p.factor_minus} * {p.factor_plus}, "
-          f"gcd {p.gcd_value}",
-          {"excluded": p.excluded,
-           "factors": [p.factor_minus, p.factor_plus], "gcd": p.gcd_value})
-    g = v.witness
-    if g is not None:
-        check("witness", f"giant-witness: FOUND prime={g.prime} "
-              f"trials={g.trials_used} word={g.word_hex}",
-              {"prime": g.prime, "trials_used": g.trials_used,
-               "word_hex": g.word_hex, "other_lcm": str(g.other_lcm)})
-    elif v.witness_searched:
-        check("witness", f"giant-witness: NONE within budget {v.budget}",
-              {"prime": None, "trials_used": v.budget})
-    else:
-        check("witness", "giant-witness: SKIPPED (gated by earlier checks)",
-              None)
-    check("conclusion", f"conclusion: {v.conclusion}", v.conclusion)
+    for c in v.checks:
+        lines += c.lines
+        record[c.key] = c.value
     # trials: the hit's, the whole budget on a miss, none when gated off
     trials = record["witness"]["trials_used"] if record["witness"] else 0
     stages = v.stage_seconds
     return lines, {"verdict": record}, v.exit_code, [
-        f"verdict {elapsed:.2f}s {scan_counters(scan)}",
+        f"verdict {elapsed:.2f}s {scan_counters(v.scan)}",
         f"verdict-stages scan={stages['scan']:.2f}s "
         f"witness={stages['witness']:.2f}s trials={trials} "
         f"fallbacks={v.fallbacks} peak_rss={peak_rss_mb()}MB"]

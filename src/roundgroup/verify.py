@@ -66,6 +66,28 @@ from .groups import GiantWitness, giant_witness
 # individual checks
 
 
+@dataclass(frozen=True)
+class Check:
+    """One verdict stage as both reports show it: its JSON key and
+    value, its text lines (the first reads `label: STATUS detail`), and
+    the fact the verdict's rules read."""
+
+    key: str
+    lines: tuple[str, ...]
+    value: object
+    holds: bool
+
+
+def _check(key: str, label: str, status: str, detail: str, value,
+           holds: bool) -> Check:
+    return Check(key, (f"{label}: {status} {detail}",), value, holds)
+
+
+def _lemma_check(key: str, passed: bool) -> Check:
+    return _check(key, key, "PASS" if passed else "FAIL", "(lemma)",
+                  {"route": "lemma", "passed": passed}, passed)
+
+
 def parity_check(spec: CipherSpec) -> bool:
     """The parity lemma (module docstring): the generators are even
     exactly when its hypothesis n >= 2 holds."""
@@ -204,113 +226,116 @@ def block_scan(spec: CipherSpec) -> BlockScanResult:
                            tuple(candidates))
 
 
-@dataclass(frozen=True)
-class DiagonalCheck:
+def scan_check(scan: BlockScanResult, n: int) -> Check:
+    """The scan's record, its headline and one indented line per
+    candidate; it holds when no candidate is certified."""
+    lines, candidates = [], []
+    for c in scan.candidates:
+        t = c.triple
+        status = "certified" if c.certified else "refuted-by-partition-check"
+        lines.append(f"  block {t.describe()} size={t.size} "
+                     f"blocks={(1 << (2 * n)) // t.size} {status}")
+        candidates.append({"triple": list(t.to_tuple()), "size": t.size,
+                           "certified": c.certified})
+    shift = words.hex_word(scan.shift, n)
+    if scan.empty:
+        head = (f"block-scan: EMPTY {scan.subgroups_tested} subgroups, "
+                f"shift (0, 0x{shift})")
+    else:
+        head = (f"block-scan: {len(scan.certified)} certified of "
+                f"{len(scan.candidates)} candidates from "
+                f"{scan.subgroups_tested} subgroups")
+    return Check("block_scan", (head, *lines),
+                 {"subgroups_tested": scan.subgroups_tested,
+                  "shift_hex": shift, "candidates": candidates},
+                 not scan.certified)
+
+
+def diagonal_check(spec: CipherSpec) -> Check:
     """The twisted-diagonal block shapes force the mixing map to take
     the same value at zero and at the order-two word; bijectivity says
     it cannot."""
-
-    s_at_zero: int
-    s_at_top: int
-
-    @property
-    def passed(self) -> bool:
-        return self.s_at_zero != self.s_at_top
-
-
-def diagonal_check(spec: CipherSpec) -> DiagonalCheck:
-    top = words.involution(spec.n)
-    return DiagonalCheck(apply_s(spec, 0), apply_s(spec, top))
+    n = spec.n
+    zero, top = (words.hex_word(apply_s(spec, x), n)
+                 for x in (0, words.involution(n)))
+    passed = zero != top
+    return _check("diagonal", "diagonal-collision",
+                  "PASS" if passed else "FAIL",
+                  f"S(0)=0x{zero} S(top)=0x{top}",
+                  {"passed": passed, "s_at_zero_hex": zero,
+                   "s_at_top_hex": top}, passed)
 
 
-@dataclass(frozen=True)
-class AffineCheck:
+def affine_check(n: int) -> Check:
     """An affine-group normal structure would need an element of
     order 2**n, but the 2-Sylow exponent of the affine group over
     GF(2) is too small once n > ceil(log2 n) + 2."""
-
-    n: int
-    log_ceiling: int
-
-    @property
-    def bound(self) -> int:
-        return self.log_ceiling + 2
-
-    @property
-    def excluded(self) -> bool:
-        return self.bound < self.n
-
-
-def affine_check(n: int) -> AffineCheck:
     words.check_width(n)
-    return AffineCheck(n, (n - 1).bit_length())
+    bound = (n - 1).bit_length() + 2
+    excluded = bound < n
+    return _check("affine", "affine-order-bound",
+                  "EXCLUDED" if excluded else "INCONCLUSIVE",
+                  f"ceil(log2 n)+2={bound} vs n={n}",
+                  {"excluded": excluded, "bound": bound, "n": n}, excluded)
 
 
-@dataclass(frozen=True)
-class WreathCheck:
+def wreath_check(spec: CipherSpec) -> Check:
     """Both product-action shapes reduce to one of two collisions:
     equal mixing images at zero and the top bit (fact i refutes), or
     images differing exactly by the top bit, which would force their
     top bricks to disagree; for a conforming rotation the top brick
     of the bricklayer output rotates wholly off itself, so the top
     bricks agree (fact ii refutes)."""
-
-    s_at_zero: int
-    s_at_top: int
-    brick_bits: tuple[int, int]  # inclusive bit range of the top brick
-
-    @property
-    def distinct_images(self) -> bool:
-        return self.s_at_zero != self.s_at_top
-
-    @property
-    def top_slice_zero(self) -> int:
-        return words.bit_slice(self.s_at_zero, *self.brick_bits)
-
-    @property
-    def top_slice_top(self) -> int:
-        return words.bit_slice(self.s_at_top, *self.brick_bits)
-
-    @property
-    def top_bricks_agree(self) -> bool:
-        return self.top_slice_zero == self.top_slice_top
-
-    @property
-    def excluded(self) -> bool:
-        return self.distinct_images and self.top_bricks_agree
+    n = spec.n
+    zero, top = (apply_s(spec, x) for x in (0, words.involution(n)))
+    # the top brick: bits n - m .. n - 1 of each image, in hex
+    brick_zero, brick_top = (f"{words.bit_slice(s, n - spec.m, n - 1):x}"
+                             for s in (zero, top))
+    distinct = zero != top
+    excluded = distinct and brick_zero == brick_top
+    return _check("wreath", "wreath-top-brick",
+                  "EXCLUDED" if excluded else "NOT-EXCLUDED",
+                  f"distinct={'yes' if distinct else 'no'} "
+                  f"top-brick S(0)=0x{brick_zero} S(top)=0x{brick_top}",
+                  {"excluded": excluded, "distinct_images": distinct,
+                   "top_slice_zero_hex": brick_zero,
+                   "top_slice_top_hex": brick_top}, excluded)
 
 
-def wreath_check(spec: CipherSpec) -> WreathCheck:
-    top = words.involution(spec.n)
-    return WreathCheck(apply_s(spec, 0), apply_s(spec, top),
-                       (spec.n - spec.m, spec.n - 1))
-
-
-@dataclass(frozen=True)
-class PslCheck:
+def psl_check(n: int) -> Check:
     """A projective-line action on 2**(2n) points would make
     2**(2n) - 1 a prime power; it splits into two coprime factors
     bigger than one."""
-
-    n: int
-    factor_minus: int
-    factor_plus: int
-
-    @property
-    def gcd_value(self) -> int:
-        return math.gcd(self.factor_minus, self.factor_plus)
-
-    @property
-    def excluded(self) -> bool:
-        return (self.factor_minus > 1 and self.factor_plus > 1
-                and self.gcd_value == 1
-                and self.factor_minus * self.factor_plus
-                == (1 << (2 * self.n)) - 1)
-
-
-def psl_check(n: int) -> PslCheck:
     words.check_width(n)
-    return PslCheck(n, (1 << n) - 1, (1 << n) + 1)
+    minus, plus = (1 << n) - 1, (1 << n) + 1
+    gcd = math.gcd(minus, plus)
+    excluded = (minus > 1 and plus > 1 and gcd == 1
+                and minus * plus == (1 << (2 * n)) - 1)
+    return _check("psl", "projective-line",
+                  "EXCLUDED" if excluded else "NOT-EXCLUDED",
+                  f"{(1 << (2 * n)) - 1} = {minus} * {plus}, gcd {gcd}",
+                  {"excluded": excluded, "factors": [minus, plus],
+                   "gcd": gcd}, excluded)
+
+
+def _witness_check(witness: GiantWitness | None, searched: bool,
+                  budget: int) -> Check:
+    """FOUND with the witness, NONE when the search ran dry, SKIPPED
+    when the gate kept it from running."""
+    if witness is not None:
+        return _check("witness", "giant-witness", "FOUND",
+                      f"prime={witness.prime} trials={witness.trials_used} "
+                      f"word={witness.word_hex}",
+                      {"prime": witness.prime,
+                       "trials_used": witness.trials_used,
+                       "word_hex": witness.word_hex,
+                       "other_lcm": str(witness.other_lcm)}, True)
+    if searched:
+        return _check("witness", "giant-witness", "NONE",
+                      f"within budget {budget}",
+                      {"prime": None, "trials_used": budget}, False)
+    return _check("witness", "giant-witness", "SKIPPED",
+                  "(gated by earlier checks)", None, False)
 
 
 # ---------------------------------------------------------------------------
@@ -330,25 +355,17 @@ EXIT_CODES = {ALT_CERTIFIED: 0, THEOREM_APPLIES: 0,
 class Verdict:
     budget: int
     validation: SpecValidation
-    parity: bool
-    transitivity: bool
     scan: BlockScanResult
-    diagonal: DiagonalCheck
-    affine: AffineCheck
-    wreath: WreathCheck
-    psl: PslCheck
+    primitive: bool
     witness: GiantWitness | None
     witness_searched: bool  # the gate let the witness search run
     conclusion: str
+    checks: tuple[Check, ...]  # every stage, in report order
     # wall seconds of the block scan and of the witness stage, and the
     # witness trials the probes left open, for the caller's timing
     # line; not part of the verdict's value
     stage_seconds: dict[str, float] = field(compare=False, repr=False)
     fallbacks: int = field(compare=False, repr=False)
-
-    @property
-    def primitive(self) -> bool:
-        return is_primitive(self.transitivity, self.scan)
 
     @property
     def exit_code(self) -> int:
@@ -364,10 +381,8 @@ def full_verdict(spec: CipherSpec, seed: int,
     t0 = time.perf_counter()
     scan = block_scan(spec)
     scan_s = time.perf_counter() - t0
-    diag = diagonal_check(spec)
-    affine = affine_check(spec.n)
-    wreath = wreath_check(spec)
-    psl = psl_check(spec.n)
+    eliminations = (diagonal_check(spec), affine_check(spec.n),
+                    wreath_check(spec), psl_check(spec.n))
 
     primitive = is_primitive(transitivity, scan)
     witness = None
@@ -387,13 +402,17 @@ def full_verdict(spec: CipherSpec, seed: int,
     elif witness is not None:  # found only past the gate above
         conclusion = ALT_CERTIFIED
     elif (validation.theorem_scope and parity and primitive
-            and diag.passed and affine.excluded
-            and wreath.excluded and psl.excluded):
+            and all(c.holds for c in eliminations)):
         conclusion = THEOREM_APPLIES
     else:
         conclusion = INCONCLUSIVE
 
-    return Verdict(budget, validation, parity, transitivity, scan, diag,
-                   affine, wreath, psl, witness, searched, conclusion,
-                   {"scan": scan_s, "witness": witness_s},
+    checks = (_lemma_check("parity", parity),
+              _lemma_check("transitivity", transitivity),
+              scan_check(scan, spec.n), *eliminations,
+              _witness_check(witness, searched, budget),
+              Check("conclusion", (f"conclusion: {conclusion}",), conclusion,
+                    EXIT_CODES[conclusion] == 0))
+    return Verdict(budget, validation, scan, primitive, witness, searched,
+                   conclusion, checks, {"scan": scan_s, "witness": witness_s},
                    counters["fallbacks"])

@@ -78,6 +78,11 @@ def rotate_left(value: int, r: int, width: int) -> int:
     return ((value << r) | (value >> (width - r))) & m
 
 
+def hex_word(value: int, width: int) -> str:
+    """The word in hex, zero-padded to the digits of its width."""
+    return format(value, f"0{(width + 3) // 4}x")
+
+
 def involution(width: int) -> int:
     """The unique element of order 2 in Z/2**width: the top bit."""
     return 1 << (width - 1)

@@ -224,14 +224,15 @@ def test_ac07_goursat_enumeration_matches_brute_force():
 
 def test_ac08_case_elimination_arithmetic():
     for n in (2, 3, 4, 5):
-        assert not verify.affine_check(n).excluded, n
+        assert not verify.affine_check(n).holds, n
     for n in range(6, 65):
-        assert verify.affine_check(n).excluded, n
+        assert verify.affine_check(n).holds, n
     for n in range(2, 65):
         c = verify.psl_check(n)
-        assert c.excluded and c.gcd_value == 1, n
+        assert c.holds and c.value["gcd"] == 1, n
         assert math.gcd((1 << n) - 1, (1 << n) + 1) == 1
-        assert c.factor_minus * c.factor_plus == (1 << (2 * n)) - 1
+        minus, plus = c.value["factors"]
+        assert minus * plus == (1 << (2 * n)) - 1
     corpus = [cipher.load_spec(SPECS / name) for name in
               ("conforming_n8.json", "conforming_n4.json",
                "gost_frame_n32.json")]
@@ -242,7 +243,7 @@ def test_ac08_case_elimination_arithmetic():
                if s.conforming and s.bijective]
     assert len(corpus) > 60
     for spec in corpus:
-        assert verify.wreath_check(spec).excluded, spec.digest()
+        assert verify.wreath_check(spec).holds, spec.digest()
     print(f"\nAC8 case eliminations: affine 6..64, projective 2..64, "
           f"wreath on {len(corpus)} conforming specs: PASS")
 

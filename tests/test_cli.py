@@ -10,7 +10,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from roundgroup import boxtypes, cipher, cli, goursat, groups, perms, words
+from roundgroup import (boxtypes, cipher, cli, goursat, groups, perms, verify,
+                        words)
 
 import oracles
 
@@ -211,10 +212,12 @@ def test_scan_and_gated_verdict_build_no_dense_map(monkeypatch, capsys):
         spec = cipher.load_spec(SPECS / f"{name}.json")
         reference = oracles.block_scan_reference(
             spec, perms.standard_generators(spec))
-        candidate_lines, record = cli.scan_report(reference, spec.n)
-        expected[name] = (candidate_lines, dict(
-            record, transitive=True, primitive=not reference.certified),
-            2 if reference.certified else 0)
+        check = verify.scan_check(reference, spec.n)
+        candidate_lines = [line.lstrip() for line in check.lines[1:]]
+        record = dict(check.value, transitive=True,
+                      primitive=not reference.certified)
+        expected[name] = (candidate_lines, record,
+                          2 if reference.certified else 0)
 
     def dense(spec):
         raise AssertionError("dense swap map built")

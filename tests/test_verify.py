@@ -83,10 +83,15 @@ def test_form_sign_and_translation_orbit_match_dense():
         assert orbits[key] == spec.degree
 
 
+def holds(verdict):
+    """Each check of the verdict by key: does it hold?"""
+    return {c.key: c.holds for c in verdict.checks}
+
+
 def test_verdict_takes_the_form_route(monkeypatch, tmp_path, capsys):
     spec = seeded_spec(6, 2, 3, seed=5)
     expected = verify.full_verdict(spec, seed=11)
-    assert expected.parity and expected.transitivity
+    assert holds(expected)["parity"] and holds(expected)["transitivity"]
     path = tmp_path / "spec.json"
     cipher.save_spec(spec, path)
     commands = [[cmd, "--spec", str(path)] for cmd in ("verdict",
@@ -396,31 +401,32 @@ def test_diagonal_check():
     for seed in range(3):
         spec = seeded_spec(8, 2, 3, seed=seed)
         chk = verify.diagonal_check(spec)
-        assert chk.passed
-        assert chk.s_at_zero == cipher.apply_s(spec, 0)
-        assert chk.s_at_top == cipher.apply_s(spec, 128)
+        assert chk.holds and chk.value["passed"]
+        assert int(chk.value["s_at_zero_hex"], 16) == cipher.apply_s(spec, 0)
+        assert int(chk.value["s_at_top_hex"], 16) == cipher.apply_s(spec, 128)
     # identity mixing at n=4: 0 vs the rotated top bit
     ident = identity_spec(4, 2, r=2)
     chk = verify.diagonal_check(ident)
-    assert chk.passed and chk.s_at_zero == 0
+    assert chk.holds and int(chk.value["s_at_zero_hex"], 16) == 0
 
     # contrived collision: constant boxes make S constant
     tables = tuple(tuple(0 for _ in range(4)) for _ in range(4))
     flat = CipherSpec(8, 2, 4, 3, tables)
     chk = verify.diagonal_check(flat)
-    assert not chk.passed and chk.s_at_zero == chk.s_at_top
+    assert not chk.holds
+    assert chk.value["s_at_zero_hex"] == chk.value["s_at_top_hex"]
 
 
 def test_affine_check_bounds():
-    assert verify.affine_check(8).excluded          # 3 + 2 < 8
-    assert verify.affine_check(32).excluded         # 5 + 2 < 32
-    assert not verify.affine_check(4).excluded      # 2 + 2 >= 4
-    assert not verify.affine_check(5).excluded      # 3 + 2 >= 5
-    assert verify.affine_check(6).excluded          # 3 + 2 < 6
+    assert verify.affine_check(8).holds          # 3 + 2 < 8
+    assert verify.affine_check(32).holds         # 5 + 2 < 32
+    assert not verify.affine_check(4).holds      # 2 + 2 >= 4
+    assert not verify.affine_check(5).holds      # 3 + 2 >= 5
+    assert verify.affine_check(6).holds          # 3 + 2 < 6
     for n in range(6, 65):
-        assert verify.affine_check(n).excluded
+        assert verify.affine_check(n).holds
     for n in range(2, 6):
-        assert not verify.affine_check(n).excluded
+        assert not verify.affine_check(n).holds
     with pytest.raises(ValueError):
         verify.affine_check(1)
 
@@ -429,8 +435,9 @@ def test_wreath_check_conforming():
     for n, m, r, seed in ((8, 2, 3, 0), (8, 2, 2, 1), (8, 2, 6, 2),
                           (12, 3, 5, 3), (12, 2, 7, 4)):
         spec = seeded_spec(n, m, r, seed=seed)
-        chk = verify.wreath_check(spec)
-        assert chk.distinct_images and chk.top_bricks_agree and chk.excluded
+        chk = verify.wreath_check(spec).value
+        assert chk["distinct_images"] and chk["excluded"]
+        assert chk["top_slice_zero_hex"] == chk["top_slice_top_hex"]
 
 
 def test_wreath_check_identity_minimal_rotation():
@@ -438,10 +445,12 @@ def test_wreath_check_identity_minimal_rotation():
     # into the low half; the top bricks of both images are zero
     spec = identity_spec(8, 2, r=2)
     chk = verify.wreath_check(spec)
-    assert chk.s_at_zero == 0
-    assert chk.s_at_top == 1 << (7 + 2 - 8)  # top bit rotated around
-    assert chk.top_slice_zero == 0 and chk.top_slice_top == 0
-    assert chk.excluded
+    assert cipher.apply_s(spec, 0) == 0
+    assert cipher.apply_s(spec, 128) == 1 << (7 + 2 - 8)  # top bit rotated
+    assert chk.value["distinct_images"]
+    assert chk.value["top_slice_zero_hex"] == "0"
+    assert chk.value["top_slice_top_hex"] == "0"
+    assert chk.holds
 
 
 def test_wreath_check_r0_not_excluded():
@@ -449,22 +458,24 @@ def test_wreath_check_r0_not_excluded():
     for seed in range(3):
         spec = seeded_spec(8, 2, 0, seed=seed)
         chk = verify.wreath_check(spec)
-        assert chk.distinct_images
-        assert not chk.top_bricks_agree
-        assert not chk.excluded
+        assert chk.value["distinct_images"]
+        assert chk.value["top_slice_zero_hex"] \
+            != chk.value["top_slice_top_hex"]
+        assert not chk.holds
 
 
 def test_psl_check():
     chk = verify.psl_check(8)
-    assert chk.excluded
-    assert (chk.factor_minus, chk.factor_plus) == (255, 257)
-    assert chk.gcd_value == 1
+    assert chk.holds
+    assert chk.value["factors"] == [255, 257]
+    assert chk.value["gcd"] == 1
     chk2 = verify.psl_check(2)
-    assert chk2.excluded and (chk2.factor_minus, chk2.factor_plus) == (3, 5)
+    assert chk2.holds and chk2.value["factors"] == [3, 5]
     for n in range(2, 65):
         chk = verify.psl_check(n)
-        assert chk.excluded
-        assert chk.factor_minus * chk.factor_plus == (1 << (2 * n)) - 1
+        assert chk.holds
+        minus, plus = chk.value["factors"]
+        assert minus * plus == (1 << (2 * n)) - 1
     with pytest.raises(ValueError):
         verify.psl_check(1)
 
@@ -474,7 +485,7 @@ def test_full_verdict_alt_certified():
     v = verify.full_verdict(spec, seed=20260823)
     assert v.conclusion == verify.ALT_CERTIFIED
     assert v.exit_code == 0
-    assert v.parity and v.transitivity and v.primitive
+    assert holds(v)["parity"] and holds(v)["transitivity"] and v.primitive
     assert v.witness is not None
     assert 32768 < v.witness.prime < 65534
     assert oracles.witness_replays(perms.standard_generators(spec), v.witness)
@@ -555,7 +566,8 @@ def test_refuted_candidate_does_not_gate_the_witness():
     v = verify.full_verdict(spec, seed=1)
     assert [(c.triple.to_tuple(), c.certified)
             for c in v.scan.candidates] == [((2, 2, 2, 2, 1), False)]
-    assert v.primitive == verify.is_primitive(v.transitivity, v.scan)
+    assert v.primitive == verify.is_primitive(holds(v)["transitivity"],
+                                              v.scan)
     assert v.primitive and v.witness_searched
     assert v.conclusion == verify.ALT_CERTIFIED
     assert (v.witness.prime, v.witness.trials_used) == (2531, 8)

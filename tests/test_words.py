@@ -49,6 +49,17 @@ def test_bits_round_trip():
         assert words.bit_slice(x, 1, 3) == (x >> 1) & 7
 
 
+def test_hex_word_pads_to_whole_nibbles():
+    # one hex digit per four bits of width, the last one partial
+    for n, digits in ((2, 1), (4, 1), (5, 2), (8, 2), (9, 3), (32, 8)):
+        assert words.hex_word(0, n) == "0" * digits
+        assert words.hex_word(1, n) == "0" * (digits - 1) + "1"
+        top = words.hex_word(words.mask(n), n)
+        assert len(top) == digits and int(top, 16) == (1 << n) - 1
+    assert words.hex_word(0x1a, 8) == "1a"
+    assert words.hex_word(0x1a, 9) == "01a"
+
+
 def test_modular_ops():
     assert words.add_mod(3, 1, 2) == 0
     assert words.neg_mod(0, 4) == 0
