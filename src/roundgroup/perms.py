@@ -14,14 +14,16 @@ the caller to fall back to cycle_lengths, when they neither include
 that cycle nor cover N/2.
 
 States (x1, x2) are flattened to indices x1 + 2**n * x2, so the left
-word occupies the low bits.  All round maps materialize through the
-mixing-map table in O(N) vectorized steps, and so does any word in
-them (word_evaluator), without materializing the maps themselves.
+word occupies the low bits.  word_evaluator is the one dense form of
+the round maps: any word in them is read off the mixing-map table in
+O(N) vectorized steps, and the generators (standard_generators) are
+its one-letter words.
 
 The "materialize" cap of the size-cap table (words.CAPS, 2**24
 states) bounds dense materialization; callers wanting larger parameter
 sets must stay with the wordwise maps in cipher, which are also the
-scalar oracle these arrays are tested against.
+scalar oracle the evaluator is tested against, letter by letter and
+round by round.
 """
 
 from __future__ import annotations
@@ -31,7 +33,7 @@ from collections.abc import Callable, Sequence
 
 import numpy as np
 
-from .cipher import CipherSpec, s_table, swap
+from .cipher import CipherSpec, s_table
 from .words import check_cap
 
 
@@ -173,37 +175,6 @@ def sign(p: np.ndarray) -> int:
 
 # ---------------------------------------------------------------------------
 # materializing the cipher maps
-#
-# A dense map of degree 4**n reshapes to (2**n, 2**n) fibres: row x2,
-# column x1, since x = x1 + 2**n * x2.
-
-
-def sigma_perm(spec: CipherSpec) -> np.ndarray:
-    """(x1, x2) -> (x2, x1 ^ S(x2)): row x2 is swap(S, 0, x2), the image
-    of x1 = 0, XOR x1 << n."""
-    check_cap("materialize", spec.degree)
-    x = np.arange(1 << spec.n, dtype=np.int64)
-    heads = swap(s_table(spec), 0, x, spec.n)
-    return (heads[:, None] ^ (x << spec.n)).ravel()
-
-
-def rho_perm(k: tuple[int, int], n: int) -> np.ndarray:
-    check_cap("materialize", 1 << (2 * n))
-    steps = np.arange(1 << n, dtype=np.int64)
-    mask = (1 << n) - 1
-    return ((((steps + k[1]) & mask) << n)[:, None]
-            | ((steps + k[0]) & mask)).ravel()
-
-
-def standard_generators(spec: CipherSpec) -> list[np.ndarray]:
-    """The three generators of the round group: rho(1,0), rho(0,1), sigma.
-
-    Every generalized round is a product of these with their inverses,
-    and conversely, so they generate the whole group under study.
-    """
-    return [rho_perm((1, 0), spec.n), rho_perm((0, 1), spec.n),
-            sigma_perm(spec)]
-
 
 # The letters of a word in the standard generators, numbered as
 # groups._alphabet numbers them: rho(1,0), rho(0,1), sigma, then their
@@ -221,8 +192,9 @@ EVAL_CHUNK = 1 << 16
 
 def word_evaluator(spec: CipherSpec) -> Callable[[Sequence[int]], np.ndarray]:
     """word -> its dense permutation (letters applied first to last),
-    equal to composing the standard_generators letter by letter, read
-    off 2**n-entry tables alone.
+    equal to applying the scalar maps cipher.rho_apply, sigma_apply and
+    sigma_inverse_apply letter by letter, read off 2**n-entry tables
+    alone.  It is the one dense form of the round maps.
 
     A state is held as its halves (L, H) plus pending translation
     offsets (a, b): it is (L + a, H + b) mod 2**n.  A translation letter
@@ -294,6 +266,17 @@ def word_evaluator(spec: CipherSpec) -> Callable[[Sequence[int]], np.ndarray]:
         return out
 
     return evaluate
+
+
+def standard_generators(spec: CipherSpec) -> list[np.ndarray]:
+    """The three generators of the round group: rho(1,0), rho(0,1), sigma,
+    as the one-letter words 0, 1 and SIGMA of word_evaluator.
+
+    Every generalized round is a product of these with their inverses,
+    and conversely, so they generate the whole group under study.
+    """
+    evaluate = word_evaluator(spec)
+    return [evaluate((0,)), evaluate((1,)), evaluate((SIGMA,))]
 
 
 def _shifts(base: np.ndarray) -> Callable[[int], np.ndarray]:

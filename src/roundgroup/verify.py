@@ -358,7 +358,6 @@ class Verdict:
     scan: BlockScanResult
     primitive: bool
     witness: GiantWitness | None
-    witness_searched: bool  # the gate let the witness search run
     conclusion: str
     checks: tuple[Check, ...]  # every stage, in report order
     # wall seconds of the block scan and of the witness stage, and the
@@ -413,6 +412,6 @@ def full_verdict(spec: CipherSpec, seed: int,
               _witness_check(witness, searched, budget),
               Check("conclusion", (f"conclusion: {conclusion}",), conclusion,
                     EXIT_CODES[conclusion] == 0))
-    return Verdict(budget, validation, scan, primitive, witness, searched,
-                   conclusion, checks, {"scan": scan_s, "witness": witness_s},
+    return Verdict(budget, validation, scan, primitive, witness, conclusion,
+                   checks, {"scan": scan_s, "witness": witness_s},
                    counters["fallbacks"])

@@ -144,7 +144,7 @@ def test_scan_counters_on_stderr_add_up(command, key, capsys):
         # the probe survivors that are not candidates fail the set
         # equation over the whole subgroup
         spec = cipher.load_spec(path)
-        sigma = perms.sigma_perm(spec)
+        sigma = perms.standard_generators(spec)[2]
         shift = cipher.apply_s(spec, 0)
         whole_set = sum(
             1 for t in goursat.enumerate_subgroups(spec.n)
@@ -203,9 +203,10 @@ def test_verdict_stage_line_counts_fallbacks(tmp_path, capsys):
 
 
 def test_scan_and_gated_verdict_build_no_dense_map(monkeypatch, capsys):
-    """With perms.sigma_perm raising, the gated-off verdict on identity
-    boxes prints its pinned body, and scan-blocks on both n=8 specs
-    prints the scan of the dense oracle, computed beforehand."""
+    """With perms.word_evaluator, the one dense builder, raising, the
+    gated-off verdict on identity boxes prints its pinned body, and
+    scan-blocks on both n=8 specs prints the scan of the dense oracle,
+    computed beforehand."""
     root = SPECS.parent
     expected = {}
     for name in ("conforming_n8", "identity_r0_n8"):
@@ -220,9 +221,9 @@ def test_scan_and_gated_verdict_build_no_dense_map(monkeypatch, capsys):
                           2 if reference.certified else 0)
 
     def dense(spec):
-        raise AssertionError("dense swap map built")
+        raise AssertionError("dense map built")
 
-    monkeypatch.setattr(perms, "sigma_perm", dense)
+    monkeypatch.setattr(perms, "word_evaluator", dense)
     monkeypatch.chdir(root)
     for fmt, suffix in (("text", "txt"), ("json", "json")):
         rc, out, _ = run(["verdict", "--spec", "specs/identity_r0_n8.json",
@@ -450,7 +451,8 @@ CAP_CASES = {
     "table": ("2^24", [(["types"], 25, "2^25")]),
     "materialize": ("2^24", [
         (["scan-blocks"], 13, "2^26"), (["verdict"], 13, "2^26"),
-        (lambda mp: perms.rho_perm((1, 0), 13), None, "2^26")]),
+        (lambda mp: perms.word_evaluator(
+            cipher.CipherSpec(13, 1, 13, 0, ((0, 1),) * 13)), None, "2^26")]),
     "chain-degree": ("2^12", [(["order"], 7, "2^14"),
                               (sims_past_chain_cap, None, "4097")]),
     "transversal": ("2^26", [(rows_past_transversal_cap, None,

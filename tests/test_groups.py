@@ -128,7 +128,7 @@ def test_chain_trivial_group():
 def test_chain_vs_closure_enumeration():
     # translation groups: regular, order = degree
     for n in (2, 3):
-        gens = [perms.rho_perm((1, 0), n), perms.rho_perm((0, 1), n)]
+        gens = perms.standard_generators(seeded_spec(n, 1, 1, seed=n))[:2]
         chain = groups.schreier_sims(gens, np.random.default_rng(n))
         elements = brute_force_elements(gens)
         assert chain.order == len(elements) == 1 << (2 * n)
@@ -142,7 +142,7 @@ def test_chain_vs_cycle_arithmetic():
     # is the lcm of the cycle lengths, computable with no group theory
     for seed in range(4):
         spec = seeded_spec(3, 1, 1, seed=seed)
-        sigma = perms.sigma_perm(spec)
+        sigma = perms.standard_generators(spec)[2]
         expected = math.lcm(*perms.cycle_lengths(sigma).tolist())
         chain = groups.schreier_sims([sigma], np.random.default_rng(seed))
         assert chain.order == expected
@@ -282,7 +282,7 @@ def test_giant_witness_deterministic_under_seed():
 def test_giant_witness_none_on_translation_group():
     # every element is a translation; cycle lengths are powers of two,
     # never an odd prime
-    gens = [perms.rho_perm((1, 0), 4), perms.rho_perm((0, 1), 4)]
+    gens = perms.standard_generators(seeded_spec(4, 2, 2, seed=0))[:2]
     evaluate = functools.partial(groups.evaluate_witness_word, gens)
     assert groups.giant_witness(evaluate, 2 * len(gens),
                                 np.random.default_rng(1), budget=60) is None
@@ -310,7 +310,7 @@ def test_conjugates_detect_non_normal_subgroup():
     # normal: conjugation by a translation escapes it
     spec = seeded_spec(2, 1, 1, seed=3)
     gens = perms.standard_generators(spec)
-    report = oracles.conjugates_contained([perms.sigma_perm(spec)], gens,
+    report = oracles.conjugates_contained(gens[2:], gens,
                                           40, np.random.default_rng(8))
     assert report.failures > 0
 

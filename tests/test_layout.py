@@ -15,6 +15,8 @@ that shares its name with a used one, never flag a used name.
 
 The size caps are held to one table the same way: no src module but
 words binds a cap constant, and only words.check_cap raises a cap error.
+Likewise one function builds the round maps densely: only the word
+evaluator and the block scan's scope check the materialize cap.
 """
 
 import ast
@@ -150,3 +152,16 @@ def test_size_caps_live_in_one_table():
                             for node in ast.walk(func))]
     assert not stray, f"size caps outside words.CAPS: {', '.join(stray)}"
     assert raisers == ["words.check_cap"]
+
+
+def test_one_dense_builder_of_the_round_maps():
+    # the materialize cap guards the word evaluator, the one dense form
+    # of the round maps, and the scope of the block scan, nothing else
+    guarded = [f"{path.stem}.{func.name}" for path in sorted(SRC.glob("*.py"))
+               for func in ast.walk(parse(path))
+               if isinstance(func, ast.FunctionDef)
+               and any(isinstance(node, ast.Call)
+                       and ast.unparse(node.func).split(".")[-1] == "check_cap"
+                       and ast.unparse(node.args[0]) == "'materialize'"
+                       for node in ast.walk(func))]
+    assert guarded == ["perms.word_evaluator", "verify.block_scan"]

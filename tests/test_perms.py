@@ -1,5 +1,5 @@
-"""Dense permutation arrays: algebra, cycle labels and orbits,
-cipher materialization."""
+"""Dense permutation arrays: algebra, cycle labels and orbits, and
+the word evaluator against the scalar cipher maps."""
 
 from pathlib import Path
 
@@ -33,11 +33,29 @@ def index(st, n):
     return st[0] | (st[1] << n)
 
 
-def round_table(spec, k, h):
-    """rho(k), then sigma, then rho(h), composed as dense tables."""
-    return perms.compose_all([perms.rho_perm(k, spec.n),
-                              perms.sigma_perm(spec),
-                              perms.rho_perm(h, spec.n)])
+def scalar_letters(spec):
+    """The six letters as the scalar maps of cipher, numbered as perms
+    numbers them: rho(1,0), rho(0,1), sigma, then their inverses."""
+    n, minus_one = spec.n, (1 << spec.n) - 1
+    return [lambda st: cipher.rho_apply((1, 0), st, n),
+            lambda st: cipher.rho_apply((0, 1), st, n),
+            lambda st: cipher.sigma_apply(spec, st),
+            lambda st: cipher.rho_apply((minus_one, 0), st, n),
+            lambda st: cipher.rho_apply((0, minus_one), st, n),
+            lambda st: cipher.sigma_inverse_apply(spec, st)]
+
+
+def scalar_table(spec, apply, points=None):
+    """The images of a scalar map on states, one state at a time, at
+    the given dense indices (every state by default)."""
+    points = range(spec.degree) if points is None else points
+    return [index(apply(state(idx, spec.n)), spec.n) for idx in points]
+
+
+def round_word(k, h):
+    """rho(k), then sigma, then rho(h), as a word in the letters."""
+    return ((0,) * k[0] + (1,) * k[1] + (perms.SIGMA,)
+            + (0,) * h[0] + (1,) * h[1])
 
 
 def test_compose_inverse_power():
@@ -170,88 +188,84 @@ def test_cycle_reps_label_cycles():
     assert reps.tolist() == [0, 0, 2, 2, 2, 5]
 
 
-def test_sigma_perm_matches_wordwise():
-    for seed in range(3):
-        spec = seeded_spec(4, 2, 2, seed=seed, bijective=(seed != 1))
-        table = perms.sigma_perm(spec)
-        assert is_perm(table)
-        for idx in range(spec.degree):
-            out = cipher.sigma_apply(spec, state(idx, spec.n))
-            assert table[idx] == index(out, spec.n)
+def letter_specs():
+    """Per width n = 2..6: a conforming spec, r = 0, a seeded lossy box
+    and an all-zero box."""
+    out = []
+    for n in range(2, 7):
+        m = 2 if n % 2 == 0 and n > 2 else 1
+        zero = ((0,) * (1 << m),) * (n // m)
+        out += [seeded_spec(n, m, m, n), seeded_spec(n, m, 0, n),
+                seeded_spec(n, m, m, n, bijective=False),
+                CipherSpec(n, m, n // m, 1, zero)]
+    return out
 
 
-def test_rho_perm_matches_wordwise():
-    n = 4
-    rng = np.random.default_rng(2)
-    for _ in range(5):
-        k = (int(rng.integers(0, 16)), int(rng.integers(0, 16)))
-        table = perms.rho_perm(k, n)
-        assert is_perm(table)
-        for idx in range(256):
-            assert table[idx] == index(
-                cipher.rho_apply(k, state(idx, n), n), n)
+def test_word_evaluator_letters_match_scalar_maps():
+    # every letter, the inverses included, on every state
+    for spec in letter_specs():
+        evaluate = perms.word_evaluator(spec)
+        for letter, apply in enumerate(scalar_letters(spec)):
+            assert evaluate((letter,)).tolist() == \
+                scalar_table(spec, apply), (spec, letter)
 
 
 def test_keyed_round_perms_match_wordwise():
-    # rho(k) sigma rho(h) as composed tables against the scalar rounds;
-    # a keyed round is the instance k = (0, key), h = (-key, 0)
-    spec = seeded_spec(4, 2, 3, seed=9)
-    n = spec.n
+    # rho(k) sigma rho(h) as evaluator words against the scalar rounds;
+    # a keyed round is the instance k = (0, key), h = (-key, 0), written
+    # here with the inverse letter rho(1,0)^-1 key times
     rng = np.random.default_rng(3)
-    for _ in range(5):
-        key = int(rng.integers(0, 16))
-        table = round_table(spec, (0, key), ((-key) % 16, 0))
-        for idx in range(spec.degree):
-            assert table[idx] == index(
-                cipher.gost_round(spec, key, state(idx, n)), n)
-    for _ in range(5):
-        k = (int(rng.integers(0, 16)), int(rng.integers(0, 16)))
-        h = (int(rng.integers(0, 16)), int(rng.integers(0, 16)))
-        table = round_table(spec, k, h)
-        for idx in range(spec.degree):
-            assert table[idx] == index(
-                cipher.generalized_round(spec, k, h, state(idx, n)), n)
+    for spec in (seeded_spec(4, 2, 3, seed=9), seeded_spec(4, 2, 0, seed=9),
+                 seeded_spec(4, 2, 2, seed=9, bijective=False)):
+        evaluate = perms.word_evaluator(spec)
+        for _ in range(5):
+            key = int(rng.integers(0, 16))
+            word = (1,) * key + (perms.SIGMA,) + (3,) * key
+            assert evaluate(word).tolist() == scalar_table(
+                spec, lambda st: cipher.gost_round(spec, key, st))
+        for _ in range(5):
+            k = tuple(rng.integers(0, 16, 2).tolist())
+            h = tuple(rng.integers(0, 16, 2).tolist())
+            assert evaluate(round_word(k, h)).tolist() == scalar_table(
+                spec, lambda st: cipher.generalized_round(spec, k, h, st))
 
 
 def test_round_decomposition_as_tables():
-    # keyed round = rho((0,k)) sigma rho((-k,0)) at the table level,
+    # keyed round = rho((0,k)) sigma rho((-k,0)) as an evaluator word,
     # on sampled states of an n=8 spec
     spec = seeded_spec(8, 2, 4, seed=21)
-    n = spec.n
+    evaluate = perms.word_evaluator(spec)
     rng = np.random.default_rng(21)
     for k in (0, 1, 77, 200, 255):
-        table = round_table(spec, (0, k), ((-k) % 256, 0))
+        table = evaluate(round_word((0, k), ((-k) % 256, 0)))
         assert is_perm(table)
-        for idx in rng.integers(0, spec.degree, 500).tolist():
-            assert table[idx] == index(
-                cipher.gost_round(spec, k, state(idx, n)), n)
+        points = rng.integers(0, spec.degree, 500).tolist()
+        assert table[points].tolist() == scalar_table(
+            spec, lambda st: cipher.gost_round(spec, k, st), points)
+
+
+def test_standard_generators():
+    # the evaluator's letters 0, 1 and sigma
+    for spec in letter_specs():
+        evaluate = perms.word_evaluator(spec)
+        assert [g.tolist() for g in perms.standard_generators(spec)] == [
+            evaluate((letter,)).tolist() for letter in (0, 1, perms.SIGMA)]
 
 
 def test_translation_generator_cycle_structure():
     # each one-sided unit translation is 2^n cycles of length 2^n
-    for n in (2, 3, 4):
-        for k in ((1, 0), (0, 1)):
-            lengths = perms.cycle_lengths(perms.rho_perm(k, n))
-            assert lengths.tolist() == [1 << n] * (1 << n)
+    for spec in letter_specs():
+        side = 1 << spec.n
+        for g in perms.standard_generators(spec)[:2]:
+            assert perms.cycle_lengths(g).tolist() == [side] * side
 
 
 def test_generator_parity_even():
     # translations: 2^n cycles of even length 2^n -> even (n > 1).
     # the swap map: even for any table, bijective or not.
-    for seed, bij in ((0, True), (1, True), (2, False)):
-        for n, m in ((2, 1), (3, 1), (4, 2)):
-            spec = seeded_spec(n, m, r=1 if n < 4 else 2, seed=seed,
-                               bijective=bij)
-            assert perms.sign(perms.rho_perm((1, 0), n)) == 1
-            assert perms.sign(perms.rho_perm((0, 1), n)) == 1
-            assert perms.sign(perms.sigma_perm(spec)) == 1
-
-
-def test_standard_generators():
-    spec = seeded_spec(4, 2, 2, seed=0)
-    gens = perms.standard_generators(spec)
-    assert len(gens) == 3
-    assert np.array_equal(gens[2], perms.sigma_perm(spec))
+    for spec in letter_specs():
+        assert [perms.sign(g) for g in perms.standard_generators(spec)] \
+            == [1, 1, 1]
 
 
 def evaluator_specs():
@@ -275,9 +289,10 @@ def evaluator_specs():
 
 
 def test_word_evaluator_matches_dense_words(monkeypatch):
-    """The S-table evaluator equals composing the dense generators on
-    every letter, every letter pair and 200 random 32-letter words; so
-    does one run a fibre of 2**n states at a time, on every eighth
+    """The S-table evaluator equals composing its own one-letter words
+    (the standard generators, checked against the scalar maps above)
+    on every letter, every letter pair and 200 random 32-letter words;
+    so does one run a fibre of 2**n states at a time, on every eighth
     word, as the evaluator runs its chunks past n=8."""
     cases = evaluator_specs()
     assert {(s.conforming, s.bijective, s.r == 0) for _, s in cases} >= {

@@ -88,6 +88,13 @@ def holds(verdict):
     return {c.key: c.holds for c in verdict.checks}
 
 
+def witness_searched(verdict):
+    """Did the gate let the witness search run?  The witness check's
+    value is None exactly when it did not."""
+    witness, = (c for c in verdict.checks if c.key == "witness")
+    return witness.value is not None
+
+
 def test_verdict_takes_the_form_route(monkeypatch, tmp_path, capsys):
     spec = seeded_spec(6, 2, 3, seed=5)
     expected = verify.full_verdict(spec, seed=11)
@@ -379,8 +386,7 @@ def test_scan_certifies_each_candidate_from_the_s_table(n, monkeypatch):
 
     monkeypatch.setattr(cipher, "s_table", table_spy)
     monkeypatch.setattr(verify, "partition_invariant", spy)
-    monkeypatch.setattr(perms, "sigma_perm", dense)
-    monkeypatch.setattr(perms, "rho_perm", dense)
+    monkeypatch.setattr(perms, "word_evaluator", dense)
     scan = verify.block_scan(spec)
     assert len(tables) == 1
     assert all(table is tables[0] for table in checked)
@@ -497,11 +503,19 @@ def refuse(*args):
 
 def test_alt_certified_verdict_builds_no_dense_map(monkeypatch):
     # the witness words are evaluated from the S table: no dense
-    # generator is built, sigma included
-    for name in ("sigma_perm", "rho_perm", "standard_generators"):
-        monkeypatch.setattr(perms, name, refuse)
-    v = verify.full_verdict(seeded_spec(6, 2, 3, seed=5), seed=11)
+    # generator is built, sigma included, and one word evaluator
+    built = []
+
+    def counted(spec, real=perms.word_evaluator):
+        built.append(spec)
+        return real(spec)
+
+    monkeypatch.setattr(perms, "standard_generators", refuse)
+    monkeypatch.setattr(perms, "word_evaluator", counted)
+    spec = seeded_spec(6, 2, 3, seed=5)
+    v = verify.full_verdict(spec, seed=11)
     assert v.conclusion == verify.ALT_CERTIFIED
+    assert built == [spec]
 
 
 def test_verdict_builds_nothing_for_no_trial(monkeypatch):
@@ -509,15 +523,14 @@ def test_verdict_builds_nothing_for_no_trial(monkeypatch):
     off by certified blocks (identity boxes, r=0: Imprimitive) build
     neither a dense generator nor the word evaluator; past the
     materialize cap the scan still refuses first, with its message."""
-    for name in ("sigma_perm", "rho_perm", "standard_generators",
-                 "word_evaluator"):
+    for name in ("standard_generators", "word_evaluator"):
         monkeypatch.setattr(perms, name, refuse)
     v = verify.full_verdict(cipher.load_spec(SPECS / "conforming_n8.json"),
                             seed=3, budget=0)
-    assert v.witness_searched and v.witness is None
+    assert witness_searched(v) and v.witness is None
     assert v.conclusion == verify.THEOREM_APPLIES
     v = verify.full_verdict(identity_spec(8, 2), seed=1)
-    assert not v.witness_searched
+    assert not witness_searched(v)
     assert v.conclusion == verify.IMPRIMITIVE
     for budget in (0, 10_000):
         with pytest.raises(ValueError, match=r"^size 2\^28 exceeds the "
@@ -531,7 +544,7 @@ def test_full_verdict_imprimitive_control():
     assert v.conclusion == verify.IMPRIMITIVE
     assert v.exit_code == 2
     assert len(v.scan.certified) == 7
-    assert v.witness is None and not v.witness_searched
+    assert v.witness is None and not witness_searched(v)
 
 
 def test_full_verdict_lossy_boxes_alt_certified():
@@ -540,7 +553,7 @@ def test_full_verdict_lossy_boxes_alt_certified():
     spec = seeded_spec(8, 2, 3, seed=0, bijective=False)
     v = verify.full_verdict(spec, seed=2)
     assert not v.validation.bijective and v.primitive
-    assert v.witness_searched
+    assert witness_searched(v)
     assert v.conclusion == verify.ALT_CERTIFIED
     assert v.exit_code == 0
     assert oracles.witness_replays(perms.standard_generators(spec), v.witness)
@@ -551,7 +564,7 @@ def test_full_verdict_theorem_applies_on_budget_zero():
     # case-elimination chain, which is in scope at n=8
     spec = cipher.load_spec("specs/conforming_n8.json")
     v = verify.full_verdict(spec, seed=3, budget=0)
-    assert v.witness is None and v.witness_searched
+    assert v.witness is None and witness_searched(v)
     assert v.conclusion == verify.THEOREM_APPLIES
     assert v.exit_code == 0
 
@@ -568,7 +581,7 @@ def test_refuted_candidate_does_not_gate_the_witness():
             for c in v.scan.candidates] == [((2, 2, 2, 2, 1), False)]
     assert v.primitive == verify.is_primitive(holds(v)["transitivity"],
                                               v.scan)
-    assert v.primitive and v.witness_searched
+    assert v.primitive and witness_searched(v)
     assert v.conclusion == verify.ALT_CERTIFIED
     assert (v.witness.prime, v.witness.trials_used) == (2531, 8)
 
