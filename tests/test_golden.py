@@ -21,10 +21,10 @@ REPORTS = [
     ("scan-blocks", "identity_r0_n4", [], 2),
     ("types", "identity_r0_n4", [], 0),
     ("order", "conforming_n4", [], 0),
-    ("order", "identity_r0_n4", [], 0),
     ("validate", "gost_frame_n32", [], 0),
     ("verdict", "conforming_n4", ["--budget", "0"], 3),
     ("verdict", "conforming_n8", ["--budget", "0"], 0),
+    ("order", "identity_r0_n4", [], 0),
 ]
 
 

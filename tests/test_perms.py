@@ -201,13 +201,35 @@ def letter_specs():
     return out
 
 
-def test_word_evaluator_letters_match_scalar_maps():
-    # every letter, the inverses included, on every state
+def test_sigma_perm_matches_wordwise():
+    # the letters sigma and sigma^-1 on every state
     for spec in letter_specs():
         evaluate = perms.word_evaluator(spec)
-        for letter, apply in enumerate(scalar_letters(spec)):
+        apply = scalar_letters(spec)
+        for letter in (perms.SIGMA, perms.SIGMA_INVERSE):
             assert evaluate((letter,)).tolist() == \
-                scalar_table(spec, apply), (spec, letter)
+                scalar_table(spec, apply[letter]), (spec, letter)
+
+
+def test_rho_perm_matches_wordwise():
+    # the four translation letters on every state, and rho(k) for
+    # sampled k written as a word in rho(1,0) and rho(0,1)
+    for spec in letter_specs():
+        evaluate = perms.word_evaluator(spec)
+        apply = scalar_letters(spec)
+        for letter in (0, 1, 3, 4):
+            assert evaluate((letter,)).tolist() == \
+                scalar_table(spec, apply[letter]), (spec, letter)
+    n = 4
+    evaluate = perms.word_evaluator(seeded_spec(n, 2, 2, seed=2))
+    rng = np.random.default_rng(2)
+    for _ in range(5):
+        k = tuple(rng.integers(0, 16, 2).tolist())
+        table = evaluate((0,) * k[0] + (1,) * k[1])
+        assert is_perm(table)
+        assert table.tolist() == [
+            index(cipher.rho_apply(k, state(idx, n), n), n)
+            for idx in range(256)]
 
 
 def test_keyed_round_perms_match_wordwise():
