@@ -343,7 +343,8 @@ def order_report(args, spec: CipherSpec) -> Report:
         f"strong_generators={chain.strong_generators} "
         f"schreier_sifted={chain.schreier_sifted} "
         f"absorbed={chain.absorbed}",
-        f"chain-stages random={stages['random']:.2f}s "
+        f"chain-stages fill={stages['fill']:.2f}s "
+        f"random={stages['random']:.2f}s "
         f"complete={stages['complete']:.2f}s"]
 
 

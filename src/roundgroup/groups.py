@@ -6,11 +6,19 @@ Everything here is generic in the generators; nothing knows about the
 cipher.  The stabilizer chain is the only delicate piece, so its
 correctness story is spelled out:
 
-* The chain is grown by sifting random products of the generators
-  (Monte Carlo).  At any moment M = prod(basic orbit lengths) is a
-  certified LOWER bound for |G|: the transversal elements are words in
-  the generators, so the chain group sits inside G, and the orbit
-  tower gives its order.
+* The chain is grown in two Monte Carlo phases.  The fill goes level
+  by level from the top: a random product x of level k's generators,
+  reduced by the one inverse row of x(b_k), fixes b_0..b_k, and such
+  draws join level k + 1 until its orbit has every point not yet in
+  the base (random Schreier generators; Seress, *Permutation Group
+  Algorithms*, 2003, ch. 4).  The random phase then sifts random
+  products of the generators through the whole chain, as it would
+  without the fill, and absorbs what they add.  At any moment
+  M = prod(basic orbit lengths) is a certified LOWER bound for |G|,
+  complete chain or not: every level generator is a word in the
+  generators fixing the earlier base points, so the products
+  u_0 u_1 ... u_k of one transversal element per level are distinct
+  elements of G (sifting recovers each u_i in turn).
 * Exactness is then established one of two ways.
   (1) Certificate route: if every generator is even then G lies in the
       alternating group, so M <= |G| <= N!/2; observing M == N!/2
@@ -36,10 +44,10 @@ correctness story is spelled out:
       rows stay valid while it waits as a suspended step of one loop,
       never as a nested call.
   Route (1) is the cheap one: it needs no Schreier generator, so an
-  alternating chain costs only its random phase.  It is still bounded
-  by the size caps in words.CAPS: chain degree 4,096 and transversal
-  storage, which an alternating group exhausts at degree 1,024.  Route (2)
-  covers the degenerate groups where no parity certificate exists.
+  alternating chain costs only its fill and random phase.  It is still
+  bounded by the size caps in words.CAPS: chain degree 4,096 and
+  transversal storage, which an alternating group exhausts at degree
+  1,024.  Route (2) covers the degenerate groups where no parity certificate exists.
 * Two sift paths.  Scalar `sift` reduces one element per call, as the
   random phase needs.  The completion has one batched, read-only
   kernel, `_first_stall`: one flat gather per level of sift depth, up
@@ -74,7 +82,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import perms
-from .words import check_cap
+from .words import CAPS, check_cap
 
 # Schreier generators are verified in read-only batches of about this
 # many entries (rows times degree)
@@ -85,6 +93,17 @@ VERIFY_BATCH_ENTRIES = 1 << 16
 # pool elements
 CLEAN_STREAK = 32
 MIX_LENGTH = 16
+
+# the fill (StabilizerChain.fill).  A draw is a product of
+# FILL_WORD_LENGTH generators of the level above; a word no longer than
+# that level's transversal words (about log2 of its orbit) is often its
+# image's own transversal word and reduces to the identity: 6 letters
+# stalled Alt(256) fills, 8 to 16 completed them, 12 covers degree
+# 4,096.  A giant's level fills in two or three draws, so FILL_TRIES
+# only bounds the draws wasted on a level that cannot fill (8 to 24
+# tries filled the same Alt(256) chains)
+FILL_WORD_LENGTH = 12
+FILL_TRIES = 12
 
 # letters in each random word of the giant-witness search
 WITNESS_WORD_LEN = 32
@@ -175,9 +194,10 @@ class StabilizerChain:
         # absorbed from them
         self.schreier_sifted = 0
         self.absorbed = 0
-        # wall seconds schreier_sims spent in its random phase and in
-        # the deterministic completion, for the caller's timing line
-        self.stage_seconds = {"random": 0.0, "complete": 0.0}
+        # wall seconds schreier_sims spent seeding and filling, in its
+        # random phase and in the deterministic completion, for the
+        # caller's timing line
+        self.stage_seconds = {"fill": 0.0, "random": 0.0, "complete": 0.0}
 
     # -- bookkeeping
 
@@ -216,11 +236,11 @@ class StabilizerChain:
             self._inverses[id(gen)] = (gen, perms.inverse(gen))
         return self._inverses[id(gen)][1]
 
-    def _extend_level(self, i: int, new_gen: np.ndarray) -> None:
-        """Close level i's orbit after new_gen joined its generator list.
+    def _extend_level(self, i: int, *new_gens: np.ndarray) -> None:
+        """Close level i's orbit after new_gens joined its generator list.
 
-        First sweep the whole current orbit with just the new
-        generator, then close over the freshly reached points with all
+        First sweep the whole current orbit with each new generator in
+        turn, then close over the freshly reached points with all
         generators, one round per frontier.  The walk is scalar, one
         `ndarray.item` lookup per image, because a frontier is mostly
         one to three points; numpy runs only for a new point's inverse
@@ -231,7 +251,7 @@ class StabilizerChain:
         member = self._member[:, i]
         position = posidx.item
         head = len(orbit)
-        batch, sweep = orbit[:head], [new_gen]
+        batch, sweep = orbit[:head], new_gens
         while batch:
             for gen in sweep:
                 image = gen.item
@@ -251,15 +271,20 @@ class StabilizerChain:
             batch, sweep = orbit[head:], lvl.gens
             head = len(orbit)
 
+    def _open_level(self, residue: np.ndarray) -> None:
+        """Append a level whose base point is the first point residue
+        moves."""
+        moved = int(np.nonzero(residue != self._identity)[0][0])
+        self.base.append(moved)
+        self.levels.append(_Level(moved, self.degree))
+        self._member = np.hstack([self._member,
+                                  (self._identity == moved)[:, None]])
+        self._add_rows(1)
+
     def _add_generator(self, residue: np.ndarray, stall: int,
                        floor: int = 0) -> None:
         if stall == len(self.levels):
-            moved = int(np.nonzero(residue != self._identity)[0][0])
-            self.base.append(moved)
-            self.levels.append(_Level(moved, self.degree))
-            self._member = np.hstack([self._member,
-                                      (self._identity == moved)[:, None]])
-            self._add_rows(1)
+            self._open_level(residue)
         self.strong_generators += 1
         # the residue fixes base[0..stall-1], so it may join any level's
         # generating set up to and including the stall level.  Fed
@@ -277,6 +302,61 @@ class StabilizerChain:
             self.levels[i].gens.append(residue)
             if grows[i - floor]:
                 self._extend_level(i, residue)
+
+    def _draw(self, k: int, rng: np.random.Generator) -> np.ndarray:
+        """A product x of FILL_WORD_LENGTH random generators of level k,
+        reduced by one inverse row: uinv_{x(b_k)} x fixes b_0..b_k."""
+        lvl = self.levels[k]
+        word = rng.integers(0, len(lvl.gens), FILL_WORD_LENGTH)
+        x = perms.compose_all([lvl.gens[i] for i in word])
+        return lvl.uinv[lvl.posidx.item(x.item(lvl.point))][x]
+
+    def fill(self, rng: np.random.Generator, giant: int) -> None:
+        """Fill the levels below a full level 0 from the top down.
+
+        Level k + 1 is filled from draws of level k (`_draw`), each
+        fixing b_0..b_k; identity draws are dropped.  A new level opens
+        at the first point the first of two draws moves and closes its
+        orbit under both in one pass; later draws join one at a time
+        until the orbit has all degree - k - 1 points.  A level that
+        seeding left full still takes two draws: its one generator may
+        be a single cycle on the orbit, whose powers leave nothing for
+        the next level to draw.  The fill stops once the full levels
+        reach `giant`, or at the first level still short after
+        FILL_TRIES draws; the random phase goes on from either stop.
+
+        The fill runs only where a giant chain can exist: level 0 must
+        be full, and a giant chain, at most degree (degree + 1) / 2
+        rows, must fit the transversal cap.  Past the cap (degree 1,024 and up) a
+        giant's chain fails at the cap however it grows, and a
+        non-giant's is rebuilt without the fill, so there the random
+        phase alone meets the cap and names the size it reached.
+        """
+        rows = self.degree * (self.degree + 1) // 2
+        if (len(self.levels[0].orbit) < self.degree
+                or rows * self.degree > CAPS["transversal"]):
+            return
+        k, order = 0, self.degree
+        while order < giant:
+            want = self.degree - k - 1
+            draws, tries = [], 0
+            while len(draws) < 2 or len(self.levels[k + 1].orbit) < want:
+                if tries == FILL_TRIES:
+                    return
+                tries += 1
+                s = self._draw(k, rng)
+                if (s == self._identity).all():
+                    continue
+                draws.append(s)
+                if k + 1 < len(self.levels):
+                    self._add_generator(s, k + 1, k + 1)
+                elif len(draws) == 2:
+                    self._open_level(draws[0])
+                    self.levels[k + 1].gens += draws
+                    self.strong_generators += 2
+                    self._extend_level(k + 1, *draws)
+            order *= want
+            k += 1
 
     def feed(self, p: np.ndarray) -> bool:
         """Sift p; absorb the residue if any.  True when p was new."""
@@ -470,6 +550,8 @@ def schreier_sims(gens: list[np.ndarray],
     # longer grow, so the first clean sift after reaching it ends the
     # random phase
     giant = half if all_even else 2 * half
+    chain.fill(rng, giant)
+    fill_s = time.perf_counter() - t0
     clean = 0
     while clean < CLEAN_STREAK:
         mix = rng.integers(0, len(pool), MIX_LENGTH)
@@ -479,7 +561,7 @@ def schreier_sims(gens: list[np.ndarray],
             break
         else:
             clean += 1
-    random_s = time.perf_counter() - t0
+    random_s = time.perf_counter() - t0 - fill_s
     if chain.order == 2 * half:
         chain.certificate = "symmetric-order-match"
     elif all_even and chain.order == half:
@@ -489,8 +571,9 @@ def schreier_sims(gens: list[np.ndarray],
         # generators and verify deterministically
         chain = seeded()
         chain.complete()
-    chain.stage_seconds = {"random": random_s,
-                           "complete": time.perf_counter() - t0 - random_s}
+    chain.stage_seconds = {
+        "fill": fill_s, "random": random_s,
+        "complete": time.perf_counter() - t0 - fill_s - random_s}
     return chain
 
 

@@ -397,7 +397,7 @@ def test_order_stage_timing_on_stderr_only(spec, seed, capsys):
     line, = [l for l in err.splitlines()
              if l.startswith("timing: chain-stages ")]
     stages = dict(f.split("=") for f in line.split()[2:])
-    assert list(stages) == ["random", "complete"]
+    assert list(stages) == ["fill", "random", "complete"]
     assert all(float(v.removesuffix("s")) >= 0 for v in stages.values())
     assert "timing" not in out
     rc, again, _ = run(argv, capsys)

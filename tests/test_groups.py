@@ -345,7 +345,7 @@ class PlainKernels(groups.StabilizerChain):
             self.levels[i].gens.append(residue)
             self._extend_level(i, residue)
 
-    def _extend_level(self, i, new_gen):
+    def _extend_level(self, i, *new_gens):
         lvl = self.levels[i]
 
         def absorb(batch_points, gen):
@@ -364,7 +364,9 @@ class PlainKernels(groups.StabilizerChain):
             self._add_rows(len(lvl.orbit) - before)
 
         old_len = len(lvl.orbit)
-        absorb(np.array(lvl.orbit, dtype=np.int64), new_gen)
+        old_orbit = np.array(lvl.orbit, dtype=np.int64)
+        for new_gen in new_gens:
+            absorb(old_orbit, new_gen)
         head = old_len
         while head < len(lvl.orbit):
             batch = np.array(lvl.orbit[head:], dtype=np.int64)
@@ -416,10 +418,17 @@ class PlainKernels(groups.StabilizerChain):
                     yield True
 
 
+def fixes_earlier_base_points(chain):
+    """Every level generator fixes the base points of the levels above."""
+    return all((g[chain.base[:k]] == chain.base[:k]).all()
+               for k, lvl in enumerate(chain.levels) for g in lvl.gens)
+
+
 def check_chain_invariants(chain):
     degree = chain.degree
     ident = np.arange(degree, dtype=np.int64)
     assert chain.base == [lvl.point for lvl in chain.levels]
+    assert fixes_earlier_base_points(chain)
     assert chain._member.shape == (degree, len(chain.levels))
     assert chain.rows == sum(len(lvl.orbit) for lvl in chain.levels)
     # each residue is one array shared by every level it joined
@@ -432,14 +441,13 @@ def check_chain_invariants(chain):
         inside[orbit] = True
         for g in lvl.gens:
             assert inside[g[orbit]].all(), (k, "orbit not closed")
-            assert (g[chain.base[:k]] == chain.base[:k]).all(), k
         # one inverse row per orbit point, each a permutation sending
         # its point to the base point; forward rows only where derived
         assert len(lvl.uinv) == len(orbit)
         assert 1 <= len(lvl.u) <= len(orbit)
-        for point, uinv in zip(lvl.orbit, lvl.uinv):
-            assert np.array_equal(np.sort(uinv), ident)
-            assert uinv[point] == lvl.point
+        rows = np.stack(lvl.uinv)
+        assert (np.sort(rows, axis=1) == ident).all(), k
+        assert (rows[np.arange(len(orbit)), orbit] == lvl.point).all(), k
         for u, uinv in zip(lvl.u, lvl.uinv):
             assert np.array_equal(uinv[u], ident)
         expected = np.full(degree, -1, dtype=np.int64)
@@ -598,8 +606,8 @@ def test_batch_size_leaves_the_chain_unchanged(entries, monkeypatch):
 
 
 def test_order_match_chain_is_final(monkeypatch):
-    # the random phase ends at the first clean sift once the order is
-    # |Alt(N)|; the chain is then final, so no product changes it
+    # the fill reaches |Alt(N)|, so the random phase sifts one product,
+    # clean, and ends; the chain is then final, so no product changes it
     fed = []
     feed = groups.StabilizerChain.feed
 
@@ -611,7 +619,7 @@ def test_order_match_chain_is_final(monkeypatch):
     gens = spec_generators("conforming_n4")
     chain = groups.schreier_sims(gens, np.random.default_rng(7))
     assert chain.certificate == "alternating-order-match"
-    assert fed[-2:] == [True, False]
+    assert fed[len(gens):] == [False]
     before = chain_snapshot(chain)
     pool = gens + [perms.inverse(g) for g in gens]
     rng = np.random.default_rng(8)
@@ -619,6 +627,106 @@ def test_order_match_chain_is_final(monkeypatch):
         mix = rng.integers(0, len(pool), groups.MIX_LENGTH)
         assert not chain.feed(perms.compose_all([pool[i] for i in mix]))
     assert chain_snapshot(chain) == before
+
+
+# giants whose fill is checked against the chain built without it:
+# lossy n=2 specs (Alt(16)), n=3 specs (Alt(64)), Sym(4) and Alt(4);
+# AC5's order-match specs at degree 256 are checked apart
+FILL_GIANTS = {
+    "lossy_n2_r0": (lambda: perms.standard_generators(
+        seeded_spec(2, 2, 0, seed=0, bijective=False)), 0),
+    "lossy_n2_r1": (lambda: perms.standard_generators(
+        seeded_spec(2, 2, 1, seed=1, bijective=False)), 1),
+    "conforming_n3": KERNEL_CASES["conforming_n3"],
+    "m3_n3": (lambda: perms.standard_generators(
+        seeded_spec(3, 3, 1, seed=0)), 0),
+    "S4": KERNEL_CASES["S4"],
+    "A4": KERNEL_CASES["A4"],
+}
+
+
+def check_fill_is_sound(gens, seed, monkeypatch):
+    """The chain built with the fill is a valid giant chain: its
+    invariants hold, 50 random products sift to the identity, and
+    without the fill the chain has the same certificate, order and base
+    length."""
+    chain = groups.schreier_sims(gens, np.random.default_rng(seed))
+    assert chain.certificate in ("alternating-order-match",
+                                 "symmetric-order-match")
+    check_chain_invariants(chain)
+    pool = gens + [perms.inverse(g) for g in gens]
+    rng = np.random.default_rng(seed + 1)
+    for _ in range(50):
+        w = perms.compose_all([pool[i] for i in
+                               rng.integers(0, len(pool), groups.MIX_LENGTH)])
+        assert oracles.chain_contains(chain, w)
+    with monkeypatch.context() as patched:
+        patched.setattr(groups.StabilizerChain, "fill",
+                        lambda self, rng, giant: None)
+        unfilled = groups.schreier_sims(gens, np.random.default_rng(seed))
+    assert ((chain.certificate, chain.order, len(chain.base))
+            == (unfilled.certificate, unfilled.order, len(unfilled.base)))
+
+
+@pytest.mark.parametrize("case", sorted(FILL_GIANTS))
+def test_fill_is_sound_on_small_giants(case, monkeypatch):
+    make_gens, seed = FILL_GIANTS[case]
+    check_fill_is_sound(make_gens(), seed, monkeypatch)
+
+
+def test_fill_is_sound_on_ac5_giants(monkeypatch):
+    from test_acceptance import AC5_VERIFIED, _mixed_spec
+    giants = [i for i in range(50) if i not in AC5_VERIFIED]
+    assert len(giants) == 41
+    for i in giants:
+        check_fill_is_sound(perms.standard_generators(_mixed_spec(i)),
+                            160_000 + i, monkeypatch)
+
+
+def test_fill_of_unreduced_draws_breaks_the_base_invariant(monkeypatch):
+    # a draw joins level k + 1 only once one inverse row has reduced it
+    # to fix b_k; a mutant fill joining the random product unreduced
+    # leaves level generators that move earlier base points
+    make_gens, seed = KERNEL_CASES["conforming_n3"]
+    gens = make_gens()
+
+    def unreduced(self, k, rng):
+        lvl = self.levels[k]
+        word = rng.integers(0, len(lvl.gens), groups.FILL_WORD_LENGTH)
+        return perms.compose_all([lvl.gens[i] for i in word])
+
+    fixed = []
+    for draw in (groups.StabilizerChain._draw, unreduced):
+        monkeypatch.setattr(groups.StabilizerChain, "_draw", draw)
+        chain = groups.StabilizerChain(len(gens[0]))
+        for g in gens:
+            chain.feed(g)
+        chain.fill(np.random.default_rng(seed),
+                   math.factorial(chain.degree) // 2)
+        assert len(chain.levels) > 2
+        fixed.append(fixes_earlier_base_points(chain))
+    assert fixed == [True, False]
+
+
+@pytest.mark.parametrize("seed", [0, 7])
+def test_fill_leaves_the_random_phase_few_products(seed, monkeypatch):
+    # the fill builds conforming_n4's Alt(256) chain level by level, so
+    # the random phase after it feeds at most 20 products; without the
+    # fill it fed 384 (seed 0) and 378 (seed 7), each sifted through
+    # the whole chain
+    events = []
+    fill, feed = groups.StabilizerChain.fill, groups.StabilizerChain.feed
+    monkeypatch.setattr(groups.StabilizerChain, "fill",
+                        lambda self, rng, giant: events.append("fill")
+                        or fill(self, rng, giant))
+    monkeypatch.setattr(groups.StabilizerChain, "feed",
+                        lambda self, p: events.append("feed")
+                        or feed(self, p))
+    chain = groups.schreier_sims(spec_generators("conforming_n4"),
+                                 np.random.default_rng(seed))
+    assert chain.certificate == "alternating-order-match"
+    assert events.count("fill") == 1
+    assert 0 < len(events[events.index("fill") + 1:]) <= 20
 
 
 def test_storage_cap_fires_within_one_closure_round(monkeypatch):
@@ -655,7 +763,7 @@ class ForwardRows(groups.StabilizerChain):
         super().__init__(degree)
         self.forward = []
 
-    def _extend_level(self, i, new_gen):
+    def _extend_level(self, i, *new_gens):
         lvl = self.levels[i]
         if i == len(self.forward):
             self.forward.append([self._identity])
@@ -677,7 +785,8 @@ class ForwardRows(groups.StabilizerChain):
                 self._add_rows(1)
 
         head = len(lvl.orbit)
-        absorb(lvl.orbit[:head], new_gen)
+        for new_gen in new_gens:
+            absorb(lvl.orbit[:head], new_gen)
         while head < len(lvl.orbit):
             batch = lvl.orbit[head:]
             head = len(lvl.orbit)
