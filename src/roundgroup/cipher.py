@@ -135,13 +135,19 @@ def spec_from_dict(data: dict) -> CipherSpec:
 
 
 def load_spec(path) -> CipherSpec:
-    with open(path) as fh:
-        try:
-            data = json.load(fh)
-        except json.JSONDecodeError as e:
-            raise ValueError(f"{path}: line {e.lineno}: {e.msg}") from None
-        except RecursionError:
-            raise ValueError(f"{path}: JSON nested too deeply") from None
+    """Read a spec file; it is JSON, hence UTF-8 (RFC 8259)."""
+    with open(path, "rb") as fh:
+        raw = fh.read()
+    try:
+        data = json.loads(raw.decode("utf-8"))
+    except UnicodeDecodeError as e:
+        line = raw.count(b"\n", 0, e.start) + 1
+        raise ValueError(f"{path}: line {line}: byte 0x{raw[e.start]:02x} "
+                         "is not UTF-8") from None
+    except json.JSONDecodeError as e:
+        raise ValueError(f"{path}: line {e.lineno}: {e.msg}") from None
+    except RecursionError:
+        raise ValueError(f"{path}: JSON nested too deeply") from None
     if not isinstance(data, dict):
         raise ValueError(f"{path}: spec file must contain one object")
     return spec_from_dict(data)

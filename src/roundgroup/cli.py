@@ -170,6 +170,13 @@ def read_words(stream, n: int, what: str, counts: tuple[int, ...],
     return out
 
 
+def open_words(path):
+    """A state or key file as UTF-8 text.  A byte that is not UTF-8
+    reaches read_words as a lone surrogate, so its line fails the hex
+    parse and the error names the line, as it does on stdin."""
+    return open(path, encoding="utf-8", errors="surrogateescape")
+
+
 def _neg(k: tuple[int, int], n: int) -> tuple[int, int]:
     return words.neg_mod(k[0], n), words.neg_mod(k[1], n)
 
@@ -194,14 +201,14 @@ def cmd_encrypt(args) -> int:
     n = spec.n
     rounds = [((0, 0), (0, 0))]
     if args.keys:
-        with open(args.keys) as fh:
+        with open_words(args.keys) as fh:
             # a one-word key k is the keyed round rho(0,k) sigma rho(-k,0)
             rounds = [((0, w[0]), (words.neg_mod(w[0], n), 0))
                       if len(w) == 1 else ((w[0], w[1]), (w[2], w[3]))
                       for w in read_words(fh, n, "key", (1, 4),
                                           "one or four")]
     if args.input:
-        with open(args.input) as fh:
+        with open_words(args.input) as fh:
             states = read_words(fh, n, "state", (2,), "two")
     else:
         states = read_words(sys.stdin, n, "state", (2,), "two")

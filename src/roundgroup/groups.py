@@ -49,19 +49,18 @@ correctness story is spelled out:
   transversal storage, which an alternating group exhausts at degree
   1,024.  Route (2) covers the degenerate groups where no parity certificate exists.
 * Two sift paths.  Scalar `sift` reduces one element per call, as the
-  random phase needs.  The completion has one batched, read-only
-  kernel, `_first_stall`: one flat gather per level of sift depth, up
-  to the first level where some row stalls.  The read-only check is a
-  loop over it, and the absorbing `_drain` one call per residue.
+  random phase needs.  The completion has one batched kernel,
+  `_first_stall`: one flat gather per level of sift depth, up to the
+  first level where some row stalls.  Its one caller, `_drain`, sifts
+  each Schreier generator once and absorbs at most one residue a call.
 * Two shortcuts leave the chain unchanged (same base, orbits in the
   same order, same strong generators in the same order).  The random
   phase stops at the first clean sift once the order is the largest
   the generators allow (N!/2 with every generator even, else N!),
-  since such a chain can no longer grow.  The completion sifts a
-  level's Schreier generators in read-only batches of consecutive
-  (generator, orbit chunk) segments; the segments before the first
-  failing one would absorb nothing, and the failing one is drained on
-  its own, one residue at a time, exactly as without batches.
+  since such a chain can no longer grow.  The completion drains a
+  level's Schreier generators in groups of consecutive (generator,
+  orbit chunk) segments, split where a later segment stalls first, so
+  each segment absorbs what it would if drained on its own.
 * Storage.  A level keeps one inverse transversal row per orbit point,
   the only rows sifting reads: a point b = gen(a) joins with
   uinv_b = uinv_a after gen^-1, one gather against the generator's
@@ -82,11 +81,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import perms
-from .words import CAPS, check_cap
-
-# Schreier generators are verified in read-only batches of about this
-# many entries (rows times degree)
-VERIFY_BATCH_ENTRIES = 1 << 16
+from .words import check_cap
 
 # random phase of the chain: stop after this many consecutive sifts
 # that add nothing; each sifted element is a product of MIX_LENGTH
@@ -325,16 +320,11 @@ class StabilizerChain:
         reach `giant`, or at the first level still short after
         FILL_TRIES draws; the random phase goes on from either stop.
 
-        The fill runs only where a giant chain can exist: level 0 must
-        be full, and a giant chain, at most degree (degree + 1) / 2
-        rows, must fit the transversal cap.  Past the cap (degree 1,024 and up) a
-        giant's chain fails at the cap however it grows, and a
-        non-giant's is rebuilt without the fill, so there the random
-        phase alone meets the cap and names the size it reached.
+        The fill runs only where level 0 is full, since only then can
+        the chain be a giant's.  Like every chain it stops at the
+        transversal cap, which `_add_rows` checks as the rows grow.
         """
-        rows = self.degree * (self.degree + 1) // 2
-        if (len(self.levels[0].orbit) < self.degree
-                or rows * self.degree > CAPS["transversal"]):
+        if len(self.levels[0].orbit) < self.degree:
             return
         k, order = 0, self.degree
         while order < giant:
@@ -370,70 +360,61 @@ class StabilizerChain:
 
     def _first_stall(self, rows: np.ndarray,
                      level: int) -> tuple[np.ndarray, int, int]:
-        """Reduce a batch of permutations from `level` down, read-only:
-        `rows` is never written to.  Returns (reduced, i, j): level i is
-        the first where some row stalls, j the lowest such row, and
-        `reduced` holds every row reduced through level i - 1.  At the
-        bottom i is the chain length and j the first row that is not the
-        identity, or -1 when every row sifts to the identity.  Identity
-        rows meet position 0 at every level, so carrying them never
-        changes (i, j)."""
+        """Reduce a nonempty batch of permutations from `level` down,
+        read-only: `rows` is never written to.  Returns (reduced, i, j):
+        level i is the first where some row stalls, j the lowest such
+        row, and `reduced` holds every row reduced through level i - 1.
+        At the bottom i is the chain length and j the first row that is
+        not the identity, or -1 when every row sifts to the identity.
+        Identity rows meet position 0 at every level, so carrying them
+        never changes (i, j).  Each level tests its rows with one
+        reduction: positions are -1 or an orbit index, so the first
+        minimum is the first stalled row if any row stalls."""
         cur = rows
         index, work = np.empty_like(rows), np.empty_like(rows)
-        for i in range(level, len(self.levels)):
-            lvl = self.levels[i]
+        for i, lvl in enumerate(self.levels[level:], level):
             pos = lvl.posidx[cur[:, lvl.point]]
-            stalled = np.flatnonzero(pos < 0)
-            if len(stalled):
-                return cur, i, int(stalled[0])
-            np.multiply(pos, self.degree, out=pos)
+            j = int(pos.argmin())
+            if pos[j] < 0:
+                return cur, i, j
+            pos *= self.degree
             np.add(cur, pos[:, None], out=index)
             # row r becomes uinv[pos[r]][cur[r]]: one flat gather
-            np.take(lvl.uinvstack().ravel(), index, out=work, mode="clip")
+            lvl.uinvstack().take(index, out=work, mode="clip")
             cur = work
-        moved = np.flatnonzero((cur != self._identity).any(axis=1))
-        return cur, len(self.levels), int(moved[0]) if len(moved) else -1
+        moved = (cur != self._identity).any(axis=1)
+        j = int(moved.argmax())
+        return cur, len(self.levels), j if moved[j] else -1
 
-    def _drain(self, rows: np.ndarray, start: int,
-               floor: int) -> tuple[np.ndarray, int] | None:
-        """Sift a batch of permutations from `start` up to its first
-        failure and absorb that one into the chain (at `floor`
-        discipline).  The stalled row joins as a copy, so no strong
-        generator keeps its batch alive.  Returns the other rows and the
-        stall level to resume them at, since their partial reduction
-        only used transversal entries that never change; None when every
-        row sifts to the identity."""
+    def _drain(self, rows: np.ndarray, segs: np.ndarray, start: int,
+               floor: int) -> tuple[bool, list[tuple[np.ndarray, np.ndarray,
+                                                    int]]]:
+        """Sift a group of rows from `start`; absorb its first failure
+        if that is its first segment's.
+
+        Row r belongs to segment segs[r]; the rows come in segment
+        order, and every segment before the group's first sifts to the
+        identity.  If the group's lowest stall (level i, row j) lies in
+        its first segment, it is that segment's own first failure: it
+        joins the chain (at `floor` discipline) as a copy, so no strong
+        generator keeps the group alive.  Otherwise a segment before
+        j's may still fail below level i, so the group splits there.
+        Returns whether a residue joined and the parts left, in the
+        order to drain them; each resumes at level i, since its partial
+        reduction used only transversal entries that never change, and
+        none is left once every row sifts to the identity."""
         rows, i, j = self._first_stall(rows, start)
         if j < 0:
-            return None
+            return False, []
+        cut = int(np.searchsorted(segs, segs[j]))
+        if cut:
+            return False, [(rows[:cut], segs[:cut], i),
+                           (rows[cut:], segs[cut:], i)]
         self._add_generator(rows[j].copy(), i, floor)
         self.absorbed += 1
-        return np.delete(rows, j, axis=0), i
-
-    def _check_batch(self, segments: list[tuple[np.ndarray, int, int]],
-                     ustack: np.ndarray,
-                     level: int) -> tuple[int, np.ndarray | None]:
-        """Stack `segments` of level `level` into one batch of rows
-        "u_a then g" and sift it read-only.  The batch is cut back to the
-        start of the stalled row's segment at each stall, since later
-        rows cannot change which segment fails first.  Returns how many
-        segments are settled (those before the first failing one, and
-        that one) and a copy of the failing segment's rows, or None when
-        every row sifts to the identity."""
-        starts = np.cumsum([0] + [hi - lo for _, lo, hi in segments])
-        batch = np.empty((starts[-1], self.degree), dtype=np.int64)
-        for (g, lo, hi), a, b in zip(segments, starts, starts[1:]):
-            np.take(g, ustack[lo:hi], out=batch[a:b], mode="clip")
-        fail, rows, at = len(segments), batch, level
-        while len(rows):
-            rows, at, j = self._first_stall(rows, at)
-            if j < 0:
-                break
-            fail = int(np.searchsorted(starts, j, side="right")) - 1
-            rows = rows[:starts[fail]]
-        if fail == len(segments):
-            return fail, None
-        return fail + 1, batch[starts[fail]:starts[fail + 1]].copy()
+        if len(segs) == 1:
+            return True, []
+        return True, [(np.delete(rows, j, axis=0), np.delete(segs, j), i)]
 
     def _verify_level(self, i: int, done: tuple[int, int]) -> Iterator[bool]:
         """Sift level i's Schreier generators not covered by `done`,
@@ -447,43 +428,44 @@ class StabilizerChain:
         border needs checking.
 
         The generators come in segments, one per generator and orbit
-        chunk, in a fixed order, stacked into batches of about
-        VERIFY_BATCH_ENTRIES entries.  A batch holds the rows "u_a then
-        g", which reduce to the Schreier generators at level i; no row
+        chunk, in a fixed order.  A segment holds the rows "u_a then g",
+        which reduce to the Schreier generators at level i; no row
         stalls there, since the orbit is closed under lvl.gens.  The
-        segments before a batch's first failing one absorb nothing, so
-        they are only counted; the failing one goes through _drain on
-        its own, one residue per step, and the next batch starts after
-        it against the grown chain.  Level i itself never changes here
-        (residues join at floor i + 1), so its orbit, generators,
-        segments and part-reduced rows stay valid while it waits; it
-        holds no more than the failing segment meanwhile.
+        chain grows as if each segment were drained in turn, its first
+        failure absorbed and its other rows sifted on.  Consecutive
+        segments are stacked into groups no longer than the longest
+        segment, each sifted once by `_drain`, which splits a group
+        where a later segment stalls first: a border of many short
+        segments costs a few sifts instead of one per segment.  Level i
+        itself never changes here (residues join at floor i + 1), so its
+        orbit, generators and part-reduced rows stay valid while it
+        waits, holding what is left of one group.
         """
         lvl = self.levels[i]
         done_o, done_g = done
         n_o = len(lvl.orbit)
-        chunk = max(1, (1 << 22) // self.degree)
-        segments = [(g, lo, min(lo + chunk, n_o))
-                    for gi, g in enumerate(lvl.gens)
+        chunk = min(n_o, max(1, (1 << 22) // self.degree))
+        segments = [(g, lo) for gi, g in enumerate(lvl.gens)
                     for lo in range(0 if gi >= done_g else done_o, n_o,
                                     chunk)]
-        sizes = [hi - lo for _, lo, hi in segments]
-        cap = VERIFY_BATCH_ENTRIES // self.degree
+        sizes = [min(chunk, n_o - lo) for _, lo in segments]
         ustack = lvl.ustack()
         k = 0
         while k < len(segments):
             end, total = k + 1, sizes[k]
-            while end < len(segments) and total + sizes[end] <= cap:
+            while end < len(segments) and total + sizes[end] <= chunk:
                 total += sizes[end]
                 end += 1
-            settled, failing = self._check_batch(segments[k:end], ustack, i)
-            self.schreier_sifted += sum(sizes[k:k + settled])
-            k += settled
-            if failing is None:
-                continue
-            rest = (failing, i)
-            while (rest := self._drain(*rest, i + 1)) is not None:
-                yield True
+            rows = np.concatenate([g[ustack[lo:lo + chunk]]
+                                   for g, lo in segments[k:end]])
+            self.schreier_sifted += total
+            todo = [(rows, np.repeat(np.arange(k, end), sizes[k:end]), i)]
+            k = end
+            while todo:
+                joined, parts = self._drain(*todo.pop(), i + 1)
+                todo += reversed(parts)
+                if joined:
+                    yield True
 
     def complete(self) -> None:
         """Add Schreier-generator residues until every level passes.

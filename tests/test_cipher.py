@@ -203,6 +203,11 @@ def test_spec_io_errors(tmp_path):
     path.write_text("[" * 100_000 + "]" * 100_000)
     with pytest.raises(ValueError, match="nested too deeply"):
         cipher.load_spec(path)
+    # JSON is UTF-8; a stray byte is named with its file and line
+    path.write_bytes(b'{"n": 4,\n "m": 2\xff}')
+    with pytest.raises(ValueError,
+                       match=r"bad\.json: line 2: byte 0xff is not UTF-8"):
+        cipher.load_spec(path)
 
 
 def test_tables_match_wordwise():

@@ -655,12 +655,13 @@ def test_malformed_integer_fields_exit_1(field, tmp_path, capsys):
 
 
 def encrypt(tmp_path, capsys, states, keys=None):
+    # a lone surrogate "\udcff" is written as the byte 0xff, not UTF-8
     path = tmp_path / "states.txt"
-    path.write_text(states)
+    path.write_text(states, errors="surrogateescape")
     argv = ["encrypt", "--spec", CONFORMING_N4, "--input", str(path)]
     if keys is not None:
         key_path = tmp_path / "keys.txt"
-        key_path.write_text(keys)
+        key_path.write_text(keys, errors="surrogateescape")
         argv += ["--keys", str(key_path)]
     return run(argv, capsys)
 
@@ -673,6 +674,8 @@ def encrypt(tmp_path, capsys, states, keys=None):
     ("zz 1\n", None, "state line 1"),
     ("0 0\n", "# comment\nzz\n", "key line 2"),
     ("0 0\n", "1 2\n", "key line 1"),
+    ("0 0\n\udcff 1\n", None, "state line 2"),
+    ("0 0\n", "1\n\udcff\n", "key line 2"),
 ])
 def test_bad_state_and_key_lines_named(states, keys, where, tmp_path,
                                        capsys):

@@ -327,10 +327,11 @@ class PlainKernels(groups.StabilizerChain):
     as an oracle: every level up to the stall is swept when a generator
     joins it, an orbit is closed with vectorized sweeps, each level
     reduces its rows with take_along_axis, identity rows are dropped
-    after every level, and every Schreier generator goes through
-    _drain, one (generator, orbit chunk) segment at a time.  The
-    completion's schedule is the chain's own: a level yields after each
-    residue it absorbs, so the deeper levels are completed first."""
+    after every level, and every (generator, orbit chunk) segment of
+    Schreier generators is drained on its own, where the chain stacks
+    consecutive segments into one group.  The completion's schedule is
+    the chain's own: a level yields after each residue it absorbs, so
+    the deeper levels are completed first."""
 
     def _add_generator(self, residue, stall, floor=0):
         if stall == len(self.levels):
@@ -519,27 +520,58 @@ def test_sift_kernels_match_plain_kernels(case, monkeypatch,
     assert chain_snapshot(chain) == chain_snapshot(plain)
 
 
-def test_batch_failing_past_its_first_segment_matches_plain(monkeypatch):
-    # r0_n3 verifies a batch whose first failing segment is not its
-    # first one: the segments before it are only counted, the failing
-    # one is drained on its own, and the next batch starts after it.
-    # A batch with a failing segment settles the segments up to it
-    settled = []
-    check = groups.StabilizerChain._check_batch
+@pytest.mark.parametrize("case", ["identity_r0_n4", "r0_n3"])
+def test_each_schreier_generator_is_sifted_once(case, monkeypatch):
+    # the completion has one sift path: every batched sift is a _drain,
+    # and the fresh groups, those starting at the verified level, hold
+    # each counted Schreier generator once
+    calls = {"_first_stall": 0, "_drain": 0}
+    fresh = []
+    first_stall = groups.StabilizerChain._first_stall
+    drain = groups.StabilizerChain._drain
 
-    def recording(self, segments, ustack, level):
-        count, failing = check(self, segments, ustack, level)
-        if failing is not None:
-            settled.append(count)
-        return count, failing
+    def counted_first_stall(self, rows, level):
+        calls["_first_stall"] += 1
+        return first_stall(self, rows, level)
 
-    monkeypatch.setattr(groups.StabilizerChain, "_check_batch", recording)
-    make_gens, seed = KERNEL_CASES["r0_n3"]
-    gens = make_gens()
-    chain = groups.schreier_sims(gens, np.random.default_rng(seed))
-    assert any(count > 1 for count in settled), settled
+    def counted_drain(self, rows, segs, start, floor):
+        calls["_drain"] += 1
+        if start == floor - 1:
+            fresh.append(len(rows))
+        return drain(self, rows, segs, start, floor)
+
+    monkeypatch.setattr(groups.StabilizerChain, "_first_stall",
+                        counted_first_stall)
+    monkeypatch.setattr(groups.StabilizerChain, "_drain", counted_drain)
+    make_gens, seed = KERNEL_CASES[case]
+    chain = groups.schreier_sims(make_gens(), np.random.default_rng(seed))
+    assert chain.certificate == "schreier-verified"
+    assert calls["_first_stall"] == calls["_drain"] > 0, calls
+    assert sum(fresh) == chain.schreier_sifted > 0
+
+
+def test_group_split_keeps_the_per_segment_chain(monkeypatch):
+    # a group whose lowest stall lies past its first segment is split
+    # there, so an earlier segment that fails deeper is drained first.
+    # On this lossy n=3 spec that decides which residues join: draining
+    # each group by its lowest stall alone builds another chain.
+    # PlainKernels drains every segment on its own
+    splits = []
+    drain = groups.StabilizerChain._drain
+
+    def recording(self, rows, segs, start, floor):
+        joined, parts = drain(self, rows, segs, start, floor)
+        splits.append(len(parts) == 2)
+        return joined, parts
+
+    monkeypatch.setattr(groups.StabilizerChain, "_drain", recording)
+    gens = perms.standard_generators(
+        seeded_spec(3, 1, 2, seed=2, bijective=False))
+    chain = groups.schreier_sims(gens, np.random.default_rng(2))
+    assert chain.certificate == "schreier-verified"
+    assert any(splits)
     monkeypatch.setattr(groups, "StabilizerChain", PlainKernels)
-    plain = groups.schreier_sims(gens, np.random.default_rng(seed))
+    plain = groups.schreier_sims(gens, np.random.default_rng(2))
     assert chain_snapshot(chain) == chain_snapshot(plain)
 
 
@@ -592,17 +624,6 @@ def test_first_stall_matches_scalar_sift():
     # stalls inside the chain, at the bottom, and none (the group is
     # transitive, so no row stalls at level 0)
     assert {depth, depth + 1} < outcomes, outcomes
-
-
-@pytest.mark.parametrize("entries", [1, 1 << 30])
-def test_batch_size_leaves_the_chain_unchanged(entries, monkeypatch):
-    # one segment per batch, or every segment of a level in one batch
-    make_gens, seed = KERNEL_CASES["lossy_r0_n4"]
-    gens = make_gens()
-    chain = groups.schreier_sims(gens, np.random.default_rng(seed))
-    monkeypatch.setattr(groups, "VERIFY_BATCH_ENTRIES", entries)
-    other = groups.schreier_sims(gens, np.random.default_rng(seed))
-    assert chain_snapshot(chain) == chain_snapshot(other)
 
 
 def test_order_match_chain_is_final(monkeypatch):
@@ -848,9 +869,10 @@ def test_order_match_chain_holds_inverse_rows_only():
 
 def test_verified_chain_residues_own_their_memory():
     # a residue absorbed from a sift batch joins as a copy, so no strong
-    # generator keeps its batch alive.  The build peaks at 6.9 MB under
-    # tracemalloc, each waiting level holding its failing segment; with
-    # residues held as views of their batches it took 18.3 MB
+    # generator keeps its batch alive.  The build peaks at 5.7 MB under
+    # tracemalloc, each waiting level holding what is left of one group
+    # of segments; with residues held as views of their batches it took
+    # 18.3 MB
     gens = spec_generators("identity_r0_n4")
     tracemalloc.start()
     try:
