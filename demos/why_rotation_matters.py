@@ -10,7 +10,7 @@ large-prime-cycle witness then certifies the alternating group.
 
 import numpy as np
 
-from roundgroup import cipher, verify
+from roundgroup import cipher, goursat, verify
 from roundgroup.cipher import CipherSpec
 
 # degenerate instance: 8-bit words, identity boxes, rotation 0
@@ -19,8 +19,8 @@ scan = verify.block_scan(broken)
 print(f"rotation 0, identity boxes: {len(scan.certified)} certified "
       f"block systems out of {scan.subgroups_tested} candidate subgroups")
 for cand in scan.certified:
-    t = cand.triple
-    print(f"  blocks from subgroup {t.describe()}, block size {t.size}")
+    print(f"  blocks from subgroup {goursat.describe(cand.triple)}, "
+          f"block size {goursat.size(cand.triple, broken.n)}")
 
 v = verify.full_verdict(broken, seed=1)
 print(f"verdict: {v.conclusion}")

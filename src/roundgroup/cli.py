@@ -305,13 +305,14 @@ def types_report(args, spec: CipherSpec) -> Report:
 def cmd_goursat(args) -> int:
     n = args.n
     words.check_cap("goursat-width", n)
-    triples = goursat.enumerate_subgroups(n)
-    lines = [f"tool: {TOOL}", f"n: {n}", f"subgroups: {len(triples)}"]
-    data = {"tool": TOOL, "n": n, "count": len(triples)}
+    table = goursat.enumerate_subgroups(n)
+    lines = [f"tool: {TOOL}", f"n: {n}", f"subgroups: {len(table)}"]
+    data = {"tool": TOOL, "n": n, "count": len(table)}
     if args.list:
-        for t in triples:
-            lines.append(f"  {t.describe()} size={t.size}")
-        data["triples"] = [list(t.to_tuple()) for t in triples]
+        rows = table.tolist()
+        lines += [f"  {goursat.describe(row)} size={goursat.size(row, n)}"
+                  for row in rows]
+        data["triples"] = rows
     emit(args, lines, data)
     return 0
 

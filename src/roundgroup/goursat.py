@@ -6,7 +6,7 @@ matching quotient order 2**k, and an isomorphism A/B -> C/D.  In the
 cyclic 2-group world every subgroup is a power-of-two chain member
 <2**s>, and an isomorphism between the two quotients is multiplication
 by an odd constant z, distinct exactly for z in 1, 3, ..., 2**k - 1.
-A triple is recorded as (s, sB, t, tD, z): A = <2**s>, B = <2**sB>,
+A subgroup is a table row (s, sB, t, tD, z): A = <2**s>, B = <2**sB>,
 C = <2**t>, D = <2**tD>, with sB - s = tD - t = k.
 
 Every formula below is written once, in oriented coordinates: (u, v)
@@ -26,51 +26,13 @@ closure walk over the whole lattice for n <= 3 (counts 5, 15, 37).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 
-@dataclass(frozen=True, order=True)
-class GoursatTriple:
-    """One subgroup of Z/2**n x Z/2**n; fields as in the module docstring."""
-
-    n: int
-    s: int
-    sb: int
-    t: int
-    td: int
-    z: int
-
-    def __post_init__(self) -> None:
-        n = self.n
-        if not (0 <= self.s <= self.sb <= n and 0 <= self.t <= self.td <= n):
-            raise ValueError("subgroup exponents out of range")
-        if self.sb - self.s != self.td - self.t:
-            raise ValueError("quotient orders differ")
-        k = self.sb - self.s
-        if k == 0:
-            if self.z != 1:
-                raise ValueError("trivial quotient needs z = 1")
-        elif not (self.z % 2 == 1 and 1 <= self.z < (1 << k)):
-            raise ValueError(f"z = {self.z} not an odd residue below 2**{k}")
-
-    @property
-    def size(self) -> int:
-        return 1 << (2 * self.n - self.s - self.td)
-
-    def to_tuple(self) -> tuple[int, int, int, int, int]:
-        return (self.s, self.sb, self.t, self.td, self.z)
-
-    def describe(self) -> str:
-        return (f"(s={self.s}, sB={self.sb}, t={self.t}, "
-                f"tD={self.td}, z={self.z})")
-
-
-def subgroup_table(n: int) -> np.ndarray:
+def enumerate_subgroups(n: int) -> np.ndarray:
     """Every subgroup exactly once as an int64 row (s, sB, t, tD, z), in
-    sorted triple order: s, then k = sB - s, then t, then odd z < 2**k
-    (z = 1 when k = 0)."""
+    sorted order: s, then k = sB - s, then t, then odd z < 2**k (z = 1
+    when k = 0)."""
     skt = np.indices((n + 1,) * 3, dtype=np.int64).reshape(3, -1)
     s, k, t = skt[:, (skt[0] + skt[1] <= n) & (skt[2] + skt[1] <= n)]
     count = np.maximum(1, (1 << k) >> 1)
@@ -80,25 +42,31 @@ def subgroup_table(n: int) -> np.ndarray:
     return np.column_stack([rows, z])
 
 
-def enumerate_subgroups(n: int) -> list[GoursatTriple]:
-    """Every subgroup exactly once, in sorted triple order."""
-    return [GoursatTriple(n, *row) for row in subgroup_table(n).tolist()]
-
-
-def proper_subgroup_table(n: int) -> np.ndarray:
-    """The subgroup_table(n) rows other than the trivial subgroup and
-    the whole group: 0 < s + tD < 2n, as |H| = 2**(2n - s - tD)."""
-    table = subgroup_table(n)
+def proper_subgroups(n: int) -> np.ndarray:
+    """The enumerate_subgroups(n) rows other than the trivial subgroup
+    and the whole group: 0 < s + tD < 2n."""
+    table = enumerate_subgroups(n)
     index_log2 = table[:, 0] + table[:, 3]
     return table[(index_log2 > 0) & (index_log2 < 2 * n)]
 
 
-def _oriented(table: np.ndarray):
-    """(swap, e, f, g, z) for a subgroup_table row (as scalars) or a
-    table (as columns of shape (rows, 1)): swap says t < s, and (e, f,
-    g) = (s, t, tD), or (t, s, sB) when swapped; sB - s = tD - t makes
-    that (min(s, t), max(s, t), max(sB, tD))."""
-    s, sb, t, td, z = table.T[..., None] if table.ndim == 2 else table
+def size(row, n: int) -> int:
+    """|H| = 2**(2n - s - tD) for a row (s, sB, t, tD, z)."""
+    return 1 << (2 * n - int(row[0]) - int(row[3]))
+
+
+def describe(row) -> str:
+    """The row as the reports print it."""
+    s, sb, t, td, z = row
+    return f"(s={s}, sB={sb}, t={t}, tD={td}, z={z})"
+
+
+def _oriented(table):
+    """(swap, e, f, g, z) for a row (as scalars) or a table (as columns
+    of shape (rows, 1)): swap says t < s, and (e, f, g) = (s, t, tD),
+    or (t, s, sB) when swapped; sB - s = tD - t makes that (min(s, t),
+    max(s, t), max(sB, tD))."""
+    s, sb, t, td, z = table.T[..., None] if np.ndim(table) == 2 else table
     return t < s, np.minimum(s, t), np.maximum(s, t), np.maximum(sb, td), z
 
 
@@ -134,30 +102,30 @@ def contains(table: np.ndarray, states: np.ndarray, n: int,
     return _label(u, v, e, f, g, z, n) == 0
 
 
-def member_pairs(triple: GoursatTriple,
+def member_pairs(row, n: int,
                  stop: int | None = None) -> tuple[np.ndarray, np.ndarray]:
     """(left, right) int64 arrays of members 0..stop-1 (all by default).
     Member k is i*g1 + j*g2, inner index j < 2**(n-g), or i < 2**(n-e)
     when t < s (module docstring), so the first 2**(n - min(s, t)) are
     one per coset of the subgroup K of verify.block_scan."""
-    row = np.array(triple.to_tuple())
     swap, e, _, g, _ = _oriented(row)
-    inner = triple.n - (e if swap else g)
-    stop = triple.size if stop is None else min(stop, triple.size)
-    outer, low = np.divmod(np.arange(stop, dtype=np.int64), 1 << inner)
+    whole = size(row, n)
+    stop = whole if stop is None else min(stop, whole)
+    outer, low = np.divmod(np.arange(stop, dtype=np.int64),
+                           1 << (n - (e if swap else g)))
     i, j = (low, outer) if swap else (outer, low)
-    return members(row, i, j, triple.n)
+    return members(row, i, j, n)
 
 
-def generators(triple: GoursatTriple) -> tuple[tuple[int, int], ...]:
-    """Two members that generate the subgroup, as (left, right) pairs:
-    g1 = (2**e, z * 2**f) and g2 = (0, 2**g) in oriented coordinates."""
-    left, right = members(np.array(triple.to_tuple()), np.array([1, 0]),
-                          np.array([0, 1]), triple.n)
+def generators(row, n: int) -> tuple[tuple[int, int], ...]:
+    """Two members that generate the subgroup, as (left, right) pairs
+    of Python ints: g1 = (2**e, z * 2**f) and g2 = (0, 2**g) in
+    oriented coordinates."""
+    left, right = members(row, np.array([1, 0]), np.array([0, 1]), n)
     return tuple(zip(left.tolist(), right.tolist()))
 
 
-def coset_labels(triple: GoursatTriple) -> np.ndarray:
+def coset_labels(row, n: int) -> np.ndarray:
     """A label per state, constant exactly on the cosets of the subgroup.
 
     Two states differ by a member iff their oriented u parts agree
@@ -166,8 +134,7 @@ def coset_labels(triple: GoursatTriple) -> np.ndarray:
     in differences).  Computed on the oriented grid, transposed when
     swapped.  This is the O(degree) quotient map of the subgroup.
     """
-    n = triple.n
-    swap, e, f, g, z = _oriented(np.array(triple.to_tuple()))
+    swap, e, f, g, z = _oriented(row)
     u = np.arange(1 << n, dtype=np.int64)  # columns of the oriented grid
     grid = _label(u, u[:, None], e, f, g, z, n)  # rows v
     return (grid.T if swap else grid).ravel()

@@ -174,10 +174,6 @@ class StabilizerChain:
         self.levels: list[_Level] = []
         self.certificate = "unverified"
         self._identity = np.arange(degree, dtype=np.int64)
-        # member[:, i] = level i's orbit as a boolean column, kept in
-        # step with posidx so a new generator tests every level at once;
-        # point-major, so the generator's images gather whole rows
-        self._member = np.zeros((degree, 0), dtype=bool)
         # (generator, inverse) by id, the generator held so its id stays
         # its own: a residue and its inverse serve every level it joined
         self._inverses: dict[int, tuple[np.ndarray, np.ndarray]] = {}
@@ -243,7 +239,6 @@ class StabilizerChain:
         """
         lvl = self.levels[i]
         orbit, uinv, posidx = lvl.orbit, lvl.uinv, lvl.posidx
-        member = self._member[:, i]
         position = posidx.item
         head = len(orbit)
         batch, sweep = orbit[:head], new_gens
@@ -258,7 +253,6 @@ class StabilizerChain:
                     if ginv is None:
                         ginv = self._inverse(gen)
                     posidx[b] = len(orbit)
-                    member[b] = True
                     orbit.append(b)
                     # u_b = u_a then gen, so u_b^-1 = gen^-1 then u_a^-1
                     uinv.append(uinv[position(a)][ginv])
@@ -272,8 +266,6 @@ class StabilizerChain:
         moved = int(np.nonzero(residue != self._identity)[0][0])
         self.base.append(moved)
         self.levels.append(_Level(moved, self.degree))
-        self._member = np.hstack([self._member,
-                                  (self._identity == moved)[:, None]])
         self._add_rows(1)
 
     def _add_generator(self, residue: np.ndarray, stall: int,
@@ -291,11 +283,10 @@ class StabilizerChain:
         # into itself maps it onto itself, so the orbit can grow only
         # where the residue sends one of its points outside it, and
         # elsewhere the sweep would add nothing.
-        member = self._member[:, floor:stall + 1]
-        grows = (member & ~member[residue]).any(axis=0)
         for i in range(floor, stall + 1):
             self.levels[i].gens.append(residue)
-            if grows[i - floor]:
+            inside = self.levels[i].posidx >= 0
+            if (inside & ~inside[residue]).any():
                 self._extend_level(i, residue)
 
     def _draw(self, k: int, rng: np.random.Generator) -> np.ndarray:

@@ -80,7 +80,9 @@ def cycle_reps(p: np.ndarray) -> np.ndarray:
         ahead = m[q]
         if (ahead >= m).all():
             break
-        m, q = np.minimum(m, ahead), q[q]
+        np.minimum(m, ahead, out=m)
+        del ahead
+        q = q[q]
     return m
 
 

@@ -58,7 +58,6 @@ import numpy as np
 
 from . import cipher, goursat, perms, words
 from .cipher import CipherSpec, SpecValidation, apply_s, validate_spec
-from .goursat import GoursatTriple
 from .groups import GiantWitness, giant_witness
 
 
@@ -106,7 +105,7 @@ class BlockCandidate:
     additionally shown invariant under sigma, hence under every
     generator."""
 
-    triple: GoursatTriple
+    triple: tuple[int, int, int, int, int]  # the row (s, sB, t, tD, z)
     certified: bool
 
 
@@ -132,9 +131,10 @@ def is_primitive(transitive: bool, scan: BlockScanResult) -> bool:
     return transitive and not scan.certified
 
 
-def partition_invariant(table: np.ndarray, triple: GoursatTriple) -> bool:
-    """Does the swap map send every coset of H = triple onto a coset,
-    for the S table `table`?  Read off the table, no state array.
+def partition_invariant(table: np.ndarray, row) -> bool:
+    """Does the swap map send every coset of the subgroup H of a goursat
+    row (s, sB, t, tD, z) onto a coset, for the S table `table`?  Read
+    off the table, no state array.
 
     sigma maps cosets into cosets iff sigma(x + h) - sigma(x) is in H
     for every x and h in H, and into is onto as sigma is a bijection.
@@ -154,14 +154,14 @@ def partition_invariant(table: np.ndarray, triple: GoursatTriple) -> bool:
     is checked on the 2**n x 2**tD grid of (x2, x1 mod 2**tD), never
     more than 2**(2n) points.
     """
-    n, low = triple.n, (1 << triple.td) - 1
+    # a Python int: a numpy low would promote the uint32 grid to int64
+    n, low = len(table).bit_length() - 1, (1 << int(row[3])) - 1
     mask = (1 << n) - 1
-    row = np.array(triple.to_tuple())
     # residues mod 2**tD; uint32 wraps mod 2**32, a multiple of 2**tD
     residues = (table & low).astype(np.uint32)
     x1 = np.arange(low + 1, dtype=np.uint32)
     here = residues[:, None] ^ x1  # row x2: x1 ^ S(x2)
-    for h1, h2 in goursat.generators(triple):
+    for h1, h2 in goursat.generators(row, n):
         d0 = ((h1 ^ int(table[h2])) - int(table[0])) & mask
         if not goursat.contains(row, h2 | (d0 << n), n, 0):
             return False
@@ -179,7 +179,7 @@ PROBES = ((1, 0), (0, 1), (1, 1), (3, 5), (5, 3), (7, 11), (11, 7), (13, 1))
 
 
 def probe_refuted(subgroups: np.ndarray, table: np.ndarray) -> np.ndarray:
-    """Per row H of a goursat.subgroup_table: does the swap map (for the
+    """Per row H of a goursat table: does the swap map (for the
     S table `table`) send a probe member i*g1 + j*g2 of H (g1, g2 as
     in goursat.generators) outside H + (0, S(0))?"""
     n = len(table).bit_length() - 1
@@ -212,16 +212,15 @@ def block_scan(spec: CipherSpec) -> BlockScanResult:
     words.check_cap("materialize", spec.degree)  # the dense maps' scope
     table = cipher.s_table(spec)
     shift = int(table[0])
-    subgroups = goursat.proper_subgroup_table(n)
+    subgroups = goursat.proper_subgroups(n)
     refuted = probe_refuted(subgroups, table)
     candidates = []
-    for row in subgroups[~refuted]:
-        triple = GoursatTriple(n, *row.tolist())
-        stop = 1 << (n - min(triple.s, triple.t))
-        image = cipher.swap(table, *goursat.member_pairs(triple, stop), n)
+    for row in map(tuple, subgroups[~refuted].tolist()):
+        stop = 1 << (n - min(row[0], row[2]))
+        image = cipher.swap(table, *goursat.member_pairs(row, n, stop), n)
         if goursat.contains(row, image, n, shift).all():
             candidates.append(BlockCandidate(
-                triple, partition_invariant(table, triple)))
+                row, partition_invariant(table, row)))
     return BlockScanResult(len(subgroups), int(refuted.sum()), shift,
                            tuple(candidates))
 
@@ -231,11 +230,11 @@ def scan_check(scan: BlockScanResult, n: int) -> Check:
     candidate; it holds when no candidate is certified."""
     lines, candidates = [], []
     for c in scan.candidates:
-        t = c.triple
+        size = goursat.size(c.triple, n)
         status = "certified" if c.certified else "refuted-by-partition-check"
-        lines.append(f"  block {t.describe()} size={t.size} "
-                     f"blocks={(1 << (2 * n)) // t.size} {status}")
-        candidates.append({"triple": list(t.to_tuple()), "size": t.size,
+        lines.append(f"  block {goursat.describe(c.triple)} size={size} "
+                     f"blocks={(1 << (2 * n)) // size} {status}")
+        candidates.append({"triple": list(c.triple), "size": size,
                            "certified": c.certified})
     shift = words.hex_word(scan.shift, n)
     if scan.empty:

@@ -44,7 +44,7 @@ from roundgroup import goursat, perms, words
 from roundgroup.boxtypes import (BLACK, RULED, WHITE, subgroup_members_array,
                                  subgroup_type, type_of)
 from roundgroup.cipher import CipherSpec, apply_s, s_table
-from roundgroup.goursat import GoursatTriple, enumerate_subgroups, member_pairs
+from roundgroup.goursat import enumerate_subgroups, member_pairs, size
 from roundgroup.groups import (MIX_LENGTH, GiantWitness, StabilizerChain,
                                _is_prime, evaluate_witness_word,
                                schreier_sims)
@@ -343,8 +343,9 @@ def s_image_coset_violations_reference(spec: CipherSpec) -> list[int]:
 # independent brute-force route (the enumeration oracle for tiny n)
 
 
-def quotient_exponent(triple: GoursatTriple) -> int:
-    return triple.sb - triple.s
+def subgroup_rows(n: int) -> list[tuple[int, int, int, int, int]]:
+    """The goursat rows (s, sB, t, tD, z) as tuples of Python ints."""
+    return [tuple(row) for row in enumerate_subgroups(n).tolist()]
 
 
 def count_subgroups(n: int) -> int:
@@ -384,12 +385,11 @@ def brute_force_subgroups(n: int) -> set[frozenset[tuple[int, int]]]:
     return found
 
 
-def member_set(triple: GoursatTriple) -> frozenset[tuple[int, int]]:
+def member_set(row, n: int) -> frozenset[tuple[int, int]]:
     """The members (a, c), found by asking the scalar `contains` about
     every pair, so no member listing of goursat is read."""
-    size = 1 << triple.n
-    return frozenset((a, c) for a in range(size) for c in range(size)
-                     if contains(triple, a, c))
+    return frozenset((a, c) for a in range(1 << n) for c in range(1 << n)
+                     if contains(row, n, a, c))
 
 
 # ---------------------------------------------------------------------------
@@ -451,11 +451,10 @@ def witness_replays(gens: list[np.ndarray],
 # the block scan, one subgroup at a time
 
 
-def contains(triple: GoursatTriple, a: int, c: int) -> bool:
+def contains(row, n: int, a: int, c: int) -> bool:
     """Membership without materializing."""
-    n = triple.n
     mask = (1 << n) - 1
-    s, sb, t, td, z = triple.to_tuple()
+    s, sb, t, td, z = row
     if s <= t:
         if a & ((1 << s) - 1):
             return False
@@ -465,24 +464,22 @@ def contains(triple: GoursatTriple, a: int, c: int) -> bool:
     return ((a - ((c * (z << (s - t))) & mask)) & ((1 << sb) - 1)) == 0
 
 
-def probe_refutes(triple: GoursatTriple, sigma: np.ndarray,
-                  shift: int) -> bool:
+def probe_refutes(row, n: int, sigma: np.ndarray, shift: int) -> bool:
     """Is some probe member h of the subgroup H sent by the swap map
     outside H + (0, shift)?  Then sigma(H) != H + (0, shift): the
     subgroup fails the set equation and cannot give blocks."""
-    n = triple.n
     mask = (1 << n) - 1
-    (a1, c1), (a2, c2) = goursat.generators(triple)
+    (a1, c1), (a2, c2) = goursat.generators(row, n)
     for i, j in PROBES:
         h = ((i * a1 + j * a2) & mask) | (((i * c1 + j * c2) & mask) << n)
         image = int(sigma[h])
-        if not contains(triple, image & mask,
+        if not contains(row, n, image & mask,
                         ((image >> n) - shift) & mask):
             return True
     return False
 
 
-def coset_labels(triple: GoursatTriple) -> np.ndarray:
+def coset_labels(row, n: int) -> np.ndarray:
     """A label per state, constant exactly on the cosets of the subgroup.
 
     Two states differ by a member iff their left parts agree modulo
@@ -491,9 +488,8 @@ def coset_labels(triple: GoursatTriple) -> np.ndarray:
     cancels in differences).  Mirror-image formula when t < s.  This
     is the O(degree) quotient map that block certification rides on.
     """
-    n = triple.n
     mask = (1 << n) - 1
-    s, sb, t, td, z = triple.to_tuple()
+    s, sb, t, td, z = row
     idx = np.arange(1 << (2 * n), dtype=np.int64)
     x1 = idx & mask
     x2 = idx >> n
@@ -516,18 +512,17 @@ def partition_invariant(labels: np.ndarray, perm: np.ndarray) -> bool:
     return bool(np.array_equal(image, image[rep[labels]]))
 
 
-def roll_invariant(labels: np.ndarray, perm: np.ndarray,
-                   triple: GoursatTriple) -> bool:
+def roll_invariant(labels: np.ndarray, perm: np.ndarray, row,
+                   n: int) -> bool:
     """The dense check that block certification made before the
-    difference lemma: with labels = goursat.coset_labels(triple), perm
+    difference lemma: with labels = goursat.coset_labels(row, n), perm
     maps the cosets of H onto cosets iff L = labels[perm] has L(x + h)
-    == L(x) for all x and h in H, i.e. (as goursat.generators(triple)
+    == L(x) for all x and h in H, i.e. (as goursat.generators(row, n)
     generate H) iff L on the fibre grid is unchanged when rolled by
     each generator."""
-    n = triple.n
     image = labels[perm].reshape(1 << n, 1 << n)  # row x2, column x1
     return all(np.array_equal(np.roll(image, (-c, -a), axis=(0, 1)), image)
-               for a, c in goursat.generators(triple))
+               for a, c in goursat.generators(row, n))
 
 
 def swap_from_table(table: np.ndarray) -> np.ndarray:
@@ -549,19 +544,19 @@ def block_scan_reference(spec: CipherSpec,
     shift = apply_s(spec, 0)
     tested = refuted = 0
     candidates = []
-    for triple in enumerate_subgroups(n):
-        if not 1 < triple.size < 4 ** triple.n:
+    for row in subgroup_rows(n):
+        if not 1 < size(row, n) < 4 ** n:
             continue
         tested += 1
-        if probe_refutes(triple, sigma, shift):
+        if probe_refutes(row, n, sigma, shift):
             refuted += 1
             continue
-        left, right = member_pairs(triple)
+        left, right = member_pairs(row, n)
         image = np.sort(sigma[left | (right << n)])
         shifted = np.sort(left | (((right + shift) & mask) << n))
         if not np.array_equal(image, shifted):
             continue
-        labels = coset_labels(triple)
+        labels = coset_labels(row, n)
         certified = all(partition_invariant(labels, g) for g in gens)
-        candidates.append(BlockCandidate(triple, certified))
+        candidates.append(BlockCandidate(row, certified))
     return BlockScanResult(tested, refuted, shift, tuple(candidates))

@@ -147,11 +147,10 @@ def test_scan_counters_on_stderr_add_up(command, key, capsys):
         sigma = perms.standard_generators(spec)[2]
         shift = cipher.apply_s(spec, 0)
         whole_set = sum(
-            1 for t in goursat.enumerate_subgroups(spec.n)
-            if 1 < t.size < 4 ** t.n
-            and not oracles.probe_refutes(t, sigma, shift)
-            and list(t.to_tuple()) not in [c["triple"]
-                                           for c in scan["candidates"]])
+            1 for row in oracles.subgroup_rows(spec.n)
+            if 1 < goursat.size(row, spec.n) < 4 ** spec.n
+            and not oracles.probe_refutes(row, spec.n, sigma, shift)
+            and list(row) not in [c["triple"] for c in scan["candidates"]])
         assert counters["probe_refuted"] + whole_set \
             + counters["candidates"] == counters["tested"]
         text = run(argv[:-2], capsys)[1]
@@ -339,6 +338,19 @@ def test_goursat_list_json(capsys):
     assert data["count"] == 37
     assert len(data["triples"]) == 37
     assert [0, 0, 0, 0, 1] in data["triples"]
+
+
+def test_goursat_count_matches_the_closed_form(capsys):
+    # (n - k + 1)**2 choices of (s, t) per quotient order 2**k, and
+    # max(1, 2**(k - 1)) odd z below 2**k; every width up to the cap
+    for n in range(1, 17):
+        rc, out, _ = run(["goursat", "--n", str(n), "--format", "json"],
+                         capsys)
+        want = sum((n - k + 1) ** 2 * max(1, 1 << k >> 1)
+                   for k in range(n + 1))
+        assert rc == 0
+        assert json.loads(out)["count"] == want, n
+    assert want == 393179
 
 
 def test_goursat_needs_width(capsys):

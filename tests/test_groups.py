@@ -338,8 +338,6 @@ class PlainKernels(groups.StabilizerChain):
             moved = int(np.nonzero(residue != self._identity)[0][0])
             self.base.append(moved)
             self.levels.append(groups._Level(moved, self.degree))
-            self._member = np.hstack([self._member,
-                                      (self._identity == moved)[:, None]])
             self._add_rows(1)
         self.strong_generators += 1
         for i in range(floor, stall + 1):
@@ -359,7 +357,6 @@ class PlainKernels(groups.StabilizerChain):
                 if lvl.posidx[b] >= 0:
                     continue
                 lvl.posidx[b] = len(lvl.orbit)
-                self._member[b, i] = True
                 lvl.orbit.append(b)
                 lvl.uinv.append(lvl.uinv[j][ginv])
             self._add_rows(len(lvl.orbit) - before)
@@ -430,7 +427,6 @@ def check_chain_invariants(chain):
     ident = np.arange(degree, dtype=np.int64)
     assert chain.base == [lvl.point for lvl in chain.levels]
     assert fixes_earlier_base_points(chain)
-    assert chain._member.shape == (degree, len(chain.levels))
     assert chain.rows == sum(len(lvl.orbit) for lvl in chain.levels)
     # each residue is one array shared by every level it joined
     assert chain.strong_generators == len(
@@ -454,7 +450,6 @@ def check_chain_invariants(chain):
         expected = np.full(degree, -1, dtype=np.int64)
         expected[orbit] = np.arange(len(orbit))
         assert np.array_equal(lvl.posidx, expected), k
-        assert np.array_equal(chain._member[:, k], lvl.posidx >= 0), k
 
 
 def chain_snapshot(chain):
@@ -491,16 +486,15 @@ KERNEL_CASES = {
 @pytest.fixture
 def checked_growth(monkeypatch):
     """After every generator joins the chain, each level it joined keeps
-    its member row equal to posidx >= 0 and its orbit closed under the
-    new generator.  Checked as the chain grows, because a chain that
-    breaks either can sift forever instead of failing."""
+    its orbit closed under the new generator.  Checked as the chain
+    grows, because a chain that breaks it can sift forever instead of
+    failing."""
     add = groups.StabilizerChain._add_generator
 
     def checked(self, residue, stall, floor=0):
         add(self, residue, stall, floor)
         inside = np.stack([lvl.posidx >= 0
                            for lvl in self.levels[floor:stall + 1]], axis=1)
-        assert np.array_equal(self._member[:, floor:stall + 1], inside)
         assert inside[residue][inside].all(), "orbit left open"
 
     monkeypatch.setattr(groups.StabilizerChain, "_add_generator", checked)
@@ -797,7 +791,6 @@ class ForwardRows(groups.StabilizerChain):
                     continue
                 ub = gen[forward[lvl.posidx[a]]]
                 lvl.posidx[b] = len(lvl.orbit)
-                self._member[b, i] = True
                 lvl.orbit.append(b)
                 forward.append(ub)
                 inv = np.empty_like(ub)

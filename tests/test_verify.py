@@ -11,7 +11,6 @@ import pytest
 
 from roundgroup import cipher, cli, goursat, groups, perms, verify
 from roundgroup.cipher import CipherSpec
-from roundgroup.goursat import GoursatTriple
 
 import oracles
 
@@ -140,7 +139,7 @@ def test_scan_identity_control_diagonals():
     for n, m in ((4, 2), (8, 2)):
         spec = identity_spec(n, m)
         scan = verify.block_scan(spec)
-        got = sorted(c.triple.to_tuple() for c in scan.candidates)
+        got = sorted(c.triple for c in scan.candidates)
         assert got == [(q, q, q, q, 1) for q in range(1, n)]
         assert all(c.certified for c in scan.candidates)
 
@@ -151,9 +150,9 @@ def test_scan_shift_is_mixed_zero():
     assert scan.shift == cipher.apply_s(spec, 0)
 
 
-def proper_triples(n):
-    return [t for t in goursat.enumerate_subgroups(n)
-            if 1 < t.size < 4 ** t.n]
+def proper_rows(n):
+    return [row for row in oracles.subgroup_rows(n)
+            if 1 < goursat.size(row, n) < 4 ** n]
 
 
 def test_certified_candidates_are_real_partitions():
@@ -163,12 +162,12 @@ def test_certified_candidates_are_real_partitions():
     scan = verify.block_scan(spec)
     certified = {cand.triple for cand in scan.certified}
     assert certified
-    for triple in proper_triples(spec.n):
-        labels = goursat.coset_labels(triple)
-        assert np.array_equal(labels, oracles.coset_labels(triple))
+    for row in proper_rows(spec.n):
+        labels = goursat.coset_labels(row, spec.n)
+        assert np.array_equal(labels, oracles.coset_labels(row, spec.n))
         want = all(oracles.partition_invariant(labels, g) for g in gens)
-        assert verify.partition_invariant(table, triple) == want
-        if triple in certified:
+        assert verify.partition_invariant(table, row) == want
+        if row in certified:
             assert want
 
 
@@ -178,24 +177,23 @@ def test_partition_invariant_detects_breakage():
     breaks = np.array([0, 2, 1, 3])
     assert oracles.partition_invariant(labels, keeps)
     assert not oracles.partition_invariant(labels, breaks)
-    triple = GoursatTriple(1, 0, 0, 1, 1, 1)
-    assert oracles.roll_invariant(labels, keeps, triple)
-    assert not oracles.roll_invariant(labels, breaks, triple)
-    for triple in proper_triples(1):
-        labels = goursat.coset_labels(triple)
+    row = (0, 0, 1, 1, 1)
+    assert oracles.roll_invariant(labels, keeps, row, 1)
+    assert not oracles.roll_invariant(labels, breaks, row, 1)
+    for row in proper_rows(1):
+        labels = goursat.coset_labels(row, 1)
         for perm in itertools.permutations(range(4)):
             perm = np.array(perm)
-            assert oracles.roll_invariant(labels, perm, triple) == \
+            assert oracles.roll_invariant(labels, perm, row, 1) == \
                 oracles.partition_invariant(labels, perm)
 
 
-def set_equation_holds(triple, sigma, shift):
+def set_equation_holds(row, n, sigma, shift):
     """sigma(H) == H + (0, shift), compared over every member of H;
     H is the coset of zero under the oracle's labels, so no member
     listing of goursat is read."""
-    n = triple.n
     mask = (1 << n) - 1
-    members = np.flatnonzero(oracles.coset_labels(triple) == 0)
+    members = np.flatnonzero(oracles.coset_labels(row, n) == 0)
     image = np.sort(sigma[members])
     shifted = np.sort((members & mask)
                       | ((((members >> n) + shift) & mask) << n))
@@ -215,7 +213,7 @@ def test_one_pass_survivor_check_decides_the_set_equation(monkeypatch):
     rng = np.random.default_rng(1507)
     pairs, outcomes = 0, collections.Counter()
     for n in range(2, 6):
-        triples = proper_triples(n)
+        rows = proper_rows(n)
         for m in [d for d in range(1, n + 1) if n % d == 0]:
             for r in range(n):
                 for spec in (identity_spec(n, m, r),
@@ -224,13 +222,13 @@ def test_one_pass_survivor_check_decides_the_set_equation(monkeypatch):
                                                 bijective=False)):
                     sigma = perms.standard_generators(spec)[2]
                     shift = cipher.apply_s(spec, 0)
-                    holds = [set_equation_holds(t, sigma, shift)
-                             for t in triples]
+                    holds = [set_equation_holds(row, n, sigma, shift)
+                             for row in rows]
                     scan = verify.block_scan(spec)
                     assert scan.probe_refuted == 0
                     assert [c.triple for c in scan.candidates] == \
-                        [t for t, ok in zip(triples, holds) if ok]
-                    pairs += len(triples)
+                        [row for row, ok in zip(rows, holds) if ok]
+                    pairs += len(rows)
                     outcomes.update(holds)
     assert pairs == 8952
     assert outcomes[True] > 0 and outcomes[False] > 0
@@ -260,20 +258,21 @@ def test_probe_reject_against_full_set_equation(spec):
     gens = perms.standard_generators(spec)
     sigma = gens[2]
     shift = cipher.apply_s(spec, 0)
-    triples = proper_triples(spec.n)
-    table = np.array([t.to_tuple() for t in triples], dtype=np.int64)
+    n = spec.n
+    rows = proper_rows(n)
+    table = np.array(rows, dtype=np.int64)
     by_pass = verify.probe_refuted(table, cipher.s_table(spec)).tolist()
     expected = []
     refuted = 0
-    for triple, pass_refutes in zip(triples, by_pass):
-        holds = set_equation_holds(triple, sigma, shift)
-        assert pass_refutes == oracles.probe_refutes(triple, sigma, shift)
+    for row, pass_refutes in zip(rows, by_pass):
+        holds = set_equation_holds(row, n, sigma, shift)
+        assert pass_refutes == oracles.probe_refutes(row, n, sigma, shift)
         if pass_refutes:
             refuted += 1
-            assert not holds, triple.describe()
+            assert not holds, goursat.describe(row)
         if holds:
-            labels = oracles.coset_labels(triple)
-            expected.append((triple, all(
+            labels = oracles.coset_labels(row, n)
+            expected.append((row, all(
                 partition_invariant_oracle(labels, g) for g in gens)))
     assert refuted > 0
     scan = verify.block_scan(spec)
@@ -281,14 +280,13 @@ def test_probe_reject_against_full_set_equation(spec):
     assert scan.probe_refuted == refuted
 
 
-def swap_cyclic_coset(triple, labels):
+def swap_cyclic_coset(row, n, labels):
     """The permutation swapping C = <g1> pointwise with C + d, d outside
-    H, for g1, g2 = goursat.generators(triple): it sends each coset of
+    H, for g1, g2 = goursat.generators(row, n): it sends each coset of
     <g1> onto a coset of <g1>, so into a coset of H, yet it splits H
     itself whenever g2 is not in <g1>."""
-    n = triple.n
     mask = (1 << n) - 1
-    (a1, c1), _ = goursat.generators(triple)
+    (a1, c1), _ = goursat.generators(row, n)
     i = np.arange(1 << n, dtype=np.int64)
     cyc = np.unique(((i * a1) & mask) | (((i * c1) & mask) << n))
     d = int(np.flatnonzero(labels != labels[0])[0])
@@ -306,13 +304,14 @@ def test_partition_invariant_matches_sort_oracle():
                  identity_spec(4, 2), seeded_spec(4, 2, 2, seed=4)):
         gens = perms.standard_generators(spec)
         candidates = gens + [rng.permutation(spec.degree) for _ in range(4)]
-        for triple in proper_triples(spec.n):
-            labels = goursat.coset_labels(triple)
-            assert np.array_equal(labels, oracles.coset_labels(triple))
-            for perm in candidates + [swap_cyclic_coset(triple, labels)]:
+        n = spec.n
+        for row in proper_rows(n):
+            labels = goursat.coset_labels(row, n)
+            assert np.array_equal(labels, oracles.coset_labels(row, n))
+            for perm in candidates + [swap_cyclic_coset(row, n, labels)]:
                 want = partition_invariant_oracle(labels, perm)
                 assert oracles.partition_invariant(labels, perm) == want
-                assert oracles.roll_invariant(labels, perm, triple) == want
+                assert oracles.roll_invariant(labels, perm, row, n) == want
                 outcomes.add(want)
     assert outcomes == {True, False}
 
@@ -350,17 +349,17 @@ def test_partition_invariant_matches_roll_oracle_on_every_subgroup():
     for n in (2, 3, 4):
         tables += [rng.integers(0, 1 << n, 1 << n) for _ in range(6)]
         tables += [rng.permutation(1 << n) for _ in range(6)]
-    labels = {}  # triple -> oracle coset labels
+    labels = {}  # row -> oracle coset labels
     outcomes = collections.Counter()
     for table in tables:
         n = len(table).bit_length() - 1
         sigma = oracles.swap_from_table(table)
-        for triple in proper_triples(n):
-            if triple not in labels:
-                labels[triple] = oracles.coset_labels(triple)
-            want = oracles.roll_invariant(labels[triple], sigma, triple)
-            assert verify.partition_invariant(table, triple) == want, \
-                (table.tolist(), triple.describe())
+        for row in proper_rows(n):
+            if (row, n) not in labels:
+                labels[row, n] = oracles.coset_labels(row, n)
+            want = oracles.roll_invariant(labels[row, n], sigma, row, n)
+            assert verify.partition_invariant(table, row) == want, \
+                (table.tolist(), goursat.describe(row))
             outcomes[want] += 1
     assert outcomes[True] > 0 and outcomes[False] > 0
 
@@ -377,9 +376,9 @@ def test_scan_certifies_each_candidate_from_the_s_table(n, monkeypatch):
         tables.append(real(spec))
         return tables[-1]
 
-    def spy(table, triple, real=verify.partition_invariant):
+    def spy(table, row, real=verify.partition_invariant):
         checked.append(table)
-        return real(table, triple)
+        return real(table, row)
 
     def dense(*args):
         raise AssertionError("dense map built")
@@ -577,7 +576,7 @@ def test_refuted_candidate_does_not_gate_the_witness():
     spec = cipher.random_spec(3, 2, r, rng)
     assert spec.digest().startswith("9ec740c9")
     v = verify.full_verdict(spec, seed=1)
-    assert [(c.triple.to_tuple(), c.certified)
+    assert [(c.triple, c.certified)
             for c in v.scan.candidates] == [((2, 2, 2, 2, 1), False)]
     assert v.primitive == verify.is_primitive(holds(v)["transitivity"],
                                               v.scan)
@@ -638,8 +637,7 @@ def test_verdict_never_contradicts_the_exact_order(tmp_path, capsys):
             assert not alt, where
             for c in v["block_scan"]["candidates"]:
                 if c["certified"]:
-                    labels = oracles.coset_labels(
-                        GoursatTriple(spec.n, *c["triple"]))
+                    labels = oracles.coset_labels(c["triple"], spec.n)
                     assert all(oracles.partition_invariant(labels, g)
                                for g in gens), where
         blocks = oracles.primitivity_by_pairs(gens)
