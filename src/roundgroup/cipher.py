@@ -29,7 +29,7 @@ from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -45,7 +45,7 @@ class CipherSpec:
 
     sboxes[j] is the table for brick j+1 (brick numbering starts at 1
     in the least significant position); it must have 2**m entries in
-    [0, 2**m).  Bijectivity is NOT required here; see validate_spec.
+    [0, 2**m).  Bijectivity is NOT required here; it is a flag below.
     """
 
     n: int
@@ -85,6 +85,34 @@ class CipherSpec:
     def bijective(self) -> bool:
         size = 1 << self.m
         return all(sorted(t) == list(range(size)) for t in self.sboxes)
+
+    @property
+    def theorem_scope(self) -> bool:
+        """Where the full result chain (scan and eliminations) applies."""
+        return (self.conforming and self.bijective and self.delta >= 4
+                and self.m >= 2)
+
+    @property
+    def gost_parameters(self) -> bool:
+        return (self.n, self.m, self.delta, self.r) == GOST_PARAMS
+
+    @property
+    def notes(self) -> tuple[str, ...]:
+        """Why a flag above is off, and whether the frame is GOST's."""
+        notes = []
+        if not self.conforming:
+            notes.append(f"rotation extent {self.r} outside conforming "
+                         f"range [{self.m}, {(self.delta - 1) * self.m}]")
+        if not self.bijective:
+            notes.append("at least one S-box table is not a permutation")
+        if self.delta < 4:
+            notes.append("delta < 4: outside the certified parameter scope")
+        if self.m < 2:
+            notes.append("m < 2: outside the certified parameter scope")
+        if self.gost_parameters:
+            notes.append("parameter frame matches the real GOST round "
+                         "(n=32, m=4, delta=8, r=11)")
+        return tuple(notes)
 
     def to_dict(self) -> dict:
         return {
@@ -248,46 +276,3 @@ def swap(table: np.ndarray, left, right, n: int):
     """sigma(left, right) = (right, left ^ S(right)) as states
     x1 | x2 << n, for the S table `table`, elementwise over arrays."""
     return right | ((left ^ table[right]) << n)
-
-
-# ---------------------------------------------------------------------------
-# validation
-
-
-@dataclass(frozen=True)
-class SpecValidation:
-    """What validate_spec found; structural failures raise instead."""
-
-    conforming: bool
-    bijective: bool
-    theorem_scope: bool
-    gost_parameters: bool
-    notes: tuple[str, ...] = field(default=())
-
-
-def validate_spec(spec: CipherSpec) -> SpecValidation:
-    """Flags for the analysis pipeline; never rejects a well-formed spec.
-
-    theorem_scope is the conjunction under which the full result chain
-    (primitivity scan plus the case eliminations) is known to apply:
-    delta >= 4, m >= 2, conforming rotation, bijective tables.
-    """
-    notes = []
-    conforming = spec.conforming
-    bijective = spec.bijective
-    if not conforming:
-        lo, hi = spec.m, (spec.delta - 1) * spec.m
-        notes.append(f"rotation extent {spec.r} outside conforming range "
-                     f"[{lo}, {hi}]")
-    if not bijective:
-        notes.append("at least one S-box table is not a permutation")
-    scope = conforming and bijective and spec.delta >= 4 and spec.m >= 2
-    if spec.delta < 4:
-        notes.append("delta < 4: outside the certified parameter scope")
-    if spec.m < 2:
-        notes.append("m < 2: outside the certified parameter scope")
-    gost = (spec.n, spec.m, spec.delta, spec.r) == GOST_PARAMS
-    if gost:
-        notes.append("parameter frame matches the real GOST round "
-                     "(n=32, m=4, delta=8, r=11)")
-    return SpecValidation(conforming, bijective, scope, gost, tuple(notes))

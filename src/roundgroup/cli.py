@@ -94,13 +94,15 @@ def build_parser() -> argparse.ArgumentParser:
             "group", spec=False, seed=False)
     p.add_argument("--n", type=_int_from(1), required=True, help="word width")
     p.add_argument("--list", action="store_true",
-                   help="print every triple, not just the count")
+                   help="print every subgroup's row (s, sB, t, tD, z), "
+                   "not just the count")
 
     add("order", "exact order of the generated group")
 
     p = add("verdict", "run the full verification pipeline")
-    p.add_argument("--budget", type=_int_from(0), default=10_000,
-                   help="giant-witness trial budget (default 10000)")
+    p.add_argument("--budget", type=_int_from(0),
+                   default=verify.DEFAULT_BUDGET,
+                   help="giant-witness trial budget (default %(default)s)")
     return parser
 
 
@@ -223,16 +225,13 @@ def cmd_encrypt(args) -> int:
 
 
 def validate_report(args, spec: CipherSpec) -> Report:
-    val = cipher.validate_spec(spec)
-    lines, record = ["-- validation --"], {}
-    for name, ok in (("conforming", val.conforming),
-                     ("bijective", val.bijective),
-                     ("theorem-scope", val.theorem_scope),
-                     ("gost-parameters", val.gost_parameters)):
-        lines.append(f"{name}: {_yes(ok)}")
-        record[name.replace("-", "_")] = ok
-    lines += [f"note: {note}" for note in val.notes]
-    record["notes"] = list(val.notes)
+    record = {name: getattr(spec, name) for name in
+              ("conforming", "bijective", "theorem_scope", "gost_parameters")}
+    lines = ["-- validation --"]
+    lines += [f"{name.replace('_', '-')}: {_yes(ok)}"
+              for name, ok in record.items()]
+    lines += [f"note: {note}" for note in spec.notes]
+    record["notes"] = list(spec.notes)
     return lines, {"validation": record}, 0, []
 
 
@@ -371,14 +370,13 @@ def verdict_report(args, spec: CipherSpec) -> Report:
     t0 = time.monotonic()
     v = verify.full_verdict(spec, seed=args.seed, budget=args.budget)
     elapsed = time.monotonic() - t0
-    val = v.validation
     lines = [f"budget: {v.budget}  word-len: {groups.WITNESS_WORD_LEN}",
              "-- checks --"]
     record = {"budget": v.budget, "word_len": groups.WITNESS_WORD_LEN,
-              "validation": {"conforming": val.conforming,
-                             "bijective": val.bijective,
-                             "theorem_scope": val.theorem_scope,
-                             "notes": list(val.notes)},
+              "validation": {"conforming": spec.conforming,
+                             "bijective": spec.bijective,
+                             "theorem_scope": spec.theorem_scope,
+                             "notes": list(spec.notes)},
               "primitive": v.primitive}
     for c in v.checks:
         lines += c.lines

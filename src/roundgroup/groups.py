@@ -170,17 +170,15 @@ class StabilizerChain:
 
     def __init__(self, degree: int):
         self.degree = degree
-        self.base: list[int] = []
         self.levels: list[_Level] = []
         self.certificate = "unverified"
         self._identity = np.arange(degree, dtype=np.int64)
         # (generator, inverse) by id, the generator held so its id stays
         # its own: a residue and its inverse serve every level it joined
         self._inverses: dict[int, tuple[np.ndarray, np.ndarray]] = {}
-        # inverse transversal rows held, summed over the levels, and
-        # residues joined as strong generators
+        # inverse transversal rows held, summed over the levels, kept
+        # as a counter so _add_rows can check the cap as they grow
         self.rows = 0
-        self.strong_generators = 0
         # completion counters: Schreier generators sifted, residues
         # absorbed from them
         self.schreier_sifted = 0
@@ -191,6 +189,15 @@ class StabilizerChain:
         self.stage_seconds = {"fill": 0.0, "random": 0.0, "complete": 0.0}
 
     # -- bookkeeping
+
+    @property
+    def base(self) -> list[int]:
+        return [lvl.point for lvl in self.levels]
+
+    @property
+    def strong_generators(self) -> int:
+        """Distinct arrays in the levels' generator lists."""
+        return len({id(g) for lvl in self.levels for g in lvl.gens})
 
     @property
     def order(self) -> int:
@@ -264,7 +271,6 @@ class StabilizerChain:
         """Append a level whose base point is the first point residue
         moves."""
         moved = int(np.nonzero(residue != self._identity)[0][0])
-        self.base.append(moved)
         self.levels.append(_Level(moved, self.degree))
         self._add_rows(1)
 
@@ -272,7 +278,6 @@ class StabilizerChain:
                        floor: int = 0) -> None:
         if stall == len(self.levels):
             self._open_level(residue)
-        self.strong_generators += 1
         # the residue fixes base[0..stall-1], so it may join any level's
         # generating set up to and including the stall level.  Fed
         # elements use floor 0; residues discovered while verifying
@@ -334,7 +339,6 @@ class StabilizerChain:
                 elif len(draws) == 2:
                     self._open_level(draws[0])
                     self.levels[k + 1].gens += draws
-                    self.strong_generators += 2
                     self._extend_level(k + 1, *draws)
             order *= want
             k += 1

@@ -57,7 +57,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import cipher, goursat, perms, words
-from .cipher import CipherSpec, SpecValidation, apply_s, validate_spec
+from .cipher import CipherSpec, apply_s
 from .groups import GiantWitness, giant_witness
 
 
@@ -348,12 +348,12 @@ INCONCLUSIVE = "Inconclusive"
 
 EXIT_CODES = {ALT_CERTIFIED: 0, THEOREM_APPLIES: 0,
               IMPRIMITIVE: 2, INCONCLUSIVE: 3}
+DEFAULT_BUDGET = 10_000  # giant-witness trials
 
 
 @dataclass(frozen=True)
 class Verdict:
     budget: int
-    validation: SpecValidation
     scan: BlockScanResult
     primitive: bool
     witness: GiantWitness | None
@@ -371,9 +371,8 @@ class Verdict:
 
 
 def full_verdict(spec: CipherSpec, seed: int,
-                 budget: int = 10_000) -> Verdict:
+                 budget: int = DEFAULT_BUDGET) -> Verdict:
     """Run the whole pipeline on one spec with one RNG seed."""
-    validation = validate_spec(spec)
     parity = parity_check(spec)
     transitivity = transitivity_check(spec)
     t0 = time.perf_counter()
@@ -399,7 +398,7 @@ def full_verdict(spec: CipherSpec, seed: int,
         conclusion = IMPRIMITIVE
     elif witness is not None:  # found only past the gate above
         conclusion = ALT_CERTIFIED
-    elif (validation.theorem_scope and parity and primitive
+    elif (spec.theorem_scope and parity and primitive
             and all(c.holds for c in eliminations)):
         conclusion = THEOREM_APPLIES
     else:
@@ -411,6 +410,6 @@ def full_verdict(spec: CipherSpec, seed: int,
               _witness_check(witness, searched, budget),
               Check("conclusion", (f"conclusion: {conclusion}",), conclusion,
                     EXIT_CODES[conclusion] == 0))
-    return Verdict(budget, validation, scan, primitive, witness, conclusion,
+    return Verdict(budget, scan, primitive, witness, conclusion,
                    checks, {"scan": scan_s, "witness": witness_s},
                    counters["fallbacks"])

