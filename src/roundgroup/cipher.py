@@ -272,7 +272,10 @@ def s_table(spec: CipherSpec) -> np.ndarray:
     return out
 
 
-def swap(table: np.ndarray, left, right, n: int):
-    """sigma(left, right) = (right, left ^ S(right)) as states
-    x1 | x2 << n, for the S table `table`, elementwise over arrays."""
-    return right | ((left ^ table[right]) << n)
+def swap(table: np.ndarray, left, right):
+    """sigma(left, right) = (right, left ^ S(right)) as halves, for the
+    S table `table`, elementwise over arrays: the one vectorized swap
+    map.  The gather is fresh, so the xor runs in place."""
+    mixed = table[right]
+    mixed ^= left
+    return right, mixed

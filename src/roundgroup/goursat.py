@@ -10,7 +10,7 @@ A subgroup is a table row (s, sB, t, tD, z): A = <2**s>, B = <2**sB>,
 C = <2**t>, D = <2**tD>, with sB - s = tD - t = k.
 
 Every formula below is written once, in oriented coordinates: (u, v)
-= (x1, x2) for a state x1 | x2 << n, swapped to (x2, x1) when t < s.
+= (x1, x2) for a state's halves, swapped to (x2, x1) when t < s.
 There the subgroup is
 
     { (i * 2**e, i * z * 2**f + j * 2**g mod 2**n) }
@@ -92,13 +92,12 @@ def members(table: np.ndarray, i, j, n: int) -> tuple[np.ndarray, np.ndarray]:
     return _swapped(swap, (i << e) & mask, ((i * z << f) + (j << g)) & mask)
 
 
-def contains(table: np.ndarray, states: np.ndarray, n: int,
+def contains(table: np.ndarray, left, right, n: int,
              shift: int) -> np.ndarray:
-    """Per row H of a table (states broadcast to (rows, k)), or for one
-    row: is the state x1 | x2 << n in H + (0, shift)?"""
-    mask = (1 << n) - 1
+    """Per row H of a table (halves broadcast to (rows, k)), or for one
+    row: is the state with halves (left, right) in H + (0, shift)?"""
     swap, e, f, g, z = _oriented(table)
-    u, v = _swapped(swap, states & mask, ((states >> n) - shift) & mask)
+    u, v = _swapped(swap, left, (right - shift) & ((1 << n) - 1))
     return _label(u, v, e, f, g, z, n) == 0
 
 

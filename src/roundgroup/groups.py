@@ -267,18 +267,13 @@ class StabilizerChain:
             batch, sweep = orbit[head:], lvl.gens
             head = len(orbit)
 
-    def _open_level(self, residue: np.ndarray) -> None:
-        """Append a level whose base point is the first point residue
-        moves."""
-        moved = int(np.nonzero(residue != self._identity)[0][0])
-        self.levels.append(_Level(moved, self.degree))
-        self._add_rows(1)
-
-    def _add_generator(self, residue: np.ndarray, stall: int,
+    def _add_generator(self, stall: int, *residues: np.ndarray,
                        floor: int = 0) -> None:
         if stall == len(self.levels):
-            self._open_level(residue)
-        # the residue fixes base[0..stall-1], so it may join any level's
+            moved = int(np.nonzero(residues[0] != self._identity)[0][0])
+            self.levels.append(_Level(moved, self.degree))
+            self._add_rows(1)
+        # each residue fixes base[0..stall-1], so may join any level's
         # generating set up to and including the stall level.  Fed
         # elements use floor 0; residues discovered while verifying
         # level i are already products of level-(i+1) generators, so
@@ -286,13 +281,13 @@ class StabilizerChain:
         # bloat the verification work.  Each orbit is closed under its
         # level's old generators; a permutation that maps a finite orbit
         # into itself maps it onto itself, so the orbit can grow only
-        # where the residue sends one of its points outside it, and
+        # where a residue sends one of its points outside it, and
         # elsewhere the sweep would add nothing.
         for i in range(floor, stall + 1):
-            self.levels[i].gens.append(residue)
+            self.levels[i].gens += residues
             inside = self.levels[i].posidx >= 0
-            if (inside & ~inside[residue]).any():
-                self._extend_level(i, residue)
+            if any((inside & ~inside[r]).any() for r in residues):
+                self._extend_level(i, *residues)
 
     def _draw(self, k: int, rng: np.random.Generator) -> np.ndarray:
         """A product x of FILL_WORD_LENGTH random generators of level k,
@@ -335,11 +330,9 @@ class StabilizerChain:
                     continue
                 draws.append(s)
                 if k + 1 < len(self.levels):
-                    self._add_generator(s, k + 1, k + 1)
+                    self._add_generator(k + 1, s, floor=k + 1)
                 elif len(draws) == 2:
-                    self._open_level(draws[0])
-                    self.levels[k + 1].gens += draws
-                    self._extend_level(k + 1, *draws)
+                    self._add_generator(k + 1, *draws, floor=k + 1)
             order *= want
             k += 1
 
@@ -348,7 +341,7 @@ class StabilizerChain:
         residue, stall = self.sift(p)
         if residue is None:
             return False
-        self._add_generator(np.ascontiguousarray(residue), stall)
+        self._add_generator(stall, residue)
         return True
 
     # -- deterministic completion (strong-generation criterion)
@@ -405,7 +398,7 @@ class StabilizerChain:
         if cut:
             return False, [(rows[:cut], segs[:cut], i),
                            (rows[cut:], segs[cut:], i)]
-        self._add_generator(rows[j].copy(), i, floor)
+        self._add_generator(i, rows[j].copy(), floor=floor)
         self.absorbed += 1
         if len(segs) == 1:
             return True, []

@@ -16,8 +16,8 @@ that cycle nor cover N/2.
 States (x1, x2) are flattened to indices x1 + 2**n * x2, so the left
 word occupies the low bits.  word_evaluator is the one dense form of
 the round maps: any word in them is read off the mixing-map table in
-O(N) vectorized steps, and the generators (standard_generators) are
-its one-letter words.
+O(N) vectorized steps, its swaps by cipher.swap on the halves, and
+the generators (standard_generators) are its one-letter words.
 
 The "materialize" cap of the size-cap table (words.CAPS, 2**24
 states) bounds dense materialization; callers wanting larger parameter
@@ -33,7 +33,7 @@ from collections.abc import Callable, Sequence
 
 import numpy as np
 
-from .cipher import CipherSpec, s_table
+from .cipher import CipherSpec, s_table, swap
 from .words import check_cap
 
 
@@ -203,11 +203,12 @@ def word_evaluator(spec: CipherSpec) -> Callable[[Sequence[int]], np.ndarray]:
     only moves the offsets, so a run of them costs nothing.  sigma sends
     the state to (H, (L + a) ^ S'(H)) with offsets (b, 0), where
     S'(h) = S(h + b); sigma^-1 sends it to ((H + b) ^ S''(L), L) with
-    offsets (0, a), where S''(l) = S(l + a).  So a swap is a lookup
-    into a shifted S table, a lookup into a shifted identity when the
-    other half has an offset, and an xor; each shifted table is built
-    once per offset.  (At small degrees a lookup costs less than
-    numpy's add and mask with a scalar; at large ones about as much.)
+    offsets (0, a), where S''(l) = S(l + a).  So either swap is
+    cipher.swap on a shifted S table, its outputs exchanged for
+    sigma^-1, after a lookup into a shifted identity when the other
+    half has an offset; each shifted table is built once per offset.
+    (At small degrees a lookup costs less than numpy's add and mask
+    with a scalar; at large ones about as much.)
     sigma next to sigma^-1 with no net translation between them
     cancels before anything is computed.  Every state runs the same
     swaps, EVAL_CHUNK states at a time, and the state array is
@@ -260,9 +261,8 @@ def word_evaluator(spec: CipherSpec) -> Callable[[Sequence[int]], np.ndarray]:
             lo, hi = low, high + (start >> n) if start else high
             for forward, s, plus in steps:
                 read, other = (hi, lo) if forward else (lo, hi)
-                mixed = s[read]
-                mixed ^= other if plus is None else plus[other]
-                lo, hi = (read, mixed) if forward else (mixed, read)
+                halves = swap(s, other if plus is None else plus[other], read)
+                lo, hi = halves if forward else halves[::-1]
             out[start:start + len(x)] = (shifted_high(b)[hi]
                                          | shifted_low(a)[lo])
         return out

@@ -163,7 +163,8 @@ def partition_invariant(table: np.ndarray, row) -> bool:
     here = residues[:, None] ^ x1  # row x2: x1 ^ S(x2)
     for h1, h2 in goursat.generators(row, n):
         d0 = ((h1 ^ int(table[h2])) - int(table[0])) & mask
-        if not goursat.contains(row, h2 | (d0 << n), n, 0):
+        # exact on any row: on scan candidates the set equation implies it
+        if not goursat.contains(row, h2, d0, n, 0):
             return False
         diff = np.roll(residues, -h2)[:, None] ^ ((x1 + h1) & low)
         diff -= here
@@ -184,8 +185,8 @@ def probe_refuted(subgroups: np.ndarray, table: np.ndarray) -> np.ndarray:
     in goursat.generators) outside H + (0, S(0))?"""
     n = len(table).bit_length() - 1
     left, right = goursat.members(subgroups, *np.array(PROBES).T, n)
-    image = cipher.swap(table, left, right, n)
-    return ~goursat.contains(subgroups, image, n, int(table[0])).all(axis=1)
+    image = cipher.swap(table, left, right)
+    return ~goursat.contains(subgroups, *image, n, int(table[0])).all(axis=1)
 
 
 def block_scan(spec: CipherSpec) -> BlockScanResult:
@@ -217,8 +218,8 @@ def block_scan(spec: CipherSpec) -> BlockScanResult:
     candidates = []
     for row in map(tuple, subgroups[~refuted].tolist()):
         stop = 1 << (n - min(row[0], row[2]))
-        image = cipher.swap(table, *goursat.member_pairs(row, n, stop), n)
-        if goursat.contains(row, image, n, shift).all():
+        image = cipher.swap(table, *goursat.member_pairs(row, n, stop))
+        if goursat.contains(row, *image, n, shift).all():
             candidates.append(BlockCandidate(
                 row, partition_invariant(table, row)))
     return BlockScanResult(len(subgroups), int(refuted.sum()), shift,

@@ -226,8 +226,7 @@ def test_swap_matches_wordwise_sigma():
         n = spec.n
         states = np.arange(1 << (2 * n))
         left, right = states & ((1 << n) - 1), states >> n
-        image = cipher.swap(cipher.s_table(spec), left, right, n)
-        for x1, x2, out in zip(left.tolist(), right.tolist(),
-                               image.tolist()):
-            y1, y2 = cipher.sigma_apply(spec, (x1, x2))
-            assert out == y1 | y2 << n
+        out1, out2 = cipher.swap(cipher.s_table(spec), left, right)
+        for x1, x2, y1, y2 in zip(left.tolist(), right.tolist(),
+                                  out1.tolist(), out2.tolist()):
+            assert (y1, y2) == cipher.sigma_apply(spec, (x1, x2))

@@ -104,15 +104,17 @@ def test_vectorized_membership_matches_oracles_on_the_grid(n):
     assert any(t < s for s, _, t, _, _ in rows)
     table = goursat.enumerate_subgroups(n)
     states = np.arange(1 << (2 * n), dtype=np.int64)
+    left, right = states & mask, states >> n
     for shift in sorted({0, 1, mask}):
-        inside = goursat.contains(table, states[None, :], n, shift)
+        inside = goursat.contains(table, left[None, :], right[None, :], n,
+                                  shift)
         for row, got in zip(rows, inside):
             want = [oracles.contains(row, n, x & mask,
                                      ((x >> n) - shift) & mask)
                     for x in states.tolist()]
             assert got.tolist() == want, (row, shift)
-            assert np.array_equal(goursat.contains(row, states, n, shift),
-                                  got)
+            assert np.array_equal(
+                goursat.contains(row, left, right, n, shift), got)
     # i * g1 + j * g2 over every i, j < 2**n is the whole subgroup:
     # |H| distinct pairs, each in H by the scalar membership oracle
     i, j = (c.ravel() for c in np.indices((1 << n, 1 << n)))

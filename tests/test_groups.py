@@ -333,12 +333,14 @@ class PlainKernels(groups.StabilizerChain):
     the chain's own: a level yields after each residue it absorbs, so
     the deeper levels are completed first."""
 
-    def _add_generator(self, residue, stall, floor=0):
+    def _add_generator(self, stall, *residues, floor=0):
         if stall == len(self.levels):
-            self._open_level(residue)
+            moved = int(np.nonzero(residues[0] != self._identity)[0][0])
+            self.levels.append(groups._Level(moved, self.degree))
+            self._add_rows(1)
         for i in range(floor, stall + 1):
-            self.levels[i].gens.append(residue)
-            self._extend_level(i, residue)
+            self.levels[i].gens += residues
+            self._extend_level(i, *residues)
 
     def _extend_level(self, i, *new_gens):
         lvl = self.levels[i]
@@ -386,7 +388,7 @@ class PlainKernels(groups.StabilizerChain):
             i += 1
         else:
             return None
-        self._add_generator(np.ascontiguousarray(rows[j]), i, floor)
+        self._add_generator(i, np.ascontiguousarray(rows[j]), floor=floor)
         self.absorbed += 1
         keep = np.ones(len(rows), dtype=bool)
         keep[j] = False
@@ -483,11 +485,12 @@ def checked_growth(monkeypatch):
     failing."""
     add = groups.StabilizerChain._add_generator
 
-    def checked(self, residue, stall, floor=0):
-        add(self, residue, stall, floor)
+    def checked(self, stall, *residues, floor=0):
+        add(self, stall, *residues, floor=floor)
         inside = np.stack([lvl.posidx >= 0
                            for lvl in self.levels[floor:stall + 1]], axis=1)
-        assert inside[residue][inside].all(), "orbit left open"
+        for residue in residues:
+            assert inside[residue][inside].all(), "orbit left open"
 
     monkeypatch.setattr(groups.StabilizerChain, "_add_generator", checked)
 

@@ -16,7 +16,8 @@ that shares its name with a used one, never flag a used name.
 The size caps are held to one table the same way: no src module but
 words binds a cap constant, and only words.check_cap raises a cap error.
 Likewise one function builds the round maps densely: only the word
-evaluator and the block scan's scope check the materialize cap.
+evaluator and the block scan's scope check the materialize cap; and
+sigma has one vectorized form, cipher.swap on state halves.
 """
 
 import ast
@@ -165,3 +166,17 @@ def test_one_dense_builder_of_the_round_maps():
                        and ast.unparse(node.args[0]) == "'materialize'"
                        for node in ast.walk(func))]
     assert guarded == ["perms.word_evaluator", "verify.block_scan"]
+
+
+def test_one_swap_map():
+    # sigma has one vectorized form, cipher.swap on state halves: the
+    # word evaluator, the probe filter and the block scan call it, and
+    # nothing else in src computes sigma on arrays
+    callers = [f"{path.stem}.{label}" for path in sorted(SRC.glob("*.py"))
+               for label, _, stmt in definitions(parse(path))
+               if isinstance(stmt, ast.FunctionDef)
+               and any(isinstance(node, ast.Call)
+                       and ast.unparse(node.func).split(".")[-1] == "swap"
+                       for node in ast.walk(stmt))]
+    assert callers == ["perms.word_evaluator", "verify.probe_refuted",
+                       "verify.block_scan"]
