@@ -346,7 +346,7 @@ def order_report(args, spec: CipherSpec) -> Report:
     stages = chain.stage_seconds
     return lines, {"order": record}, 0, [
         f"chain {sum(stages.values()):.2f}s levels={len(chain.levels)} "
-        f"rows={chain.rows} "
+        f"rows={chain.rows} built={chain.built} "
         f"strong_generators={chain.strong_generators} "
         f"schreier_sifted={chain.schreier_sifted} "
         f"absorbed={chain.absorbed}",

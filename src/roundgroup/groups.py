@@ -61,14 +61,16 @@ correctness story is spelled out:
   level's Schreier generators in groups of consecutive (generator,
   orbit chunk) segments, split where a later segment stalls first, so
   each segment absorbs what it would if drained on its own.
-* Storage.  A level keeps one inverse transversal row per orbit point,
-  the only rows sifting reads: a point b = gen(a) joins with
-  uinv_b = uinv_a after gen^-1, one gather against the generator's
-  inverse, computed once (by `_alphabet` for an original generator)
-  and shared by every level the generator joined.  Each row is held
-  once, as a view of the level's stack after `_Level.uinvstack`;
-  forward rows are derived from the inverse rows only when the
-  completion asks (`_Level.ustack`), so route (1) chains hold none.
+* Storage.  A level keeps a Schreier vector: a point b = gen(a) joins
+  labelled gen^-1, the generator's inverse, computed once (by
+  `_alphabet` for an original generator) and shared by every level the
+  generator joined.  Its inverse transversal row, the only kind of row
+  sifting reads, is uinv_a after gen^-1, built with the unbuilt rows
+  above it when first read (`_Level.row`): an Alt(256) chain from
+  route (1) builds under a quarter of its rows.  The completion stacks
+  every row (`_Level.uinvstack`), then holds each once, as a view of
+  the stack, and derives forward rows only there (`_Level.ustack`).
+  The transversal cap charges every orbit point, built or not.
 """
 
 from __future__ import annotations
@@ -131,7 +133,7 @@ def _alphabet(gens: list[np.ndarray]) -> list[np.ndarray]:
 
 
 class _Level:
-    __slots__ = ("point", "gens", "orbit", "posidx", "u", "uinv",
+    __slots__ = ("point", "gens", "orbit", "posidx", "via", "u", "uinv",
                  "_uinvstack")
 
     def __init__(self, point: int, degree: int):
@@ -141,11 +143,27 @@ class _Level:
         self.posidx = np.full(degree, -1, dtype=np.int64)
         self.posidx[point] = 0
         ident = np.arange(degree, dtype=np.int64)
-        # uinv holds one inverse transversal row per orbit point; u
+        # via is the Schreier vector: via[j], the inverse of the
+        # generator that reached orbit[j], maps it to its parent.  uinv
+        # holds one inverse row per orbit point, None until built; u
         # stacks only the forward rows ustack() has derived so far
+        self.via: list[np.ndarray | None] = [None]
         self.u = ident[None]
-        self.uinv: list[np.ndarray] = [ident]
+        self.uinv: list[np.ndarray | None] = [ident]
         self._uinvstack: np.ndarray | None = None
+
+    def row(self, j: int) -> np.ndarray:
+        """Inverse row j: walk up the Schreier tree to the nearest built
+        row, then gather down the path, caching every row it builds."""
+        uinv = self.uinv
+        path = []
+        while uinv[j] is None:
+            path.append(j)
+            j = self.posidx.item(self.via[j].item(self.orbit[j]))
+        row = uinv[j]
+        for j in reversed(path):
+            row = uinv[j] = row[self.via[j]]
+        return row
 
     def ustack(self) -> np.ndarray:
         """The forward rows, grown by inverting the inverse rows added
@@ -156,9 +174,14 @@ class _Level:
         return self.u
 
     def uinvstack(self) -> np.ndarray:
-        """The inverse rows as one 2-D array, of which uinv then lists
-        views."""
-        if self._uinvstack is None or len(self._uinvstack) != len(self.uinv):
+        """Every inverse row as one 2-D array, of which uinv then lists
+        views.  Only rows added since the last stack can be unbuilt;
+        they are built in orbit order, each parent before its
+        children."""
+        stacked = 0 if self._uinvstack is None else len(self._uinvstack)
+        if stacked != len(self.uinv):
+            for j in range(stacked, len(self.uinv)):
+                self.row(j)
             self._uinvstack = np.stack(self.uinv)
             self.uinv = list(self._uinvstack)
         return self._uinvstack
@@ -176,8 +199,9 @@ class StabilizerChain:
         # (generator, inverse) by id, the generator held so its id stays
         # its own: a residue and its inverse serve every level it joined
         self._inverses: dict[int, tuple[np.ndarray, np.ndarray]] = {}
-        # inverse transversal rows held, summed over the levels, kept
-        # as a counter so _add_rows can check the cap as they grow
+        # inverse transversal rows, built or not, summed over the
+        # levels, kept as a counter so _add_rows can check the cap as
+        # they grow
         self.rows = 0
         # completion counters: Schreier generators sifted, residues
         # absorbed from them
@@ -206,6 +230,12 @@ class StabilizerChain:
             out *= len(lvl.orbit)
         return out
 
+    @property
+    def built(self) -> int:
+        """Inverse rows built so far, summed over the levels; `rows`
+        counts every orbit point."""
+        return sum(row is not None for lvl in self.levels for row in lvl.uinv)
+
     def _add_rows(self, count: int) -> None:
         self.rows += count
         check_cap("transversal", self.rows * self.degree)
@@ -222,7 +252,7 @@ class StabilizerChain:
             if j < 0:
                 return r, i
             if j:
-                r = lvl.uinv[j][r]
+                r = lvl.row(j)[r]
         if (r == self._identity).all():
             return None, -1
         return r, len(self.levels)
@@ -241,11 +271,12 @@ class StabilizerChain:
         turn, then close over the freshly reached points with all
         generators, one round per frontier.  The walk is scalar, one
         `ndarray.item` lookup per image, because a frontier is mostly
-        one to three points; numpy runs only for a new point's inverse
-        row.  Storage is charged once per round.
+        one to three points; a new point records only its Schreier
+        vector entry, and its inverse row waits for `_Level.row`.
+        Storage is charged once per round, for every new point.
         """
         lvl = self.levels[i]
-        orbit, uinv, posidx = lvl.orbit, lvl.uinv, lvl.posidx
+        orbit, uinv, via, posidx = lvl.orbit, lvl.uinv, lvl.via, lvl.posidx
         position = posidx.item
         head = len(orbit)
         batch, sweep = orbit[:head], new_gens
@@ -261,8 +292,10 @@ class StabilizerChain:
                         ginv = self._inverse(gen)
                     posidx[b] = len(orbit)
                     orbit.append(b)
-                    # u_b = u_a then gen, so u_b^-1 = gen^-1 then u_a^-1
-                    uinv.append(uinv[position(a)][ginv])
+                    # u_b = u_a then gen, so u_b^-1 = gen^-1 then u_a^-1,
+                    # gathered by row() when first read
+                    uinv.append(None)
+                    via.append(ginv)
             self._add_rows(len(orbit) - head)
             batch, sweep = orbit[head:], lvl.gens
             head = len(orbit)
@@ -295,7 +328,7 @@ class StabilizerChain:
         lvl = self.levels[k]
         word = rng.integers(0, len(lvl.gens), FILL_WORD_LENGTH)
         x = perms.compose_all([lvl.gens[i] for i in word])
-        return lvl.uinv[lvl.posidx.item(x.item(lvl.point))][x]
+        return lvl.row(lvl.posidx.item(x.item(lvl.point)))[x]
 
     def fill(self, rng: np.random.Generator, giant: int) -> None:
         """Fill the levels below a full level 0 from the top down.

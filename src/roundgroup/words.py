@@ -29,7 +29,7 @@ CAPS = {
     "table": 1 << 24,         # words in the S table (cipher.s_table)
     "materialize": 1 << 24,   # states of a dense permutation (perms)
     "chain-degree": 1 << 12,  # degree of a stabilizer chain (groups)
-    "transversal": 1 << 26,   # a chain's inverse row entries, 512 MB
+    "transversal": 1 << 26,   # inverse row entries a chain may build, 512 MB
     "goursat-width": 16,      # word width of subgroup enumeration
 }
 

@@ -165,18 +165,21 @@ def schreier_generator_failures(
     orbit index, generator index) of each one that fails."""
     levels = chain.levels
     where = [{b: k for k, b in enumerate(lvl.orbit)} for lvl in levels]
+    rows = [lvl.uinvstack() for lvl in levels]
     identity = np.arange(chain.degree)
     checked, failures = 0, []
     for i, lvl in enumerate(levels):
-        for k, (a, uinv_a) in enumerate(zip(lvl.orbit, lvl.uinv)):
+        for k, (a, uinv_a) in enumerate(zip(lvl.orbit, rows[i])):
             u_a = np.argsort(uinv_a)
             for gi, g in enumerate(lvl.gens):
-                s = lvl.uinv[where[i][int(g[a])]][g[u_a]]
-                for deeper, at in zip(levels[i + 1:], where[i + 1:]):
+                s = rows[i][where[i][int(g[a])]][g[u_a]]
+                for deeper, at, deeper_rows in zip(levels[i + 1:],
+                                                   where[i + 1:],
+                                                   rows[i + 1:]):
                     pos = at.get(int(s[deeper.point]))
                     if pos is None:
                         break
-                    s = deeper.uinv[pos][s]
+                    s = deeper_rows[pos][s]
                 checked += 1
                 if not np.array_equal(s, identity):
                     failures.append((i, k, gi))

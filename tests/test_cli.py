@@ -419,8 +419,8 @@ def test_order_small_degree(capsys):
     assert "certificate: alternating-order-match" in out
 
 
-CHAIN_COUNTERS = ["levels", "rows", "strong_generators", "schreier_sifted",
-                  "absorbed"]
+CHAIN_COUNTERS = ["levels", "rows", "built", "strong_generators",
+                  "schreier_sifted", "absorbed"]
 
 
 @pytest.mark.parametrize("fmt", ["text", "json"])
@@ -444,6 +444,8 @@ def test_order_chain_counters_on_stderr_only(fmt, capsys):
     assert int(counters["levels"]) == base_length
     # one inverse row per orbit point of each level, at least two each
     assert int(counters["rows"]) >= 2 * base_length
+    # the completion stacks, so builds, every row
+    assert counters["built"] == counters["rows"]
     # the deterministic route sifts Schreier generators and absorbs some
     assert int(counters["schreier_sifted"]) > int(counters["absorbed"]) > 0
 

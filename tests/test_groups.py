@@ -356,7 +356,8 @@ class PlainKernels(groups.StabilizerChain):
                     continue
                 lvl.posidx[b] = len(lvl.orbit)
                 lvl.orbit.append(b)
-                lvl.uinv.append(lvl.uinv[j][ginv])
+                lvl.uinv.append(lvl.row(j)[ginv])
+                lvl.via.append(ginv)
             self._add_rows(len(lvl.orbit) - before)
 
         old_len = len(lvl.orbit)
@@ -434,12 +435,12 @@ def check_chain_invariants(chain):
             assert inside[g[orbit]].all(), (k, "orbit not closed")
         # one inverse row per orbit point, each a permutation sending
         # its point to the base point; forward rows only where derived
-        assert len(lvl.uinv) == len(orbit)
+        assert len(lvl.uinv) == len(lvl.via) == len(orbit)
         assert 1 <= len(lvl.u) <= len(orbit)
-        rows = np.stack(lvl.uinv)
+        rows = lvl.uinvstack()
         assert (np.sort(rows, axis=1) == ident).all(), k
         assert (rows[np.arange(len(orbit)), orbit] == lvl.point).all(), k
-        for u, uinv in zip(lvl.u, lvl.uinv):
+        for u, uinv in zip(lvl.u, rows):
             assert np.array_equal(uinv[u], ident)
         expected = np.full(degree, -1, dtype=np.int64)
         expected[orbit] = np.arange(len(orbit))
@@ -791,6 +792,7 @@ class ForwardRows(groups.StabilizerChain):
                 inv = np.empty_like(ub)
                 inv[ub] = self._identity
                 lvl.uinv.append(inv)
+                lvl.via.append(self._inverse(gen))
                 self._add_rows(1)
 
         head = len(lvl.orbit)
@@ -817,7 +819,7 @@ def test_derived_forward_rows_match_stored_products(monkeypatch):
     assert len(stored.forward) == len(chain.levels)
     for lvl, ref, forward in zip(chain.levels, stored.levels,
                                  stored.forward):
-        assert np.array_equal(lvl.uinvstack(), np.stack(ref.uinv))
+        assert np.array_equal(lvl.uinvstack(), ref.uinvstack())
         assert np.array_equal(lvl.ustack(), np.stack(forward))
 
 
@@ -841,8 +843,10 @@ def test_verified_chain_holds_each_row_once():
 
 def test_order_match_chain_holds_inverse_rows_only():
     # sifting reads only inverse rows, so a chain certified by its order
-    # derives no forward row; its build peaks at 74.5 MB under
-    # tracemalloc, and at 144.4 MB with a forward row per orbit point
+    # derives no forward row, and it builds only the inverse rows its
+    # sifts and fill draws read: 3,719 of 32,893.  Its build peaks at
+    # 12.5 MB under tracemalloc; with every inverse row built it took
+    # 74.5 MB, and 144.4 MB with a forward row per orbit point as well
     gens = spec_generators("conforming_n4")
     tracemalloc.start()
     try:
@@ -852,7 +856,30 @@ def test_order_match_chain_holds_inverse_rows_only():
         tracemalloc.stop()
     assert chain.certificate == "alternating-order-match"
     assert [len(lvl.u) for lvl in chain.levels] == [1] * len(chain.levels)
-    assert peak < 110e6
+    assert chain.built < chain.rows / 4
+    assert peak < 30e6
+
+
+def test_rows_built_on_demand_match_the_eager_rows(monkeypatch):
+    # each row read from the Schreier tree, last orbit point first so
+    # reads walk up paths of unbuilt rows, equals the row the stack
+    # builds in orbit order, and both equal the rows PlainKernels
+    # gathers as each point joins
+    gens = spec_generators("conforming_n4")
+    chain = groups.schreier_sims(gens, np.random.default_rng(7))
+    assert chain.built < chain.rows
+    monkeypatch.setattr(groups, "StabilizerChain", PlainKernels)
+    plain = groups.schreier_sims(gens, np.random.default_rng(7))
+    assert chain_snapshot(chain) == chain_snapshot(plain)
+    for lvl, ref in zip(chain.levels, plain.levels):
+        read = [lvl.row(j) for j in reversed(range(len(lvl.orbit)))][::-1]
+        stack = lvl.uinvstack()
+        assert np.array_equal(stack, ref.uinvstack())
+        assert all(np.array_equal(row, stack[j])
+                   for j, row in enumerate(read))
+        assert all(np.array_equal(lvl.row(j), stack[j])
+                   for j in range(len(stack)))
+    assert chain.built == chain.rows
 
 
 def test_verified_chain_residues_own_their_memory():

@@ -16,8 +16,10 @@ that shares its name with a used one, never flag a used name.
 The size caps are held to one table the same way: no src module but
 words binds a cap constant, and only words.check_cap raises a cap error.
 Likewise one function builds the round maps densely: only the word
-evaluator and the block scan's scope check the materialize cap; and
-sigma has one vectorized form, cipher.swap on state halves.
+evaluator and the block scan's scope check the materialize cap;
+sigma has one vectorized form, cipher.swap on state halves; and a
+stabilizer chain's inverse rows are read through the level that builds
+them.
 """
 
 import ast
@@ -180,3 +182,27 @@ def test_one_swap_map():
                        for node in ast.walk(stmt))]
     assert callers == ["perms.word_evaluator", "verify.probe_refuted",
                        "verify.block_scan"]
+
+
+def row_indexers(tree):
+    """Functions outside `_Level` that index some `.uinv` list."""
+    skip = {id(node) for cls in ast.walk(tree)
+            if isinstance(cls, ast.ClassDef) and cls.name == "_Level"
+            for node in ast.walk(cls)}
+    return [func.name for func in ast.walk(tree)
+            if isinstance(func, ast.FunctionDef) and id(func) not in skip
+            and any(isinstance(node, ast.Subscript)
+                    and isinstance(node.value, ast.Attribute)
+                    and node.value.attr == "uinv"
+                    for node in ast.walk(func))]
+
+
+def test_inverse_rows_are_read_through_their_level():
+    # a level's inverse rows are built on first read, by _Level.row or
+    # _Level.uinvstack, so nothing else in src indexes the row list,
+    # where an unbuilt row is None
+    assert row_indexers(ast.parse(
+        "def sift(lvl, j, r):\n    return lvl.uinv[j][r]")) == ["sift"]
+    offenders = [f"{path.stem}.{name}" for path in sorted(SRC.glob("*.py"))
+                 for name in row_indexers(parse(path))]
+    assert not offenders, f"unbuilt rows readable in: {', '.join(offenders)}"
