@@ -349,6 +349,7 @@ def order_report(args, spec: CipherSpec) -> Report:
         f"rows={chain.rows} built={chain.built} "
         f"strong_generators={chain.strong_generators} "
         f"schreier_sifted={chain.schreier_sifted} "
+        f"gathered={chain.gathered} "
         f"absorbed={chain.absorbed}",
         f"chain-stages fill={stages['fill']:.2f}s "
         f"random={stages['random']:.2f}s "

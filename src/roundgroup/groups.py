@@ -50,9 +50,12 @@ correctness story is spelled out:
   1,024.  Route (2) covers the degenerate groups where no parity certificate exists.
 * Two sift paths.  Scalar `sift` reduces one element per call, as the
   random phase needs.  The completion has one batched kernel,
-  `_first_stall`: one flat gather per level of sift depth, up to the
-  first level where some row stalls.  Its one caller, `_drain`, sifts
-  each Schreier generator once and absorbs at most one residue a call.
+  `_first_stall`: one flat gather per level of sift depth that moves
+  some row, up to the first level where some row stalls.  A row that
+  fixes a level's base point would meet the identity row there, so a
+  level that moves no row costs one lookup and no gather.  Its one
+  caller, `_drain`, sifts each Schreier generator once and absorbs at
+  most one residue a call.
 * Two shortcuts leave the chain unchanged (same base, orbits in the
   same order, same strong generators in the same order).  The random
   phase stops at the first clean sift once the order is the largest
@@ -204,9 +207,12 @@ class StabilizerChain:
         # they grow
         self.rows = 0
         # completion counters: Schreier generators sifted, residues
-        # absorbed from them
+        # absorbed from them, and rows the batched kernel gathered, once
+        # per level it gathered them at (times the degree, the entries
+        # it gathered)
         self.schreier_sifted = 0
         self.absorbed = 0
+        self.gathered = 0
         # wall seconds schreier_sims spent seeding and filling, in its
         # random phase and in the deterministic completion, for the
         # caller's timing line
@@ -387,20 +393,32 @@ class StabilizerChain:
         row, and `reduced` holds every row reduced through level i - 1.
         At the bottom i is the chain length and j the first row that is
         not the identity, or -1 when every row sifts to the identity.
+
         Identity rows meet position 0 at every level, so carrying them
-        never changes (i, j).  Each level tests its rows with one
-        reduction: positions are -1 or an orbit index, so the first
-        minimum is the first stalled row if any row stalls."""
+        never changes (i, j).  A row at position 0 fixes the level's base
+        point, and inverse row 0 is the identity, so gathering it leaves
+        it as it is: a level where every position is 0 (no row moves,
+        none stalls) is passed over with no gather.  Any other level
+        tests its rows with one reduction: positions are -1 or an orbit
+        index, so the first minimum is the first stalled row if any row
+        stalls.  Then one flat gather takes every row r to
+        uinv[pos[r]][cur[r]], and `gathered` grows by the batch size.
+        Gathering the moving rows alone, into a copy of the batch, was
+        slower at the batch sizes the completion makes (about 14 rows):
+        the extra row indexing cost more than the identity rows it
+        skipped."""
         cur = rows
         index, work = np.empty_like(rows), np.empty_like(rows)
         for i, lvl in enumerate(self.levels[level:], level):
             pos = lvl.posidx[cur[:, lvl.point]]
+            if not np.count_nonzero(pos):
+                continue
             j = int(pos.argmin())
             if pos[j] < 0:
                 return cur, i, j
+            self.gathered += len(cur)
             pos *= self.degree
             np.add(cur, pos[:, None], out=index)
-            # row r becomes uinv[pos[r]][cur[r]]: one flat gather
             lvl.uinvstack().take(index, out=work, mode="clip")
             cur = work
         moved = (cur != self._identity).any(axis=1)

@@ -420,7 +420,7 @@ def test_order_small_degree(capsys):
 
 
 CHAIN_COUNTERS = ["levels", "rows", "built", "strong_generators",
-                  "schreier_sifted", "absorbed"]
+                  "schreier_sifted", "gathered", "absorbed"]
 
 
 @pytest.mark.parametrize("fmt", ["text", "json"])

@@ -565,12 +565,21 @@ def test_group_split_keeps_the_per_segment_chain(monkeypatch):
     assert chain_snapshot(chain) == chain_snapshot(plain)
 
 
-def test_first_stall_matches_scalar_sift():
+def test_first_stall_matches_scalar_sift(monkeypatch):
     # the batched kernel stops at the lowest stall level over its rows,
     # at the lowest row stalling there; that row's reduced form is its
-    # scalar residue, and the batch itself is left as it was.  Batches
-    # mix group elements, identity rows, random permutations and
-    # random permutations fixing the whole base
+    # scalar residue, and the batch itself is left as it was.  When no
+    # row stalls inside the chain, every reduced row is its scalar sift
+    # result: the identity, or the residue fixing the whole base.  The
+    # kernel gathers the whole batch at each level above the stall where
+    # some row moves, and passes over the others.  Mixed batches hold
+    # group elements, identity rows, random permutations and random
+    # permutations fixing the whole base; one moving row among identity
+    # rows makes levels that only that row moves, and batches that all
+    # move base point 0 make levels that every row moves.  The chain is
+    # built by PlainKernels, which never calls the kernel, so a faulty
+    # kernel fails here instead of building a wrong chain
+    monkeypatch.setattr(groups, "StabilizerChain", PlainKernels)
     gens = spec_generators("identity_r0_n4")
     chain = groups.schreier_sims(gens, np.random.default_rng(0))
     assert chain.certificate == "schreier-verified"
@@ -580,31 +589,64 @@ def test_first_stall_matches_scalar_sift():
     ident = np.arange(degree, dtype=np.int64)
     free = np.setdiff1d(ident, chain.base)
 
+    def element():
+        return perms.compose_all(
+            [pool[i] for i in rng.integers(0, len(pool), 8)])
+
     def fixing_base():
         row = ident.copy()
         row[free] = rng.permutation(free)
         return row
 
-    makers = [lambda: perms.compose_all(
-                  [pool[i] for i in rng.integers(0, len(pool), 8)]),
-              lambda: ident.copy(),
-              lambda: rng.permutation(degree),
-              fixing_base]
-    outcomes = set()
-    for _ in range(60):
+    def moving_base():
+        while (row := element())[chain.base[0]] == chain.base[0]:
+            pass
+        return row
+
+    movers = [element, lambda: rng.permutation(degree), fixing_base]
+    makers = movers + [lambda: ident.copy()]
+
+    def mixed():
         kinds = rng.integers(0, len(makers), int(rng.integers(1, 12)))
-        batch = np.stack([makers[k]() for k in kinds])
+        return [makers[k]() for k in kinds]
+
+    def one_moving():
+        rows = [ident.copy() for _ in range(int(rng.integers(1, 12)))]
+        rows[int(rng.integers(len(rows)))] = movers[
+            int(rng.integers(len(movers)))]()
+        return rows
+
+    def all_moving():
+        return [moving_base() for _ in range(int(rng.integers(1, 12)))]
+
+    def moving_levels(row, levels):
+        moved = set()
+        for k, lvl in enumerate(chain.levels[:levels]):
+            j = lvl.posidx.item(row.item(lvl.point))
+            if j:
+                moved.add(k)
+                row = lvl.row(j)[row]
+        return moved
+
+    outcomes = set()
+    for make in [mixed] * 60 + [one_moving] * 30 + [all_moving] * 20:
+        batch = np.stack(make())
         before = batch.copy()
         stalls = []
         for row in batch:
             residue, level = chain.sift(row)
             stalls.append((depth + 1 if residue is None else level,
-                           residue))
+                           ident if residue is None else residue))
         lowest = min(level for level, _ in stalls)
+        gathered = chain.gathered
         reduced, i, j = chain._first_stall(batch, 0)
         assert np.array_equal(batch, before)
-        if lowest > depth:
-            assert (i, j) == (depth, -1)
+        assert chain.gathered - gathered == len(batch) * len(
+            set().union(*(moving_levels(row, i) for row in batch)))
+        if lowest >= depth:
+            assert (i, j) == ((depth, -1) if lowest > depth else
+                              (depth, [s for s, _ in stalls].index(depth)))
+            assert np.array_equal(reduced, np.stack([r for _, r in stalls]))
         else:
             first = next(k for k, (level, _) in enumerate(stalls)
                          if level == lowest)
