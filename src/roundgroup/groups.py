@@ -207,9 +207,8 @@ class StabilizerChain:
         # they grow
         self.rows = 0
         # completion counters: Schreier generators sifted, residues
-        # absorbed from them, and rows the batched kernel gathered, once
-        # per level it gathered them at (times the degree, the entries
-        # it gathered)
+        # absorbed from them, and rows the batched kernel gathered,
+        # counted at each level (times the degree: entries gathered)
         self.schreier_sifted = 0
         self.absorbed = 0
         self.gathered = 0

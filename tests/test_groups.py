@@ -632,26 +632,25 @@ def test_first_stall_matches_scalar_sift(monkeypatch):
     for make in [mixed] * 60 + [one_moving] * 30 + [all_moving] * 20:
         batch = np.stack(make())
         before = batch.copy()
-        stalls = []
+        levels, residues = [], []
         for row in batch:
             residue, level = chain.sift(row)
-            stalls.append((depth + 1 if residue is None else level,
-                           ident if residue is None else residue))
-        lowest = min(level for level, _ in stalls)
+            levels.append(depth + 1 if residue is None else level)
+            residues.append(ident if residue is None else residue)
+        lowest = min(levels)
         gathered = chain.gathered
         reduced, i, j = chain._first_stall(batch, 0)
         assert np.array_equal(batch, before)
         assert chain.gathered - gathered == len(batch) * len(
             set().union(*(moving_levels(row, i) for row in batch)))
-        if lowest >= depth:
-            assert (i, j) == ((depth, -1) if lowest > depth else
-                              (depth, [s for s, _ in stalls].index(depth)))
-            assert np.array_equal(reduced, np.stack([r for _, r in stalls]))
+        if lowest > depth:
+            assert (i, j) == (depth, -1)
         else:
-            first = next(k for k, (level, _) in enumerate(stalls)
-                         if level == lowest)
-            assert (i, j) == (lowest, first)
-            assert np.array_equal(reduced[j], stalls[j][1])
+            assert (i, j) == (lowest, levels.index(lowest))
+        if lowest >= depth:
+            assert np.array_equal(reduced, np.stack(residues))
+        else:
+            assert np.array_equal(reduced[j], residues[j])
         outcomes.add(i + (j < 0))
     # stalls inside the chain, at the bottom, and none (the group is
     # transitive, so no row stalls at level 0)
