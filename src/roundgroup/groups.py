@@ -44,10 +44,11 @@ correctness story is spelled out:
       rows stay valid while it waits as a suspended step of one loop,
       never as a nested call.
   Route (1) is the cheap one: it needs no Schreier generator, so an
-  alternating chain costs only its fill and random phase.  It is still
-  bounded by the size caps in words.CAPS: chain degree 4,096 and
-  transversal storage, which an alternating group exhausts at degree
-  1,024.  Route (2) covers the degenerate groups where no parity certificate exists.
+  alternating chain costs only its fill, plus a random phase where the
+  fill stops short.  It is still bounded by the size caps in
+  words.CAPS: chain degree 4,096 and transversal storage, which an
+  alternating group exhausts at degree 1,024.  Route (2) covers the
+  degenerate groups where no parity certificate exists.
 * Two sift paths.  Scalar `sift` reduces one element per call, as the
   random phase needs.  The completion has one batched kernel,
   `_first_stall`: one flat gather per level of sift depth that moves
@@ -58,12 +59,14 @@ correctness story is spelled out:
   most one residue a call.
 * Two shortcuts leave the chain unchanged (same base, orbits in the
   same order, same strong generators in the same order).  The random
-  phase stops at the first clean sift once the order is the largest
-  the generators allow (N!/2 with every generator even, else N!),
-  since such a chain can no longer grow.  The completion drains a
-  level's Schreier generators in groups of consecutive (generator,
-  orbit chunk) segments, split where a later segment stalls first, so
-  each segment absorbs what it would if drained on its own.
+  phase ends, or never starts, once the order is the largest the
+  generators allow (N!/2 with every generator even, else N!): the
+  lower bound above then makes the chain complete, so a further
+  product could only sift clean, and none is sifted.  The completion
+  drains a level's Schreier generators in groups of consecutive
+  (generator, orbit chunk) segments, split where a later segment
+  stalls first, so each segment absorbs what it would if drained on
+  its own.
 * Storage.  A level keeps a Schreier vector: a point b = gen(a) joins
   labelled gen^-1, the generator's inverse, computed once (by
   `_alphabet` for an original generator) and shared by every level the
@@ -276,14 +279,18 @@ class StabilizerChain:
         turn, then close over the freshly reached points with all
         generators, one round per frontier.  The walk is scalar, one
         `ndarray.item` lookup per image, because a frontier is mostly
-        one to three points; a new point records only its Schreier
-        vector entry, and its inverse row waits for `_Level.row`.
-        Storage is charged once per round, for every new point.
+        one to three points.  Orbit membership is read from a plain
+        list built from `posidx`, cheaper than a lookup in the array,
+        and `posidx` is written once, for every new point, when the
+        orbit is closed (it has no other writer but `_Level`).  A new
+        point records only its Schreier vector entry, and its inverse
+        row waits for `_Level.row`.  Storage is charged once per round,
+        for every new point.
         """
         lvl = self.levels[i]
-        orbit, uinv, via, posidx = lvl.orbit, lvl.uinv, lvl.via, lvl.posidx
-        position = posidx.item
-        head = len(orbit)
+        orbit, uinv, via = lvl.orbit, lvl.uinv, lvl.via
+        inside = (lvl.posidx >= 0).tolist()
+        start = head = len(orbit)
         batch, sweep = orbit[:head], new_gens
         while batch:
             for gen in sweep:
@@ -291,11 +298,11 @@ class StabilizerChain:
                 ginv = None
                 for a in batch:
                     b = image(a)
-                    if position(b) >= 0:
+                    if inside[b]:
                         continue
                     if ginv is None:
                         ginv = self._inverse(gen)
-                    posidx[b] = len(orbit)
+                    inside[b] = True
                     orbit.append(b)
                     # u_b = u_a then gen, so u_b^-1 = gen^-1 then u_a^-1,
                     # gathered by row() when first read
@@ -304,6 +311,7 @@ class StabilizerChain:
             self._add_rows(len(orbit) - head)
             batch, sweep = orbit[head:], lvl.gens
             head = len(orbit)
+        lvl.posidx[orbit[start:]] = np.arange(start, len(orbit))
 
     def _add_generator(self, stall: int, *residues: np.ndarray,
                        floor: int = 0) -> None:
@@ -346,8 +354,9 @@ class StabilizerChain:
         seeding left full still takes two draws: its one generator may
         be a single cycle on the orbit, whose powers leave nothing for
         the next level to draw.  The fill stops once the full levels
-        reach `giant`, or at the first level still short after
-        FILL_TRIES draws; the random phase goes on from either stop.
+        reach `giant`, which leaves the random phase nothing to sift,
+        or at the first level still short after FILL_TRIES draws, where
+        the random phase goes on.
 
         The fill runs only where level 0 is full, since only then can
         the chain be a giant's.  Like every chain it stops at the
@@ -566,19 +575,17 @@ def schreier_sims(gens: list[np.ndarray],
         return chain
     all_even = all(perms.sign(g) == 1 for g in gens)
     half = math.factorial(degree) // 2
-    # the largest order <gens> can have; a chain of that order can no
-    # longer grow, so the first clean sift after reaching it ends the
-    # random phase
+    # the largest order <gens> can have; a chain of that order is
+    # complete (module docstring), so reaching it, in the fill or by a
+    # fed product, ends the random phase with nothing more sifted
     giant = half if all_even else 2 * half
     chain.fill(rng, giant)
     fill_s = time.perf_counter() - t0
     clean = 0
-    while clean < CLEAN_STREAK:
+    while clean < CLEAN_STREAK and chain.order < giant:
         mix = rng.integers(0, len(pool), MIX_LENGTH)
         if chain.feed(perms.compose_all([pool[i] for i in mix])):
             clean = 0
-        elif chain.order == giant:
-            break
         else:
             clean += 1
     random_s = time.perf_counter() - t0 - fill_s

@@ -3,8 +3,9 @@
 A permutation of degree N is an int64 array `p` of length N holding a
 rearrangement of 0..N-1; p[x] is the image of x.  Composition is in
 application order: compose_all([p, q]) applies p first, matching the
-postfix convention of the cipher maps.  inverse(p) also takes a 2-D
-stack of permutations and inverts every row in one scatter.
+postfix convention of the cipher maps.  inverse(p) inverts one
+permutation by the scatter out[p] = 0..N-1, and also takes a 2-D stack
+of permutations, inverting every row in one put_along_axis.
 cycle_reps(p), the one cycle kernel, labels each point with the least
 point of its cycle; sign and cycle_lengths count those labels.
 long_cycle(p), all a witness trial needs, is the length of p's one
@@ -47,7 +48,11 @@ def compose_all(ps) -> np.ndarray:
 
 def inverse(p: np.ndarray) -> np.ndarray:
     out = np.empty_like(p)
-    np.put_along_axis(out, p, np.arange(p.shape[-1], dtype=p.dtype), axis=-1)
+    ident = np.arange(p.shape[-1], dtype=p.dtype)
+    if p.ndim == 1:
+        out[p] = ident
+    else:
+        np.put_along_axis(out, p, ident, axis=-1)
     return out
 
 

@@ -447,8 +447,20 @@ def check_chain_invariants(chain):
         assert np.array_equal(lvl.posidx, expected), k
 
 
+def via_labels(chain, lvl):
+    """Each orbit point's Schreier vector entry as the index in lvl.gens
+    of the generator it inverts (-1 for the base point), as bytes."""
+    label = {}
+    for k, g in enumerate(lvl.gens):
+        label.setdefault(id(chain._inverse(g)), k)
+    return np.array([-1] + [label[id(v)] for v in lvl.via[1:]],
+                    dtype=np.int64).tobytes()
+
+
 def chain_snapshot(chain):
     return (chain.base, [lvl.orbit for lvl in chain.levels],
+            [lvl.posidx.tobytes() for lvl in chain.levels],
+            [via_labels(chain, lvl) for lvl in chain.levels],
             [[g.tobytes() for g in lvl.gens] for lvl in chain.levels],
             chain.order, chain.certificate, chain.schreier_sifted,
             chain.absorbed)
@@ -658,8 +670,8 @@ def test_first_stall_matches_scalar_sift(monkeypatch):
 
 
 def test_order_match_chain_is_final(monkeypatch):
-    # the fill reaches |Alt(N)|, so the random phase sifts one product,
-    # clean, and ends; the chain is then final, so no product changes it
+    # the fill reaches |Alt(N)|, so the random phase sifts no product;
+    # the chain is then final, so no product changes it
     fed = []
     feed = groups.StabilizerChain.feed
 
@@ -671,7 +683,7 @@ def test_order_match_chain_is_final(monkeypatch):
     gens = spec_generators("conforming_n4")
     chain = groups.schreier_sims(gens, np.random.default_rng(7))
     assert chain.certificate == "alternating-order-match"
-    assert fed[len(gens):] == [False]
+    assert fed[len(gens):] == []
     before = chain_snapshot(chain)
     pool = gens + [perms.inverse(g) for g in gens]
     rng = np.random.default_rng(8)
@@ -763,14 +775,18 @@ def test_fill_of_unreduced_draws_breaks_the_base_invariant(monkeypatch):
 @pytest.mark.parametrize("seed", [0, 7])
 def test_fill_leaves_the_random_phase_few_products(seed, monkeypatch):
     # the fill builds conforming_n4's Alt(256) chain level by level, so
-    # the random phase after it feeds at most 20 products; without the
-    # fill it fed 384 (seed 0) and 378 (seed 7), each sifted through
-    # the whole chain
-    events = []
+    # the random phase after it feeds at most 20 products, and none once
+    # the fill reaches |Alt(256)|; without the fill it fed 384 (seed 0)
+    # and 378 (seed 7), each sifted through the whole chain
+    events, filled = [], []
     fill, feed = groups.StabilizerChain.fill, groups.StabilizerChain.feed
-    monkeypatch.setattr(groups.StabilizerChain, "fill",
-                        lambda self, rng, giant: events.append("fill")
-                        or fill(self, rng, giant))
+
+    def recording_fill(self, rng, giant):
+        events.append("fill")
+        fill(self, rng, giant)
+        filled.append(self.order == giant)
+
+    monkeypatch.setattr(groups.StabilizerChain, "fill", recording_fill)
     monkeypatch.setattr(groups.StabilizerChain, "feed",
                         lambda self, p: events.append("feed")
                         or feed(self, p))
@@ -778,7 +794,9 @@ def test_fill_leaves_the_random_phase_few_products(seed, monkeypatch):
                                  np.random.default_rng(seed))
     assert chain.certificate == "alternating-order-match"
     assert events.count("fill") == 1
-    assert 0 < len(events[events.index("fill") + 1:]) <= 20
+    fed = len(events[events.index("fill") + 1:])
+    assert fed <= 20
+    assert (fed == 0) == filled[0]
 
 
 def test_storage_cap_fires_within_one_closure_round(monkeypatch):
@@ -885,8 +903,9 @@ def test_verified_chain_holds_each_row_once():
 def test_order_match_chain_holds_inverse_rows_only():
     # sifting reads only inverse rows, so a chain certified by its order
     # derives no forward row, and it builds only the inverse rows its
-    # sifts and fill draws read: 3,719 of 32,893.  Its build peaks at
-    # 12.5 MB under tracemalloc; with every inverse row built it took
+    # seeding sifts and fill draws read (its fill reaches the match, so
+    # nothing is sifted after it): 2,797 of 32,893.  Its build peaks at
+    # 10.5 MB under tracemalloc; with every inverse row built it took
     # 74.5 MB, and 144.4 MB with a forward row per orbit point as well
     gens = spec_generators("conforming_n4")
     tracemalloc.start()

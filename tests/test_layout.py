@@ -206,3 +206,62 @@ def test_inverse_rows_are_read_through_their_level():
     offenders = [f"{path.stem}.{name}" for path in sorted(SRC.glob("*.py"))
                  for name in row_indexers(parse(path))]
     assert not offenders, f"unbuilt rows readable in: {', '.join(offenders)}"
+
+
+def posidx_writers(tree):
+    """Labels of the functions and methods that assign to a `.posidx`,
+    or to an item of a name bound to one (`posidx = lvl.posidx`)."""
+    def writes(func):
+        assigns = [node for node in ast.walk(func)
+                   if isinstance(node, (ast.Assign, ast.AugAssign,
+                                        ast.AnnAssign))]
+        aliases = set()
+        for node in assigns:
+            for t in getattr(node, "targets", []):
+                pairs = (zip(t.elts, node.value.elts)
+                         if isinstance(t, ast.Tuple)
+                         and isinstance(node.value, ast.Tuple)
+                         else [(t, node.value)])
+                aliases |= {name.id for name, value in pairs
+                            if isinstance(name, ast.Name)
+                            and isinstance(value, ast.Attribute)
+                            and value.attr == "posidx"}
+        for node in assigns:
+            targets = (node.targets if isinstance(node, ast.Assign)
+                       else [node.target])
+            for target in targets:
+                written = target
+                while isinstance(written, ast.Subscript):
+                    written = written.value
+                if isinstance(written, ast.Attribute) and \
+                        written.attr == "posidx":
+                    return True
+                if written is not target and isinstance(written, ast.Name) \
+                        and written.id in aliases:
+                    return True
+        return False
+
+    funcs = []
+    for stmt in tree.body:
+        if isinstance(stmt, ast.FunctionDef):
+            funcs.append((stmt.name, stmt))
+        elif isinstance(stmt, ast.ClassDef):
+            funcs += [(f"{stmt.name}.{sub.name}", sub) for sub in stmt.body
+                      if isinstance(sub, ast.FunctionDef)]
+    return [label for label, func in funcs if writes(func)]
+
+
+def test_orbit_positions_have_two_writers():
+    # a level's posidx is set up by _Level.__init__ and grown only by
+    # StabilizerChain._extend_level, which writes it once per closure and
+    # keeps membership in a list meanwhile: no other code may write it
+    # while a closure is open
+    assert posidx_writers(ast.parse(
+        "def f(lvl):\n    p = lvl.posidx\n    p[0] = 1\n"
+        "class C:\n    def g(self, a):\n        a.posidx[a.b] += 1\n"
+        "    def h(self, a):\n        q = a.posidx\n        return q[0]\n"
+    )) == ["f", "C.g"]
+    writers = [f"{path.stem}.{label}" for path in sorted(SRC.glob("*.py"))
+               for label in posidx_writers(parse(path))]
+    assert writers == ["groups._Level.__init__",
+                       "groups.StabilizerChain._extend_level"]

@@ -71,6 +71,17 @@ def test_compose_inverse_power():
                           perms.compose_all([p, p, p, p, p]))
     assert np.array_equal(perms.power(p, -2),
                           perms.inverse(perms.power(p, 2)))
+    # a single permutation is inverted by one scatter, a stack of them
+    # row by row: both agree
+    for degree in (1, 256, 4096):
+        p = random_perm(degree, rng)
+        inv = perms.inverse(p)
+        assert np.array_equal(inv[p], np.arange(degree))
+        assert np.array_equal(inv, perms.inverse(p[None])[0])
+    stack = np.stack([random_perm(40, rng) for _ in range(3)])
+    inv = perms.inverse(stack)
+    assert np.array_equal(np.take_along_axis(inv, stack, axis=1),
+                          np.broadcast_to(np.arange(40), stack.shape))
 
 
 def test_sign_basics():
