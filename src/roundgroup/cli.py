@@ -324,7 +324,11 @@ def order_report(args, spec: CipherSpec) -> Report:
     degree = spec.degree
     words.check_cap("chain-degree", degree)  # before any dense generator
     gens = perms.standard_generators(spec)
-    chain = groups.schreier_sims(gens, np.random.default_rng(args.seed))
+    # a certified block system proves the group no giant, so a fill
+    # that stops short goes straight to the deterministic route
+    chain = groups.schreier_sims(
+        gens, np.random.default_rng(args.seed),
+        not_giant=lambda: bool(verify.block_scan(spec).certified))
     order = chain.order
     half = math.factorial(degree) // 2
     if order == half:
@@ -348,6 +352,7 @@ def order_report(args, spec: CipherSpec) -> Report:
         f"chain {sum(stages.values()):.2f}s levels={len(chain.levels)} "
         f"rows={chain.rows} built={chain.built} "
         f"strong_generators={chain.strong_generators} "
+        f"fed={chain.fed} "
         f"schreier_sifted={chain.schreier_sifted} "
         f"gathered={chain.gathered} "
         f"absorbed={chain.absorbed}",

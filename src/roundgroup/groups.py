@@ -11,14 +11,18 @@ correctness story is spelled out:
   reduced by the one inverse row of x(b_k), fixes b_0..b_k, and such
   draws join level k + 1 until its orbit has every point not yet in
   the base (random Schreier generators; Seress, *Permutation Group
-  Algorithms*, 2003, ch. 4).  The random phase then sifts random
-  products of the generators through the whole chain, as it would
-  without the fill, and absorbs what they add.  At any moment
-  M = prod(basic orbit lengths) is a certified LOWER bound for |G|,
-  complete chain or not: every level generator is a word in the
-  generators fixing the earlier base points, so the products
-  u_0 u_1 ... u_k of one transversal element per level are distinct
-  elements of G (sifting recovers each u_i in turn).
+  Algorithms*, 2003, ch. 4).  Where level k's draws leave level k + 1
+  short, x is drawn from a level further up and reduced by one row at
+  each level down to k.  The random phase then sifts random products
+  of the generators through the whole chain, as it would without the
+  fill, and absorbs what they add; it runs only where the fill stops
+  short and the caller has not proved the group no giant.  At any
+  moment M = prod(basic orbit lengths) is a certified LOWER bound for
+  |G|, complete chain or not: every level generator is a word in the
+  generators fixing the earlier base points (a fill draw from any
+  level included), so the products u_0 u_1 ... u_k of one transversal
+  element per level are distinct elements of G (sifting recovers each
+  u_i in turn).
 * Exactness is then established one of two ways.
   (1) Certificate route: if every generator is even then G lies in the
       alternating group, so M <= |G| <= N!/2; observing M == N!/2
@@ -44,10 +48,10 @@ correctness story is spelled out:
       rows stay valid while it waits as a suspended step of one loop,
       never as a nested call.
   Route (1) is the cheap one: it needs no Schreier generator, so an
-  alternating chain costs only its fill, plus a random phase where the
-  fill stops short.  It is still bounded by the size caps in
-  words.CAPS: chain degree 4,096 and transversal storage, which an
-  alternating group exhausts at degree 1,024.  Route (2) covers the
+  alternating chain costs only its fill, plus a random phase in the
+  rare case the fill stops short.  It is still bounded by the size
+  caps in words.CAPS: chain degree 4,096 and transversal storage,
+  which an alternating group exhausts at degree 1,024.  Route (2) covers the
   degenerate groups where no parity certificate exists.
 * Two sift paths.  Scalar `sift` reduces one element per call, as the
   random phase needs.  The completion has one batched kernel,
@@ -57,16 +61,19 @@ correctness story is spelled out:
   level that moves no row costs one lookup and no gather.  Its one
   caller, `_drain`, sifts each Schreier generator once and absorbs at
   most one residue a call.
-* Two shortcuts leave the chain unchanged (same base, orbits in the
+* Three shortcuts leave the chain unchanged (same base, orbits in the
   same order, same strong generators in the same order).  The random
   phase ends, or never starts, once the order is the largest the
   generators allow (N!/2 with every generator even, else N!): the
   lower bound above then makes the chain complete, so a further
-  product could only sift clean, and none is sifted.  The completion
-  drains a level's Schreier generators in groups of consecutive
-  (generator, orbit chunk) segments, split where a later segment
-  stalls first, so each segment absorbs what it would if drained on
-  its own.
+  product could only sift clean, and none is sifted.  It never starts
+  either when the caller proves the group no giant (`schreier_sims`'s
+  not_giant): no order match can follow, and route (2)'s rebuild
+  reads no rng, so the chain is the one the random phase would have
+  led to.  The completion drains a level's Schreier generators in
+  groups of consecutive (generator, orbit chunk) segments, split where
+  a later segment stalls first, so each segment absorbs what it would
+  if drained on its own.
 * Storage.  A level keeps a Schreier vector: a point b = gen(a) joins
   labelled gen^-1, the generator's inverse, computed once (by
   `_alphabet` for an original generator) and shared by every level the
@@ -103,8 +110,9 @@ MIX_LENGTH = 16
 # image's own transversal word and reduces to the identity: 6 letters
 # stalled Alt(256) fills, 8 to 16 completed them, 12 covers degree
 # 4,096.  A giant's level fills in two or three draws, so FILL_TRIES
-# only bounds the draws wasted on a level that cannot fill (8 to 24
-# tries filled the same Alt(256) chains)
+# only bounds the draws a short level wastes at each level it draws
+# from, before the fill goes further up or, after level 0, gives up (8
+# to 24 tries filled the same Alt(256) chains)
 FILL_WORD_LENGTH = 12
 FILL_TRIES = 12
 
@@ -160,7 +168,11 @@ class _Level:
 
     def row(self, j: int) -> np.ndarray:
         """Inverse row j: walk up the Schreier tree to the nearest built
-        row, then gather down the path, caching every row it builds."""
+        row, then gather down the path, caching every row it builds.
+        A point outside the orbit (position -1) has no row: it is
+        refused, not read as the last one."""
+        if j < 0:
+            raise IndexError(f"no inverse row at position {j}")
         uinv = self.uinv
         path = []
         while uinv[j] is None:
@@ -215,6 +227,9 @@ class StabilizerChain:
         self.schreier_sifted = 0
         self.absorbed = 0
         self.gathered = 0
+        # products the random phase sifted, set by schreier_sims (the
+        # chain they grew may have been rebuilt since)
+        self.fed = 0
         # wall seconds schreier_sims spent seeding and filling, in its
         # random phase and in the deterministic completion, for the
         # caller's timing line
@@ -278,26 +293,30 @@ class StabilizerChain:
         First sweep the whole current orbit with each new generator in
         turn, then close over the freshly reached points with all
         generators, one round per frontier.  The walk is scalar, one
-        `ndarray.item` lookup per image, because a frontier is mostly
-        one to three points.  Orbit membership is read from a plain
-        list built from `posidx`, cheaper than a lookup in the array,
-        and `posidx` is written once, for every new point, when the
-        orbit is closed (it has no other writer but `_Level`).  A new
-        point records only its Schreier vector entry, and its inverse
-        row waits for `_Level.row`.  Storage is charged once per round,
-        for every new point.
+        list lookup per image, because a frontier is mostly one to
+        three points.  Images and orbit membership are read from plain
+        lists, cheaper than lookups in the arrays: each generator's
+        images are listed once per call, when the walk first uses it,
+        and membership is listed from `posidx`, which is written once,
+        for every new point, when the orbit is closed (it has no other
+        writer but `_Level`).  A new point records only its Schreier
+        vector entry, and its inverse row waits for `_Level.row`.
+        Storage is charged once per round, for every new point.
         """
         lvl = self.levels[i]
         orbit, uinv, via = lvl.orbit, lvl.uinv, lvl.via
         inside = (lvl.posidx >= 0).tolist()
+        images: dict[int, list[int]] = {}
         start = head = len(orbit)
         batch, sweep = orbit[:head], new_gens
         while batch:
             for gen in sweep:
-                image = gen.item
+                image = images.get(id(gen))
+                if image is None:
+                    image = images[id(gen)] = gen.tolist()
                 ginv = None
                 for a in batch:
-                    b = image(a)
+                    b = image[a]
                     if inside[b]:
                         continue
                     if ginv is None:
@@ -335,13 +354,23 @@ class StabilizerChain:
             if any((inside & ~inside[r]).any() for r in residues):
                 self._extend_level(i, *residues)
 
-    def _draw(self, k: int, rng: np.random.Generator) -> np.ndarray:
-        """A product x of FILL_WORD_LENGTH random generators of level k,
-        reduced by one inverse row: uinv_{x(b_k)} x fixes b_0..b_k."""
-        lvl = self.levels[k]
+    def _draw(self, top: int, k: int, rng: np.random.Generator) -> np.ndarray:
+        """A product x of FILL_WORD_LENGTH random generators of level
+        top <= k, reduced by one inverse row at each level from top to
+        k, so that it fixes b_0..b_k.  Level top's generators fix
+        b_0..b_{top-1}; each reduction fixes one more base point, and
+        each level it reads holds every point not yet in the base
+        (fill() reaches level k only through full levels), so x(b_i)
+        always has a row.  A level whose base point x fixes is passed
+        over: its row 0 is the identity."""
+        lvl = self.levels[top]
         word = rng.integers(0, len(lvl.gens), FILL_WORD_LENGTH)
         x = perms.compose_all([lvl.gens[i] for i in word])
-        return lvl.row(lvl.posidx.item(x.item(lvl.point)))[x]
+        for lvl in self.levels[top:k + 1]:
+            j = lvl.posidx.item(x.item(lvl.point))
+            if j:
+                x = lvl.row(j)[x]
+        return x
 
     def fill(self, rng: np.random.Generator, giant: int) -> None:
         """Fill the levels below a full level 0 from the top down.
@@ -354,9 +383,19 @@ class StabilizerChain:
         seeding left full still takes two draws: its one generator may
         be a single cycle on the orbit, whose powers leave nothing for
         the next level to draw.  The fill stops once the full levels
-        reach `giant`, which leaves the random phase nothing to sift,
-        or at the first level still short after FILL_TRIES draws, where
-        the random phase goes on.
+        reach `giant`, which leaves the random phase nothing to sift.
+
+        When FILL_TRIES draws of level k leave level k + 1 short, the
+        draws come from further up: level k - 1, then k - 3, k - 7, ...
+        and last level 0, each reduced down to level k and each given
+        FILL_TRIES tries.  Level k's generators may generate a proper
+        subgroup of the stabilizer that is still transitive on its
+        orbit, so the orbit is full but the next level stays short; a
+        draw from further up is a random element of a larger
+        stabilizer, and its reduction to level k skips that subgroup.
+        The fill gives up, and the random phase goes on, only once
+        level 0's draws too leave level k + 1 short; a group that is
+        no giant always ends there.
 
         The fill runs only where level 0 is full, since only then can
         the chain be a giant's.  Like every chain it stops at the
@@ -367,12 +406,14 @@ class StabilizerChain:
         k, order = 0, self.degree
         while order < giant:
             want = self.degree - k - 1
-            draws, tries = [], 0
+            draws, top, step, tries = [], k, 1, 0
             while len(draws) < 2 or len(self.levels[k + 1].orbit) < want:
                 if tries == FILL_TRIES:
-                    return
+                    if top == 0:
+                        return
+                    top, step, tries = max(top - step, 0), 2 * step, 0
                 tries += 1
-                s = self._draw(k, rng)
+                s = self._draw(top, k, rng)
                 if (s == self._identity).all():
                     continue
                 draws.append(s)
@@ -547,12 +588,21 @@ class StabilizerChain:
 
 
 def schreier_sims(gens: list[np.ndarray],
-                  rng: np.random.Generator | None = None) -> StabilizerChain:
+                  rng: np.random.Generator | None = None,
+                  not_giant: Callable[[], bool] | None = None
+                  ) -> StabilizerChain:
     """Exact-order stabilizer chain for <gens>; see module docstring.
 
     The returned chain's .certificate names how exactness was proved:
     'alternating-order-match', 'symmetric-order-match', or
     'schreier-verified'.
+
+    not_giant, when given, is asked only if the fill stops short of the
+    giant order; True must mean the caller has proved <gens> neither
+    alternating nor symmetric (a certified block system, say).  No
+    order match can then follow, so the random phase is skipped and
+    the chain is rebuilt and completed at once.  The rebuild reads no
+    rng, so the chain is the one the random phase would have led to.
     """
     if rng is None:
         rng = np.random.default_rng(0)
@@ -581,9 +631,12 @@ def schreier_sims(gens: list[np.ndarray],
     giant = half if all_even else 2 * half
     chain.fill(rng, giant)
     fill_s = time.perf_counter() - t0
-    clean = 0
+    fed = clean = 0
+    if chain.order < giant and not_giant is not None and not_giant():
+        clean = CLEAN_STREAK  # no product could reach an order match
     while clean < CLEAN_STREAK and chain.order < giant:
         mix = rng.integers(0, len(pool), MIX_LENGTH)
+        fed += 1
         if chain.feed(perms.compose_all([pool[i] for i in mix])):
             clean = 0
         else:
@@ -598,6 +651,7 @@ def schreier_sims(gens: list[np.ndarray],
         # generators and verify deterministically
         chain = seeded()
         chain.complete()
+    chain.fed = fed
     chain.stage_seconds = {
         "fill": fill_s, "random": random_s,
         "complete": time.perf_counter() - t0 - fill_s - random_s}

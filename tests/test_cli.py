@@ -419,7 +419,7 @@ def test_order_small_degree(capsys):
     assert "certificate: alternating-order-match" in out
 
 
-CHAIN_COUNTERS = ["levels", "rows", "built", "strong_generators",
+CHAIN_COUNTERS = ["levels", "rows", "built", "strong_generators", "fed",
                   "schreier_sifted", "gathered", "absorbed"]
 
 
@@ -448,6 +448,8 @@ def test_order_chain_counters_on_stderr_only(fmt, capsys):
     assert counters["built"] == counters["rows"]
     # the deterministic route sifts Schreier generators and absorbs some
     assert int(counters["schreier_sifted"]) > int(counters["absorbed"]) > 0
+    # the spec has certified blocks, so no random product is sifted
+    assert counters["fed"] == "0"
 
 
 @pytest.mark.parametrize("spec,seed", [(CONFORMING_N4, "7"),

@@ -11,7 +11,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from roundgroup import cipher, groups, perms, words
+from roundgroup import cipher, groups, perms, verify, words
 
 import oracles
 
@@ -754,8 +754,8 @@ def test_fill_of_unreduced_draws_breaks_the_base_invariant(monkeypatch):
     make_gens, seed = KERNEL_CASES["conforming_n3"]
     gens = make_gens()
 
-    def unreduced(self, k, rng):
-        lvl = self.levels[k]
+    def unreduced(self, top, k, rng):
+        lvl = self.levels[top]
         word = rng.integers(0, len(lvl.gens), groups.FILL_WORD_LENGTH)
         return perms.compose_all([lvl.gens[i] for i in word])
 
@@ -770,6 +770,145 @@ def test_fill_of_unreduced_draws_breaks_the_base_invariant(monkeypatch):
         assert len(chain.levels) > 2
         fixed.append(fixes_earlier_base_points(chain))
     assert fixed == [True, False]
+
+
+def order_256_pool_giants(seed):
+    """The giants of perfbench's `order-256` pool for `seed`, each with
+    its `--seed`: conforming_n4 with 0, then the 8 seeded conforming
+    specs, drawn as perfbench/workloads.py draws them."""
+    rng = np.random.default_rng([3, seed])
+    giants = [(spec_generators("conforming_n4"), 0)]
+    for i in range(8):
+        m, delta = (2, 2) if i % 2 else (1, 4)
+        r = int(rng.integers(m, (delta - 1) * m + 1))
+        spec = cipher.random_spec(m, delta, r, rng)
+        giants.append((perms.standard_generators(spec),
+                       int(rng.integers(1 << 31))))
+    return giants
+
+
+def escalations(monkeypatch):
+    """Record, for each fill draw, whether it came from a level above
+    the one it fills from."""
+    draw, escalated = groups.StabilizerChain._draw, []
+
+    def recording(self, top, k, rng):
+        escalated.append(top < k)
+        return draw(self, top, k, rng)
+
+    monkeypatch.setattr(groups.StabilizerChain, "_draw", recording)
+    return escalated
+
+
+def refuse():
+    raise AssertionError("not_giant asked after a fill reached the giant "
+                         "order")
+
+
+def test_fill_reaches_the_giant_order_on_the_order_256_pool(monkeypatch):
+    # with draws from one level only, 6 of these 9 fills left level 251
+    # or 252 short and the rest to the random phase; drawing
+    # from further up once a level's own draws are spent completes
+    # every one, so no product is fed and not_giant is never asked
+    escalated = escalations(monkeypatch)
+    short = 0
+    for gens, seed in order_256_pool_giants(0):
+        escalated.clear()
+        chain = groups.schreier_sims(gens, np.random.default_rng(seed),
+                                     not_giant=refuse)
+        assert chain.certificate == "alternating-order-match"
+        assert chain.fed == 0
+        assert fixes_earlier_base_points(chain)
+        short += any(escalated)
+    assert short == 6
+
+
+def test_fill_of_draws_reduced_at_one_level_breaks_the_base_invariant(
+        monkeypatch):
+    # a draw from level top < k fixes b_k only once it is reduced at
+    # every level from top to k; a mutant reducing it at level k alone
+    # joins level k + 1 with generators that move b_top..b_{k-1}
+    gens, seed = order_256_pool_giants(0)[1]  # seeded0, short before
+
+    def skipping(self, top, k, rng):
+        lvl = self.levels[top]
+        word = rng.integers(0, len(lvl.gens), groups.FILL_WORD_LENGTH)
+        x = perms.compose_all([lvl.gens[i] for i in word])
+        lvl = self.levels[k]
+        # x may send b_k to an earlier base point, which level k has no
+        # row for: the mutant keeps that draw as it is, where the row's
+        # refusal would stop it before the check
+        j = lvl.posidx.item(x.item(lvl.point))
+        return lvl.row(j)[x] if j > 0 else x
+
+    fixed = []
+    for draw in (groups.StabilizerChain._draw, skipping):
+        monkeypatch.setattr(groups.StabilizerChain, "_draw", draw)
+        escalated = escalations(monkeypatch)
+        chain = groups.StabilizerChain(len(gens[0]))
+        for g in gens:
+            chain.feed(g)
+        chain.fill(np.random.default_rng(seed),
+                   math.factorial(chain.degree) // 2)
+        assert any(escalated)
+        fixed.append(fixes_earlier_base_points(chain))
+    assert fixed == [True, False]
+
+
+def ac5_i9_spec():
+    """AC5's i=9, the `order-256` pool's slow non-giant."""
+    return cipher.random_spec(2, 2, 0, np.random.default_rng(150_009))
+
+
+def block_scan_answers(spec, asked):
+    """`order`'s not_giant callback for spec, recording each answer."""
+    def not_giant():
+        asked.append(bool(verify.block_scan(spec).certified))
+        return asked[-1]
+    return not_giant
+
+
+@pytest.mark.parametrize("name,seed", [("ac5_i9", 160_009),
+                                       ("identity_r0_n4", 0)])
+def test_certified_blocks_skip_the_random_phase(name, seed):
+    # both specs have certified blocks, so a fill that stops short goes
+    # straight to the deterministic route; that route reads no rng, so
+    # the chain is the one the random phase would have led to
+    spec = (ac5_i9_spec() if name == "ac5_i9"
+            else cipher.load_spec(SPECS / f"{name}.json"))
+    gens = perms.standard_generators(spec)
+    asked = []
+    skipped = groups.schreier_sims(gens, np.random.default_rng(seed),
+                                   not_giant=block_scan_answers(spec, asked))
+    sifted = groups.schreier_sims(gens, np.random.default_rng(seed))
+    assert asked == [True]
+    assert skipped.certificate == sifted.certificate == "schreier-verified"
+    assert skipped.fed == 0 < sifted.fed
+    assert chain_snapshot(skipped) == chain_snapshot(sifted)
+
+
+def test_giant_without_the_fill_matches_in_the_random_phase(monkeypatch):
+    # not_giant answers False on a giant (no block is certified), so the
+    # random phase still runs and reaches |Alt(256)| on its own
+    monkeypatch.setattr(groups.StabilizerChain, "fill",
+                        lambda self, rng, giant: None)
+    spec = cipher.load_spec(SPECS / "conforming_n4.json")
+    asked = []
+    chain = groups.schreier_sims(perms.standard_generators(spec),
+                                 np.random.default_rng(7),
+                                 not_giant=block_scan_answers(spec, asked))
+    assert asked == [False]
+    assert chain.certificate == "alternating-order-match"
+    assert chain.fed > 0
+
+
+def test_level_row_refuses_a_point_outside_its_orbit():
+    # a position of -1 would otherwise read the last row
+    chain = groups.schreier_sims(S4_GENS, np.random.default_rng(1))
+    lvl = chain.levels[-1]
+    outside = int(np.nonzero(lvl.posidx < 0)[0][0])
+    with pytest.raises(IndexError):
+        lvl.row(lvl.posidx.item(outside))
 
 
 @pytest.mark.parametrize("seed", [0, 7])
